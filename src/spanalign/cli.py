@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .corpus import (
     synth_generate,
 )
 from .dtw import dtw_distance
-from .evalkit import score_links
+from .evalkit import EvalReport, evaluate, format_report, report_rows, score_links
 from .model import save_params
 from .segmentation import SegmentationConfig
 from .trainer import TrainConfig, TrainError, build_tables, final_alignments, train
@@ -90,7 +91,7 @@ _RUN_OPTIONS = [
     Option("k", int, 2, "clusters per word type"),
     Option("dba_iterations", int, 3, "barycenter averaging iterations per M-step"),
     Option("variant", str, "deficient", "span likelihood variant: deficient or proper"),
-    Option("lambda_grid", str, "0.1,0.3,0.5,1.0,2.0", "comma-separated lambda grid"),
+    Option("lambda_grid", str, "0.1,0.3,0.5,1.0,2.0", "comma-separated lambda grid (grid only)"),
     Option("dev_manifest", str, None, "manifest naming the dev split (grid only)"),
     Option("test_manifest", str, None, "manifest naming the test split (grid only)"),
     Option("threads", int, None, f"worker threads (default: ${THREADS_ENV} or cpu count)"),
@@ -183,14 +184,12 @@ def _normalized(corpus: Corpus) -> Corpus:
 
 
 def _train_config(values: dict, lam: float | None = None) -> TrainConfig:
-    grid = tuple(float(v) for v in str(values["lambda_grid"]).split(",") if v.strip())
     return TrainConfig(
         iterations=values["iterations"],
         seed=values["seed"],
         k=values["k"],
         dba_iterations=values["dba_iterations"],
         variant=values["variant"],
-        lambda_grid=grid,
         p0=values["p0"],
         lam=values["lambda"] if lam is None else lam,
     )
@@ -221,16 +220,13 @@ def _alignment_rows(corpus: Corpus, alignments: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_training(corpus: Corpus, values: dict, lam: float | None = None):
-    seg = _seg_config(values)
-    tables = build_tables(corpus, seg)
+def _run_training(corpus: Corpus, values: dict, tables, lam: float | None = None):
     state = train(
         corpus,
         _train_config(values, lam=lam),
-        seg_config=seg,
+        tables,
         threads=values["threads"],
         checkpoint_dir=values.get("_checkpoint_dir"),
-        tables=tables,
     )
     alignments = final_alignments(corpus, state, tables[0], tables[1])
     return state, alignments
@@ -252,7 +248,8 @@ def cmd_align(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     values["_checkpoint_dir"] = out_dir
 
-    state, alignments = _run_training(corpus, values)
+    tables = build_tables(corpus, _seg_config(values))
+    state, alignments = _run_training(corpus, values, tables)
     atomic_write_text(out_dir / "alignments.tsv", _alignment_rows(corpus, alignments))
     save_params(state.params, out_dir / "checkpoint.json")
 
@@ -289,55 +286,40 @@ def _read_alignment_file(path: str):
     return links, names
 
 
-def _file_report(pred_path: str, gold_path: str):
+def _file_report(pred_path: str, gold_path: str) -> EvalReport:
+    """Score an alignment file against a gold file.
+
+    Utterances are reported in sorted id order; gold links of a word the
+    predictions never name count under the type "<unnamed>".
+    """
     pred_links, names = _read_alignment_file(pred_path)
     gold = read_gold_file(gold_path)
     gold_links = {(u, w, j) for u, ga in gold.items() for w, j in ga.links}
 
-    precision, recall, f_score = score_links(pred_links, gold_links)
-    utt_ids = sorted({u for u, _, _ in pred_links} | set(gold))
-    per_utt = {}
-    for utt_id in utt_ids:
-        p_links = {t for t in pred_links if t[0] == utt_id}
-        g_links = {t for t in gold_links if t[0] == utt_id}
-        per_utt[utt_id] = score_links(p_links, g_links)
+    # (predicted, gold) link sets per utterance and per word type
+    by_utt = defaultdict(lambda: (set(), set()))
+    by_type = defaultdict(lambda: (set(), set()))
+    for side, links in enumerate((pred_links, gold_links)):
+        for link in links:
+            by_utt[link[0]][side].add(link)
+            by_type[names.get(link[:2], "<unnamed>")][side].add(link)
 
-    by_type_pred: dict[str, set] = {}
-    by_type_gold: dict[str, set] = {}
-    for u, w, j in pred_links:
-        by_type_pred.setdefault(names[(u, w)], set()).add((u, w, j))
-    for u, w, j in gold_links:
-        word = names.get((u, w), "<unnamed>")
-        by_type_gold.setdefault(word, set()).add((u, w, j))
-    per_type = {
-        word: score_links(by_type_pred.get(word, set()), by_type_gold.get(word, set()))
-        for word in sorted(set(by_type_pred) | set(by_type_gold))
-    }
-    return (precision, recall, f_score), per_utt, per_type
+    precision, recall, f_score = score_links(pred_links, gold_links)
+    per_utt = {u: score_links(*by_utt[u]) for u in sorted(by_utt)}
+    per_type = {word: score_links(*by_type[word]) for word in sorted(by_type)}
+    return EvalReport(precision, recall, f_score, per_utt, per_type)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    (precision, recall, f_score), per_utt, per_type = _file_report(args.predicted, args.gold)
-    print(f"precision\t{precision:.6f}")
-    print(f"recall\t{recall:.6f}")
-    print(f"f_score\t{f_score:.6f}")
+    report = _file_report(args.predicted, args.gold)
+    print(f"precision\t{report.precision:.6f}")
+    print(f"recall\t{report.recall:.6f}")
+    print(f"f_score\t{report.f_score:.6f}")
     if args.output:
         out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
-        text = [
-            f"precision\t{precision:.6f}",
-            f"recall\t{recall:.6f}",
-            f"f_score\t{f_score:.6f}",
-            "",
-            "utt_id\tprecision\trecall\tf_score",
-        ]
-        text += [f"{u}\t{p:.6f}\t{r:.6f}\t{f:.6f}" for u, (p, r, f) in per_utt.items()]
-        atomic_write_text(out_dir / "report.txt", "\n".join(text) + "\n")
-        rows = ["scope\tname\tprecision\trecall\tf_score"]
-        rows.append(f"corpus\t-\t{precision!r}\t{recall!r}\t{f_score!r}")
-        rows += [f"utterance\t{u}\t{p!r}\t{r!r}\t{f!r}" for u, (p, r, f) in per_utt.items()]
-        rows += [f"word_type\t{w}\t{p!r}\t{r!r}\t{f!r}" for w, (p, r, f) in per_type.items()]
-        atomic_write_text(out_dir / "report.tsv", "\n".join(rows) + "\n")
+        atomic_write_text(out_dir / "report.txt", format_report(report))
+        atomic_write_text(out_dir / "report.tsv", report_rows(report))
     return 0
 
 
@@ -349,20 +331,6 @@ def _read_manifest_ids(path: str) -> list[str]:
     return ids
 
 
-def _subset_f(corpus: Corpus, alignments: dict, utt_ids: list[str]) -> float:
-    from .evalkit import alignment_to_links
-
-    pred = set()
-    gold = set()
-    by_id = {p.utt_id: p for p in corpus.pairs}
-    for utt_id in utt_ids:
-        pair = by_id[utt_id]
-        pred.update((utt_id, w, j) for w, j in alignment_to_links(alignments[utt_id], pair))
-        if corpus.gold and utt_id in corpus.gold:
-            gold.update((utt_id, w, j) for w, j in corpus.gold[utt_id].links)
-    return score_links(pred, gold)[2]
-
-
 def cmd_grid(args: argparse.Namespace) -> int:
     values = _resolve(args, _RUN_OPTIONS)
     _require(
@@ -370,6 +338,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
         ["manifest", "features", "translations", "gold", "output", "dev_manifest", "test_manifest"],
         "grid",
     )
+    grid = tuple(float(v) for v in str(values["lambda_grid"]).split(",") if v.strip())
+    if not grid or any(v <= 0 for v in grid):
+        raise ValueError("lambda_grid values must be positive")
     corpus = load_corpus(
         values["manifest"],
         values["features"],
@@ -381,27 +352,29 @@ def cmd_grid(args: argparse.Namespace) -> int:
         corpus = _normalized(corpus)
     dev_ids = _read_manifest_ids(values["dev_manifest"])
     test_ids = _read_manifest_ids(values["test_manifest"])
-    known = {p.utt_id for p in corpus.pairs}
+    by_id = {p.utt_id: p for p in corpus.pairs}
     for utt_id in dev_ids + test_ids:
-        if utt_id not in known:
+        if utt_id not in by_id:
             raise CorpusError(f"split utterance {utt_id!r} not in the corpus")
+    dev = Corpus(tuple(by_id[u] for u in dict.fromkeys(dev_ids)))
+    test = Corpus(tuple(by_id[u] for u in dict.fromkeys(test_ids)))
 
-    grid = tuple(float(v) for v in str(values["lambda_grid"]).split(",") if v.strip())
     out_dir = Path(values["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    tables = build_tables(corpus, _seg_config(values))
     rows = ["lambda\tdev_f"]
     best = None
     for lam in grid:
-        _, alignments = _run_training(corpus, values, lam=lam)
-        dev_f = _subset_f(corpus, alignments, dev_ids)
+        _, alignments = _run_training(corpus, values, tables, lam=lam)
+        dev_f = evaluate(alignments, corpus.gold, dev).f_score
         rows.append(f"{lam!r}\t{dev_f!r}")
         print(f"lambda {lam}: dev f_score {dev_f:.6f}")
         if best is None or dev_f > best[1]:
             best = (lam, dev_f, alignments)
 
     lam, dev_f, alignments = best
-    test_f = _subset_f(corpus, alignments, test_ids)
+    test_f = evaluate(alignments, corpus.gold, test).f_score
     rows.append(f"selected\t{lam!r}")
     rows.append(f"test_f\t{test_f!r}")
     atomic_write_text(out_dir / "grid_report.tsv", "\n".join(rows) + "\n")

@@ -133,17 +133,3 @@ def delta_b(i: int, l: int, m: int, mu_i: int, params: DistortionParams) -> np.n
     """Probability vector over span ends, entry 0 being the null span."""
     return np.exp(log_delta_b(i, l, m, mu_i, params))
 
-
-def log_delta_span(
-    a: int, b: int, i: int, l: int, m: int, mu_i: int, params: DistortionParams
-) -> float:
-    """Joint log probability of span endpoints (a, b), factored as delta_a * delta_b.
-
-    Either endpoint may be 0 (the null span), which scores log p0 and is
-    -inf under the default p0 = 0.
-    """
-    if not (0 <= a <= m and 0 <= b <= m):
-        raise ValueError(f"endpoints ({a}, {b}) out of range for m={m}")
-    if a > 0 and b > 0 and a > b:
-        raise ValueError(f"span start {a} exceeds end {b}")
-    return float(log_delta_a(i, l, m, mu_i, params)[a] + log_delta_b(i, l, m, mu_i, params)[b])

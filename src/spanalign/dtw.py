@@ -124,21 +124,18 @@ def candidate_span_costs(
 def dba_centroid(
     members: Sequence[FeatureSequence],
     iterations: int = 3,
-    seed: int = 0,
     return_history: bool = False,
 ):
     """DTW barycenter averaging over a set of member sequences.
 
     The skeleton starts as a median-length member (upper median; ties go
-    to the lowest member index, so the seed never actually matters) and
-    each iteration replaces every skeleton frame with the mean of the
-    member frames warped onto it.  Stops early once the sum of squared
+    to the lowest member index) and each iteration replaces every
+    skeleton frame with the mean of the member frames warped onto it.  Stops early once the sum of squared
     normalized costs improves by less than 1e-6 relative; an update that
     worsens that objective is discarded outright, since the mean update
     minimizes framewise error along the old paths, not the normalized
     path cost itself, and can overshoot.
     """
-    del seed  # tie-breaking is fully deterministic; kept for interface stability
     if not members:
         raise ValueError("dba_centroid needs at least one member")
     if iterations < 1:

@@ -12,6 +12,8 @@ cluster prototype to the span's frames.  Two likelihood variants exist:
 
 A cluster is live when its prototype exists and u(f) > 0; dead clusters
 keep their last prototype but drop out of normalizers and argmaxes.
+This module builds the per-cluster span tables; the trainer adds log u(f)
+and the distortion to them to score words.
 """
 
 from __future__ import annotations
@@ -20,17 +22,16 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .corpus import FeatureSequence, SentencePair, atomic_write_text
-from .distortion import DistortionParams, log_delta_a, log_delta_b
+from .distortion import DistortionParams
 from .dtw import candidate_span_costs
 from .segmentation import CandidateSpans
 
 VARIANTS = ("deficient", "proper")
-NEG_INF = float("-inf")
 CHECKPOINT_VERSION = 1
 
 
@@ -128,7 +129,7 @@ class Alignment:
 
 
 # ---------------------------------------------------------------------------
-# scoring
+# span tables
 # ---------------------------------------------------------------------------
 
 def deficient_log_s_table(
@@ -163,100 +164,6 @@ def proper_log_s_rows(
     lse = peak + np.log(np.exp(rows - peak).sum(axis=0))
     log_s = rows - lse
     return {f: log_s[idx] for idx, f in enumerate(live)}
-
-
-def log_s_deficient(
-    f: int,
-    a: int,
-    b: int,
-    pair: SentencePair,
-    candidates: CandidateSpans,
-    prototypes: Sequence[FeatureSequence | None],
-) -> float:
-    proto = prototypes[f]
-    if proto is None:
-        raise ValueError(f"cluster {f} has no prototype")
-    idx = candidates.spans.index((a, b))
-    return float(deficient_log_s_table(proto, pair, candidates)[idx])
-
-
-def log_s_proper(
-    f: int, a: int, b: int, pair: SentencePair, params: ModelParams, candidates: CandidateSpans
-) -> float:
-    rows = proper_log_s_rows(params, pair, candidates)
-    if f not in rows:
-        raise ValueError(f"cluster {f} is not live")
-    idx = candidates.spans.index((a, b))
-    return float(rows[f][idx])
-
-
-def effective_mu(mu_i: int, l: int, m: int) -> int:
-    # mu_i = m only happens for single-word sentences, where the h slope
-    # is undefined; clamp to m - 1 so the distortion stays well-formed.
-    return min(mu_i, m - 1) if l == 1 else mu_i
-
-
-def span_log_delta(i: int, a: int, b: int, pair: SentencePair, mu_i: int, params: DistortionParams) -> float:
-    if pair.m == 1:
-        return 0.0  # a single frame admits a single span; distortion is constant
-    mu = effective_mu(mu_i, pair.l, pair.m)
-    la = log_delta_a(i, pair.l, pair.m, mu, params)
-    lb = log_delta_b(i, pair.l, pair.m, mu, params)
-    return float(la[a] + lb[b])
-
-
-def word_log_score(
-    i: int,
-    word: str,
-    f: int,
-    a: int,
-    b: int,
-    pair: SentencePair,
-    params: ModelParams,
-    candidates: CandidateSpans,
-    mu_i: int,
-) -> float:
-    """Log score of word i (1-indexed) taking cluster f on span (a, b).
-
-    Returns -inf when f does not belong to the word's inventory slice
-    (the 0/1 translation table) or is dead.
-    """
-    if f not in params.inventory.clusters.get(word, ()):
-        return NEG_INF
-    if params.u[f] <= 0.0 or params.prototypes[f] is None:
-        return NEG_INF
-    delta_lp = span_log_delta(i, a, b, pair, mu_i, params.distortion)
-    if params.variant == "deficient":
-        s_lp = log_s_deficient(f, a, b, pair, candidates, params.prototypes)
-        return (math.log(params.u[f]) + s_lp) + delta_lp
-    s_lp = log_s_proper(f, a, b, pair, params, candidates)
-    return s_lp + delta_lp
-
-
-def sentence_log_score(
-    alignment: Alignment,
-    pair: SentencePair,
-    params: ModelParams,
-    candidates: CandidateSpans,
-    mu: Sequence[int],
-) -> float:
-    """Sum of word log scores under the joint model (uniform p(l) omitted)."""
-    if len(alignment.words) != pair.l:
-        raise ValueError("alignment length does not match sentence length")
-    total = 0.0
-    for i, entry in enumerate(alignment.words, start=1):
-        total += word_log_score(
-            i,
-            pair.target_words[i - 1],
-            entry.cluster_id,
-            entry.a,
-            entry.b,
-            pair,
-            params,
-            candidates,
-            mu[i - 1],
-        )
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ silent.  Candidate spans never contain a silent frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +44,15 @@ class SilenceSpans:
 
 @dataclass(frozen=True)
 class CandidateSpans:
-    """Sorted unique candidate spans (a, b), 1-indexed inclusive."""
+    """Sorted unique candidate spans (a, b), 1-indexed inclusive.
+
+    `starts` and `ends` hold the same spans as read-only int64 arrays,
+    for indexing per-frame score vectors.
+    """
 
     spans: tuple[tuple[int, int], ...]
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.spans:
@@ -58,6 +64,10 @@ class CandidateSpans:
             if prev is not None and not (prev < (a, b)):
                 raise ValueError("spans must be strictly sorted")
             prev = (a, b)
+        for name, column in zip(("starts", "ends"), zip(*self.spans)):
+            arr = np.array(column, dtype=np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __iter__(self):
         return iter(self.spans)

@@ -26,7 +26,6 @@ from .model import (
     ModelParams,
     WordAlignment,
     deficient_log_s_table,
-    effective_mu,
     proper_log_s_rows,
     save_params,
 )
@@ -46,7 +45,6 @@ class TrainConfig:
     k: int = 2
     dba_iterations: int = 3
     variant: str = "deficient"
-    lambda_grid: tuple[float, ...] = (0.1, 0.3, 0.5, 1.0, 2.0)
     p0: float = 0.0
     lam: float = 0.5
 
@@ -59,8 +57,6 @@ class TrainConfig:
             raise ValueError("dba_iterations must be >= 1")
         if self.variant not in ("deficient", "proper"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not self.lambda_grid or any(v <= 0 for v in self.lambda_grid):
-            raise ValueError("lambda_grid values must be positive")
 
 
 @dataclass(frozen=True)
@@ -94,16 +90,22 @@ def build_tables(
     return candidates_map, mu_map
 
 
+def effective_mu(mu_i: int, l: int, m: int) -> int:
+    # mu_i = m only happens for single-word sentences, where the h slope
+    # is undefined; clamp to m - 1 so the distortion stays well-formed.
+    return min(mu_i, m - 1) if l == 1 else mu_i
+
+
 def _delta_table(
-    i: int, pair: SentencePair, mu_i: int, dparams: DistortionParams, a_arr: np.ndarray, b_arr: np.ndarray
+    i: int, pair: SentencePair, mu_i: int, dparams: DistortionParams, candidates: CandidateSpans
 ) -> np.ndarray:
-    """log delta for every candidate span, matching span_log_delta element-wise."""
+    """log delta_a(a) + log delta_b(b) for word i and every candidate span (a, b)."""
     if pair.m == 1:
-        return np.zeros(len(a_arr))
+        return np.zeros(len(candidates))  # a single frame admits a single span
     mu = effective_mu(mu_i, pair.l, pair.m)
     la = log_delta_a(i, pair.l, pair.m, mu, dparams)
     lb = log_delta_b(i, pair.l, pair.m, mu, dparams)
-    return la[a_arr] + lb[b_arr]
+    return la[candidates.starts] + lb[candidates.ends]
 
 
 def _base_tables(
@@ -144,9 +146,6 @@ def _align_pair(
     Candidates are scanned in (a, b) order and clusters in id order, so
     on score ties the smaller start, then end, then cluster id wins.
     """
-    spans = candidates.spans
-    a_arr = np.fromiter((a for a, _ in spans), dtype=np.int64, count=len(spans))
-    b_arr = np.fromiter((b for _, b in spans), dtype=np.int64, count=len(spans))
     tables = _base_tables(pair, params, candidates)
 
     out = []
@@ -158,11 +157,11 @@ def _align_pair(
                 raise TrainError(f"{pair.utt_id}: word {i} has no live cluster")
             out.append(prev[i - 1])
             continue
-        delta_vec = _delta_table(i, pair, mu[i - 1], params.distortion, a_arr, b_arr)
+        delta_vec = _delta_table(i, pair, mu[i - 1], params.distortion, candidates)
         scores = np.stack([tables[f] + delta_vec for f in allowed], axis=1)
         flat = int(np.argmax(scores))
         ci, fi = divmod(flat, len(allowed))
-        out.append((allowed[fi], int(a_arr[ci]), int(b_arr[ci])))
+        out.append((allowed[fi], int(candidates.starts[ci]), int(candidates.ends[ci])))
         total += float(scores.flat[flat])
     return tuple(out), total
 
@@ -174,18 +173,20 @@ def _score_pair(
     mu: tuple[int, ...],
     assignment: tuple[Assignment, ...],
 ) -> Alignment:
-    """Score a fixed assignment with the same tables the E-step uses."""
-    spans = candidates.spans
-    index = {span: idx for idx, span in enumerate(spans)}
-    a_arr = np.fromiter((a for a, _ in spans), dtype=np.int64, count=len(spans))
-    b_arr = np.fromiter((b for _, b in spans), dtype=np.int64, count=len(spans))
+    """Score a fixed assignment with the same tables the E-step uses.
+
+    A cluster outside the word's inventory slice, a dead cluster, or a
+    span outside the candidate set scores -inf.
+    """
+    index = {span: idx for idx, span in enumerate(candidates.spans)}
     tables = _base_tables(pair, params, candidates)
 
     words = []
-    for i, (f, a, b) in enumerate(assignment, start=1):
-        delta_vec = _delta_table(i, pair, mu[i - 1], params.distortion, a_arr, b_arr)
-        if f in tables and (a, b) in index:
-            score = float((tables[f] + delta_vec)[index[(a, b)]])
+    for i, ((f, a, b), word) in enumerate(zip(assignment, pair.target_words), start=1):
+        delta_vec = _delta_table(i, pair, mu[i - 1], params.distortion, candidates)
+        idx = index.get((a, b))
+        if f in tables and f in params.inventory.clusters.get(word, ()) and idx is not None:
+            score = float(tables[f][idx] + delta_vec[idx])
         else:
             score = float("-inf")
         words.append(WordAlignment(cluster_id=f, a=a, b=b, log_score=score))
@@ -243,7 +244,7 @@ def m_step(
     live = sorted(members)
 
     def rebuild(f: int):
-        return dba_centroid(members[f], iterations=config.dba_iterations, seed=config.seed)
+        return dba_centroid(members[f], iterations=config.dba_iterations)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -281,16 +282,13 @@ def initialize(
     for pair in corpus:
         candidates = candidates_map[pair.utt_id]
         mu = mu_map[pair.utt_id]
-        spans = candidates.spans
-        a_arr = np.fromiter((a for a, _ in spans), dtype=np.int64, count=len(spans))
-        b_arr = np.fromiter((b for _, b in spans), dtype=np.int64, count=len(spans))
         entry = []
         for i, word in enumerate(pair.target_words, start=1):
             slot = int(rng.integers(0, config.k))
             f = inventory.clusters[word][slot]
-            delta_vec = _delta_table(i, pair, mu[i - 1], dparams, a_arr, b_arr)
+            delta_vec = _delta_table(i, pair, mu[i - 1], dparams, candidates)
             ci = int(np.argmax(delta_vec))
-            entry.append((f, int(a_arr[ci]), int(b_arr[ci])))
+            entry.append((f, int(candidates.starts[ci]), int(candidates.ends[ci])))
         assignments[pair.utt_id] = tuple(entry)
 
     blank = ModelParams(
@@ -315,15 +313,14 @@ def initialize(
 def train(
     corpus: Corpus,
     config: TrainConfig,
-    seg_config: SegmentationConfig | None = None,
+    tables: tuple[dict[str, CandidateSpans], dict[str, tuple[int, ...]]],
     threads: int = 1,
     checkpoint_dir: Path | str | None = None,
-    tables: tuple[dict[str, CandidateSpans], dict[str, tuple[int, ...]]] | None = None,
 ) -> TrainState:
-    """Initialization followed by `iterations` rounds of (E-step, M-step)."""
-    if tables is None:
-        seg_config = seg_config if seg_config is not None else SegmentationConfig()
-        tables = build_tables(corpus, seg_config)
+    """Initialization followed by `iterations` rounds of (E-step, M-step).
+
+    `tables` is the (candidate spans, mu) pair from `build_tables`.
+    """
     candidates_map, mu_map = tables
     state = initialize(corpus, config, candidates_map, mu_map, threads=threads)
     if checkpoint_dir is not None:

@@ -1,14 +1,17 @@
 """Independent reference implementations used to freeze expected values.
 
-Everything here trades speed for obviousness: exhaustive enumeration and
-integer arithmetic only, no shared code with the package internals beyond
-the public scoring helpers explicitly under test.
+Everything here trades speed for obviousness: exhaustive enumeration,
+integer arithmetic, and a per-span scorer that computes one DTW per
+(cluster, span) instead of sharing the package's batched span tables.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from spanalign.distortion import log_delta_a, log_delta_b
+from spanalign.dtw import dtw_distance
 
 
 def exhaustive_dtw(x: np.ndarray, y: np.ndarray) -> float:
@@ -80,13 +83,72 @@ def analytic_delta_argmax(i: int, l: int, m: int, mu_i: int, shifted: bool) -> i
     return best_j
 
 
+def _span_costs(proto, pair, candidates) -> np.ndarray:
+    """Normalized DTW cost of the prototype against each candidate span, one DP each."""
+    return np.array(
+        [dtw_distance(proto, pair.source.segment(a, b)).normalized_cost for a, b in candidates.spans]
+    )
+
+
+def log_s_deficient(f, a, b, pair, candidates, prototypes) -> float:
+    """log s(a, b | f): softmax of -DTW^2 over the candidate spans."""
+    proto = prototypes[f]
+    if proto is None:
+        raise ValueError(f"cluster {f} has no prototype")
+    costs = _span_costs(proto, pair, candidates)
+    neg = -(costs * costs)
+    peak = neg.max()
+    table = neg - (peak + math.log(np.exp(neg - peak).sum()))
+    return float(table[candidates.spans.index((a, b))])
+
+
+def log_s_proper(f, a, b, pair, params, candidates) -> float:
+    """log s(f | a, b): softmax of -DTW^2 over the live clusters."""
+    live = params.live_clusters()
+    if f not in live:
+        raise ValueError(f"cluster {f} is not live")
+    costs = np.stack([_span_costs(params.prototypes[g], pair, candidates) for g in live])
+    neg = -(costs * costs)
+    peak = neg.max(axis=0)
+    rows = neg - (peak + np.log(np.exp(neg - peak).sum(axis=0)))
+    return float(rows[live.index(f)][candidates.spans.index((a, b))])
+
+
+def span_log_delta(i, a, b, pair, mu_i, params) -> float:
+    """log delta_a(a) + log delta_b(b) for word i (1-indexed)."""
+    if pair.m == 1:
+        return 0.0  # a single frame admits a single span; distortion is constant
+    mu = min(mu_i, pair.m - 1) if pair.l == 1 else mu_i  # single-word clamp
+    la = log_delta_a(i, pair.l, pair.m, mu, params)
+    lb = log_delta_b(i, pair.l, pair.m, mu, params)
+    return float(la[a] + lb[b])
+
+
+def word_log_score(i, word, f, a, b, pair, params, candidates, mu_i) -> float:
+    """Log score of word i (1-indexed) taking cluster f on span (a, b).
+
+    Deficient: log u(f) + log s(a, b | f) + log delta.  Proper:
+    log s(f | a, b) + log delta.  -inf when f is outside the word's
+    inventory slice or dead.
+    """
+    if f not in params.inventory.clusters.get(word, ()):
+        return -math.inf
+    if params.u[f] <= 0.0 or params.prototypes[f] is None:
+        return -math.inf
+    delta_lp = span_log_delta(i, a, b, pair, mu_i, params.distortion)
+    if params.variant == "deficient":
+        s_lp = log_s_deficient(f, a, b, pair, candidates, params.prototypes)
+        return (math.log(params.u[f]) + s_lp) + delta_lp
+    return log_s_proper(f, a, b, pair, params, candidates) + delta_lp
+
+
 def brute_force_word_argmax(i, word, pair, params, candidates, mu_i, word_log_score):
     """Exhaustive per-word E-step argmax with the documented tie-break.
 
     Scans clusters in increasing id and spans in candidate order,
     keeping the first strict maximum, so ties resolve to the smaller
     (a, b) and then the smaller cluster id.  `word_log_score` is the
-    scoring function under test; the independence is in the search.
+    scoring function to search with, normally the one above.
     """
     live = [
         f

@@ -19,7 +19,6 @@ from spanalign.corpus import FeatureSequence, load_corpus
 from spanalign.distortion import DistortionParams, delta_a, delta_b
 from spanalign.dtw import dba_centroid, dtw_distance
 from spanalign.evalkit import evaluate, naive_baseline
-from spanalign.model import word_log_score
 from spanalign.segmentation import SegmentationConfig
 from spanalign.trainer import (
     TrainConfig,
@@ -30,7 +29,7 @@ from spanalign.trainer import (
     train,
 )
 
-from oracles import analytic_delta_argmax, brute_force_word_argmax, exhaustive_dtw
+from oracles import analytic_delta_argmax, brute_force_word_argmax, exhaustive_dtw, word_log_score
 from test_trainer import _tiny_instance
 
 
@@ -158,9 +157,8 @@ def test_noiseless_corpus_recovered_exactly(clean_corpus_dir, tmp_path):
     started = time.perf_counter()
     run_dir = tmp_path / "run"
     _align(clean_corpus_dir, run_dir, "--threads", "1")
-    (precision, recall, f_score), _, _ = _file_report(
-        str(run_dir / "alignments.tsv"), str(clean_corpus_dir / "gold.tsv")
-    )
+    report = _file_report(str(run_dir / "alignments.tsv"), str(clean_corpus_dir / "gold.tsv"))
+    precision, recall, f_score = report.precision, report.recall, report.f_score
     assert f_score == 1.0
     assert precision == 1.0 and recall == 1.0
     assert time.perf_counter() - started < 120.0

@@ -231,3 +231,12 @@ def test_grid_selects_lambda_on_dev(tmp_path, capsys):
     assert rows[4].startswith("test_f\t")
     selected = float(rows[3].split("\t")[1])
     assert selected in (0.3, 0.5)
+
+
+@pytest.mark.parametrize("grid", [",", "0.5,0"], ids=["empty", "non_positive"])
+def test_grid_rejects_bad_lambda_grid(tmp_path, capsys, grid):
+    paths = ["--manifest", "m.txt", "--features", "f", "--translations", "t.txt", "--gold", "g.tsv"]
+    splits = ["--dev-manifest", "dev.txt", "--test-manifest", "test.txt"]
+    code = main(["grid", *paths, *splits, "--output", str(tmp_path), "--lambda-grid", grid])
+    assert code == 1
+    assert "lambda_grid values must be positive" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from spanalign.distortion import (
     delta_b,
     log_delta_a,
     log_delta_b,
-    log_delta_span,
 )
 
 from oracles import analytic_delta_argmax, largest_remainder_alloc
@@ -65,28 +64,6 @@ def test_random_sweep_matches_analytic_argmax():
             vec = fn(i, l, m, mu_i, params)
             got = int(np.argmax(vec[1:])) + 1
             assert got == analytic_delta_argmax(i, l, m, mu_i, shifted)
-
-
-def test_log_delta_span_adds_endpoint_terms():
-    params = DistortionParams(p0=0.1, lam=0.5)
-    la = log_delta_a(**EXAMPLE, params=params)
-    lb = log_delta_b(**EXAMPLE, params=params)
-    got = log_delta_span(16, 36, **EXAMPLE, params=params)
-    assert got == pytest.approx(la[16] + lb[36], abs=1e-12)
-
-
-def test_log_delta_span_null_endpoints():
-    assert log_delta_span(0, 0, **EXAMPLE, params=EXAMPLE_PARAMS) == -math.inf
-    withnull = DistortionParams(p0=0.25, lam=0.5)
-    la = log_delta_a(**EXAMPLE, params=withnull)
-    got = log_delta_span(0, 12, **EXAMPLE, params=withnull)
-    lb = log_delta_b(**EXAMPLE, params=withnull)
-    assert got == pytest.approx(la[0] + lb[12], abs=1e-12)
-
-
-def test_log_delta_span_rejects_bad_order():
-    with pytest.raises(ValueError):
-        log_delta_span(30, 10, **EXAMPLE, params=EXAMPLE_PARAMS)
 
 
 def test_argument_validation():
