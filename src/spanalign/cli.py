@@ -64,10 +64,12 @@ class Option:
 
 
 def _default_threads() -> int:
+    # One thread unless asked: the span-cost kernel runs on the calling
+    # thread, and more threads only contend for the interpreter lock.
     env = os.environ.get(THREADS_ENV)
     if env:
         return int(env)
-    return os.cpu_count() or 1
+    return 1
 
 
 _RUN_OPTIONS = [
@@ -94,7 +96,7 @@ _RUN_OPTIONS = [
     Option("lambda_grid", str, "0.1,0.3,0.5,1.0,2.0", "comma-separated lambda grid (grid only)"),
     Option("dev_manifest", str, None, "manifest naming the dev split (grid only)"),
     Option("test_manifest", str, None, "manifest naming the test split (grid only)"),
-    Option("threads", int, None, f"worker threads (default: ${THREADS_ENV} or cpu count)"),
+    Option("threads", int, None, f"worker threads (default: ${THREADS_ENV} or 1)"),
 ]
 
 _SYNTH_OPTIONS = [

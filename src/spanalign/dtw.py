@@ -93,32 +93,75 @@ def dtw_distance(x: FeatureSequence, y: FeatureSequence) -> WarpResult:
     return WarpResult(raw / (x.m + y.m), _backtrace(w))
 
 
-def span_costs_from_start(proto: np.ndarray, frames: np.ndarray, start: int, max_end: int) -> list[float]:
-    """Normalized DTW costs from a prototype to spans (start, e), e = start..max_end.
-
-    One DP pass over the frame suffix yields the cost for every end
-    point, because column e of the table only depends on columns <= e.
-    Spans are 1-indexed inclusive.
-    """
-    n = proto.shape[0]
-    dist = frame_distances(proto, frames[start - 1 : max_end])
-    w = _accumulate(dist)
-    last = w[n]
-    return [last[j] / (n + j) for j in range(1, max_end - start + 2)]
+_DIST_BLOCK_CELLS = 1 << 15  # bound on the (n, block, d) temporary of one distance block
 
 
 def candidate_span_costs(
     proto: np.ndarray, frames: np.ndarray, spans: Sequence[tuple[int, int]]
 ) -> np.ndarray:
-    """Normalized DTW cost from a prototype to each (a, b) span, batched by start."""
-    by_start: dict[int, int] = {}
-    for a, b in spans:
-        if b > by_start.get(a, 0):
-            by_start[a] = b
-    cached = {
-        a: span_costs_from_start(proto, frames, a, max_b) for a, max_b in by_start.items()
-    }
-    return np.array([cached[a][b - a] for a, b in spans], dtype=np.float64)
+    """Normalized DTW cost from a prototype to each (a, b) span, in the order given.
+
+    Spans are 1-indexed inclusive.  There is one lane per distinct start
+    a, holding the DP table of the prototype against frames a..max b;
+    row n of that table yields every span (a, b), because column b - a + 1
+    only depends on the columns before it.  All lanes advance together,
+    one anti-diagonal i + j = k per numpy step, and each cell is the same
+    `d + min(diag, up, left)` as `_accumulate`, so the costs equal
+    `dtw_distance` on each span bit for bit (Sakoe & Chiba 1978).
+    """
+    n = proto.shape[0]
+    pairs = np.array(spans, dtype=np.intp).reshape(-1, 2)
+    starts, lane_of_span = np.unique(pairs[:, 0], return_inverse=True)
+    offsets = pairs[:, 1] - pairs[:, 0]  # column of the span in its lane, 0-based
+    widths = np.zeros(len(starts), dtype=np.intp)
+    np.maximum.at(widths, lane_of_span, offsets + 1)
+    # Widest lanes first, so the lanes still running at diagonal k are a prefix.
+    order = np.argsort(-widths, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    starts, widths, lane_of_span = starts[order], widths[order], rank[lane_of_span]
+
+    # Frame distances are needed only for the frames some lane covers.
+    # Packing those frames keeps each lane's frames contiguous.
+    cover = np.zeros(frames.shape[0] + 1, dtype=np.intp)
+    np.add.at(cover, starts - 1, 1)
+    np.add.at(cover, starts - 1 + widths, -1)
+    used = np.cumsum(cover[:-1]) > 0
+    packed = frames[used]
+    base = (np.cumsum(used) - 1)[starts - 1]  # packed column of each lane's first frame
+
+    # skewed[t, i - 1] = d(proto[i - 1], packed[t - (i - 1)]): cell (i, j) of
+    # lane l reads row base[l] + (i + j) - 2, so one anti-diagonal of every
+    # lane is one row gather.
+    ncols = packed.shape[0]
+    skewed = np.full((ncols + n - 1, n), _INF)
+    step = max(1, _DIST_BLOCK_CELLS // (n * proto.shape[1]))
+    for c0 in range(0, ncols, step):
+        block = frame_distances(proto, packed[c0 : c0 + step])
+        for i in range(n):
+            skewed[c0 + i : c0 + i + block.shape[1], i] = block[i]
+
+    # Three diagonals of w, indexed by row i = 0..n; row 0 is the border
+    # (w[0][0] = 0, +inf elsewhere).  Cells with j <= 0 need no reset: from
+    # diagonal 2 on they read only such cells in rows >= 1, which start at
+    # +inf, so they stay +inf.
+    lanes = len(starts)
+    older = np.full((lanes, n + 1), _INF)
+    older[:, 0] = 0.0
+    prev = np.full((lanes, n + 1), _INF)
+    cur = np.empty((lanes, n + 1))
+    last = np.empty((int(widths[0]), lanes))  # last[j - 1, lane] = w[n][j]
+    for k in range(2, n + int(widths[0]) + 1):
+        live = lanes if k <= n + 1 else int(np.count_nonzero(widths >= k - n))
+        dst = cur[:live]
+        dst[:, 0] = _INF
+        np.minimum(older[:live, :-1], prev[:live, :-1], out=dst[:, 1:])
+        np.minimum(dst[:, 1:], prev[:live, 1:], out=dst[:, 1:])
+        dst[:, 1:] += skewed[base[:live] + (k - 2)]
+        if k > n:
+            last[k - n - 1, :live] = dst[:, n]
+        older, prev, cur = prev, cur, older
+    return last[offsets, lane_of_span] / (n + offsets + 1)
 
 
 def dba_centroid(

@@ -12,8 +12,9 @@ cluster prototype to the span's frames.  Two likelihood variants exist:
 
 A cluster is live when its prototype exists and u(f) > 0; dead clusters
 keep their last prototype but drop out of normalizers and argmaxes.
-This module builds the per-cluster span tables; the trainer adds log u(f)
-and the distortion to them to score words.
+This module computes span costs and turns them into per-cluster span
+tables; the trainer adds log u(f) and the distortion to them to score
+words.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -132,38 +133,43 @@ class Alignment:
 # span tables
 # ---------------------------------------------------------------------------
 
-def deficient_log_s_table(
-    prototype: FeatureSequence, pair: SentencePair, candidates: CandidateSpans
-) -> np.ndarray:
-    """log s(a, b | f) for every candidate span, softmax of -DTW^2 over the set."""
-    costs = candidate_span_costs(prototype.frames, pair.source.frames, candidates.spans)
+def span_cost_rows(
+    prototypes: Sequence[FeatureSequence],
+    pairs: Sequence[SentencePair],
+    candidates: Sequence[CandidateSpans],
+) -> list[np.ndarray]:
+    """DTW costs from each prototype to every candidate span of every pair.
+
+    The utterances are laid end to end, so each prototype takes one
+    `candidate_span_costs` call.  No span crosses an utterance, so item
+    k holds exactly the per-utterance costs of prototype k: those of
+    pairs[0]'s candidates, then pairs[1]'s, and so on.
+    """
+    if not pairs:
+        return [np.empty(0) for _ in prototypes]
+    frames = np.concatenate([pair.source.frames for pair in pairs])
+    spans = []
+    shift = 0
+    for pair, cands in zip(pairs, candidates):
+        spans.extend((a + shift, b + shift) for a, b in cands.spans)
+        shift += pair.m
+    return [candidate_span_costs(proto.frames, frames, spans) for proto in prototypes]
+
+
+def deficient_log_s_table(costs: np.ndarray) -> np.ndarray:
+    """log s(a, b | f) from one prototype's costs over a candidate set: softmax of -DTW^2."""
     neg = -(costs * costs)
     peak = neg.max()
     return neg - (peak + math.log(np.exp(neg - peak).sum()))
 
 
-def proper_log_s_rows(
-    params: ModelParams, pair: SentencePair, candidates: CandidateSpans
-) -> dict[int, np.ndarray]:
-    """log s(f | a, b) per live cluster f, softmax of -DTW^2 over live clusters."""
-    live = params.live_clusters()
-    if not live:
-        return {}
-    rows = np.stack(
-        [
-            -(c * c)
-            for c in (
-                candidate_span_costs(
-                    params.prototypes[f].frames, pair.source.frames, candidates.spans
-                )
-                for f in live
-            )
-        ]
-    )
+def proper_log_s_rows(costs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """log s(f | a, b) per live cluster f from their cost rows: softmax of -DTW^2 over f."""
+    rows = np.stack([-(c * c) for c in costs.values()])
     peak = rows.max(axis=0)
     lse = peak + np.log(np.exp(rows - peak).sum(axis=0))
     log_s = rows - lse
-    return {f: log_s[idx] for idx, f in enumerate(live)}
+    return {f: log_s[idx] for idx, f in enumerate(costs)}
 
 
 # ---------------------------------------------------------------------------

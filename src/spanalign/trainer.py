@@ -5,6 +5,12 @@ inventory slice, puts its span at the distortion argmax over the
 candidate set, and runs one M-step.  Each EM iteration then alternates
 a per-word independent argmax (E) with relative-frequency priors and
 DBA prototypes (M).
+
+Work that cannot change is not redone: a cluster whose member list is
+unchanged keeps its prototype object (DBA is deterministic in its
+members), and a `SpanCostStore` keeps each cluster's DTW cost rows
+while its prototype object is the same.  Outputs are the same as
+recomputing everything.
 """
 
 from __future__ import annotations
@@ -12,12 +18,12 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, SentencePair
+from .corpus import Corpus, FeatureSequence, SentencePair
 from .distortion import DistortionParams, allocate_mu, log_delta_a, log_delta_b
 from .dtw import dba_centroid
 from .model import (
@@ -28,6 +34,7 @@ from .model import (
     deficient_log_s_table,
     proper_log_s_rows,
     save_params,
+    span_cost_rows,
 )
 from .segmentation import CandidateSpans, SegmentationConfig, candidate_spans
 
@@ -66,11 +73,74 @@ class IterationStats:
     seconds: float
 
 
+class SpanCostStore:
+    """DTW cost rows of every live cluster on the utterances it is scored on.
+
+    A deficient cluster is scored on the utterances that contain its
+    word; a proper cluster on every utterance, since the normalizer runs
+    over all live clusters.  `refresh` computes the rows of each cluster
+    whose prototype object changed, one `span_cost_rows` call per group
+    of clusters sharing an utterance list, and drops clusters that are
+    no longer live.  Each cluster holds one contiguous array; its rows
+    are slices at offsets shared by its group.
+    """
+
+    def __init__(self, corpus: Corpus, candidates_map: dict[str, CandidateSpans]):
+        self._pairs = corpus.pairs
+        self._candidates = candidates_map
+        # group key (word, or None for every utterance) -> (pairs, offsets)
+        self._groups: dict[str | None, tuple[tuple[SentencePair, ...], dict[str, slice]]] = {}
+        # cluster -> (prototype the costs belong to, costs, offsets)
+        self._entries: dict[int, tuple[FeatureSequence, np.ndarray, dict[str, slice]]] = {}
+
+    def _group(self, key: str | None):
+        if key not in self._groups:
+            pairs = tuple(p for p in self._pairs if key is None or key in p.target_words)
+            offsets = {}
+            pos = 0
+            for pair in pairs:
+                size = len(self._candidates[pair.utt_id])
+                offsets[pair.utt_id] = slice(pos, pos + size)
+                pos += size
+            self._groups[key] = (pairs, offsets)
+        return self._groups[key]
+
+    def refresh(self, params: ModelParams) -> None:
+        """Make `row` answer for `params`, computing only what changed."""
+        live = params.live_clusters()
+        entries = self._entries
+        self._entries = {
+            f: entries[f] for f in live if f in entries and entries[f][0] is params.prototypes[f]
+        }
+        stale: dict[str | None, list[int]] = {}
+        for f in live:
+            if f not in self._entries:
+                key = None if params.variant == "proper" else params.inventory.owner[f]
+                stale.setdefault(key, []).append(f)
+        for key, fs in stale.items():
+            pairs, offsets = self._group(key)
+            protos = [params.prototypes[f] for f in fs]
+            cands = [self._candidates[pair.utt_id] for pair in pairs]
+            for f, proto, costs in zip(fs, protos, span_cost_rows(protos, pairs, cands)):
+                self._entries[f] = (proto, costs, offsets)
+
+    def serves(self, corpus: Corpus, candidates_map: dict[str, CandidateSpans]) -> bool:
+        """Whether this store was built for exactly these utterances and candidates."""
+        return self._pairs is corpus.pairs and self._candidates is candidates_map
+
+    def row(self, f: int, utt_id: str) -> np.ndarray:
+        """Costs of cluster f on the candidate spans of one utterance."""
+        _, costs, offsets = self._entries[f]
+        return costs[offsets[utt_id]]
+
+
 @dataclass(frozen=True)
 class TrainState:
     params: ModelParams
     assignments: dict[str, tuple[Assignment, ...]]
     iteration_log: tuple[IterationStats, ...]
+    # Cost rows of `params`' prototypes, when training left them behind.
+    costs: SpanCostStore | None = field(default=None, compare=False, repr=False)
 
 
 def build_tables(
@@ -109,27 +179,30 @@ def _delta_table(
 
 
 def _base_tables(
-    pair: SentencePair, params: ModelParams, candidates: CandidateSpans
+    pair: SentencePair, params: ModelParams, costs: SpanCostStore
 ) -> dict[int, np.ndarray]:
     """Per-cluster span score tables before distortion.
 
     Deficient: log u(f) + log s(a, b | f).  Proper: log s(f | a, b).
     Only clusters owned by the sentence's word types are materialized
     for the deficient variant; the proper normalizer spans all live
-    clusters regardless.
+    clusters regardless.  `costs` must be refreshed for `params`.
     """
-    live = set(params.live_clusters())
     if params.variant == "proper":
-        rows = proper_log_s_rows(params, pair, candidates)
+        live = params.live_clusters()
+        if not live:
+            return {}
+        rows = proper_log_s_rows({f: costs.row(f, pair.utt_id) for f in live})
         needed = set()
         for word in set(pair.target_words):
             needed.update(params.inventory.clusters.get(word, ()))
         return {f: rows[f] for f in needed & set(rows)}
+    live = set(params.live_clusters())
     tables = {}
     for word in set(pair.target_words):
         for f in params.inventory.clusters.get(word, ()):
             if f in live and f not in tables:
-                table = deficient_log_s_table(params.prototypes[f], pair, candidates)
+                table = deficient_log_s_table(costs.row(f, pair.utt_id))
                 tables[f] = math.log(params.u[f]) + table
     return tables
 
@@ -140,13 +213,14 @@ def _align_pair(
     candidates: CandidateSpans,
     mu: tuple[int, ...],
     prev: tuple[Assignment, ...] | None,
+    costs: SpanCostStore,
 ) -> tuple[tuple[Assignment, ...], float]:
     """Per-word independent argmax over (cluster, span), with fixed tie order.
 
     Candidates are scanned in (a, b) order and clusters in id order, so
     on score ties the smaller start, then end, then cluster id wins.
     """
-    tables = _base_tables(pair, params, candidates)
+    tables = _base_tables(pair, params, costs)
 
     out = []
     total = 0.0
@@ -172,6 +246,7 @@ def _score_pair(
     candidates: CandidateSpans,
     mu: tuple[int, ...],
     assignment: tuple[Assignment, ...],
+    costs: SpanCostStore,
 ) -> Alignment:
     """Score a fixed assignment with the same tables the E-step uses.
 
@@ -179,7 +254,7 @@ def _score_pair(
     span outside the candidate set scores -inf.
     """
     index = {span: idx for idx, span in enumerate(candidates.spans)}
-    tables = _base_tables(pair, params, candidates)
+    tables = _base_tables(pair, params, costs)
 
     words = []
     for i, ((f, a, b), word) in enumerate(zip(assignment, pair.target_words), start=1):
@@ -207,17 +282,39 @@ def e_step(
     mu_map: dict[str, tuple[int, ...]],
     prev_assignments: dict[str, tuple[Assignment, ...]] | None = None,
     threads: int = 1,
+    *,
+    costs: SpanCostStore | None = None,
 ) -> tuple[dict[str, tuple[Assignment, ...]], float]:
-    """Re-align every word; returns the new assignments and their total log score."""
+    """Re-align every word; returns the new assignments and their total log score.
+
+    `costs` carries cost rows over from earlier passes; span costs are
+    computed on the calling thread, the per-utterance argmax on `threads`.
+    """
+    if costs is None:
+        costs = SpanCostStore(corpus, candidates_map)
+    costs.refresh(params)
 
     def work(pair: SentencePair):
         prev = prev_assignments.get(pair.utt_id) if prev_assignments else None
-        return _align_pair(pair, params, candidates_map[pair.utt_id], mu_map[pair.utt_id], prev)
+        return _align_pair(
+            pair, params, candidates_map[pair.utt_id], mu_map[pair.utt_id], prev, costs
+        )
 
     results = _map_pairs(corpus, work, threads)
     assignments = {pair.utt_id: r[0] for pair, r in zip(corpus.pairs, results)}
     total = sum(r[1] for r in results)
     return assignments, total
+
+
+def _members(
+    corpus: Corpus, assignments: dict[str, tuple[Assignment, ...]]
+) -> dict[int, list[tuple[str, int, int]]]:
+    """Each cluster's member list: its (utt_id, a, b) triples in corpus order."""
+    members: dict[int, list[tuple[str, int, int]]] = {}
+    for pair in corpus:
+        for (f, a, b) in assignments[pair.utt_id]:
+            members.setdefault(f, []).append((pair.utt_id, a, b))
+    return members
 
 
 def m_step(
@@ -226,31 +323,37 @@ def m_step(
     config: TrainConfig,
     prev_params: ModelParams,
     threads: int = 1,
+    *,
+    prev_assignments: dict[str, tuple[Assignment, ...]] | None = None,
 ) -> ModelParams:
     """Relative-frequency priors and DBA prototypes from the hard assignments.
 
     Zero-count clusters become dead: u goes to 0 and the previous
-    prototype (possibly None) is carried along unchanged.
+    prototype (possibly None) is carried along unchanged.  When
+    `prev_params` is the M-step of `prev_assignments`, a cluster whose
+    member list did not change keeps its previous prototype object, which
+    DBA would rebuild identically.
     """
     n = prev_params.inventory.n_clusters
+    members = _members(corpus, assignments)
+    prev_members = _members(corpus, prev_assignments) if prev_assignments is not None else {}
     counts = np.zeros(n)
-    members: dict[int, list] = {}
-    for pair in corpus:
-        for (f, a, b) in assignments[pair.utt_id]:
-            counts[f] += 1
-            members.setdefault(f, []).append(pair.source.segment(a, b))
+    for f, triples in members.items():
+        counts[f] = len(triples)
     u = counts / counts.sum()
 
-    live = sorted(members)
+    stale = [f for f in sorted(members) if members[f] != prev_members.get(f)]
+    segments = {pair.utt_id: pair.source.segment for pair in corpus}
 
     def rebuild(f: int):
-        return dba_centroid(members[f], iterations=config.dba_iterations)
+        frames = [segments[utt_id](a, b) for utt_id, a, b in members[f]]
+        return dba_centroid(frames, iterations=config.dba_iterations)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rebuilt = dict(zip(live, pool.map(rebuild, live)))
+            rebuilt = dict(zip(stale, pool.map(rebuild, stale)))
     else:
-        rebuilt = {f: rebuild(f) for f in live}
+        rebuilt = {f: rebuild(f) for f in stale}
 
     prototypes = tuple(
         rebuilt.get(f, prev_params.prototypes[f]) for f in range(n)
@@ -271,7 +374,11 @@ def initialize(
     mu_map: dict[str, tuple[int, ...]],
     threads: int = 1,
 ) -> TrainState:
-    """Random clusters, distortion-argmax spans, then one M-step."""
+    """Random clusters, distortion-argmax spans, then one M-step.
+
+    The iteration-0 score leaves the cost rows of the initial prototypes
+    in the state's `costs`, where the first E-step finds them.
+    """
     started = time.perf_counter()
     word_types = sorted({w for pair in corpus for w in pair.target_words})
     inventory = ClusterInventory.build(word_types, config.k)
@@ -300,14 +407,21 @@ def initialize(
     )
     params = m_step(corpus, assignments, config, blank, threads=threads)
 
+    costs = SpanCostStore(corpus, candidates_map)
+    costs.refresh(params)
     total = 0.0
     for pair in corpus:
         alignment = _score_pair(
-            pair, params, candidates_map[pair.utt_id], mu_map[pair.utt_id], assignments[pair.utt_id]
+            pair,
+            params,
+            candidates_map[pair.utt_id],
+            mu_map[pair.utt_id],
+            assignments[pair.utt_id],
+            costs,
         )
         total += sum(w.log_score for w in alignment.words)
     log = IterationStats(0, total, time.perf_counter() - started)
-    return TrainState(params=params, assignments=assignments, iteration_log=(log,))
+    return TrainState(params=params, assignments=assignments, iteration_log=(log,), costs=costs)
 
 
 def train(
@@ -329,17 +443,27 @@ def train(
 
     params = state.params
     assignments = state.assignments
+    costs = state.costs
     log = list(state.iteration_log)
     for it in range(1, config.iterations + 1):
         started = time.perf_counter()
+        prev_assignments = assignments
         assignments, total = e_step(
-            corpus, params, candidates_map, mu_map, prev_assignments=assignments, threads=threads
+            corpus,
+            params,
+            candidates_map,
+            mu_map,
+            prev_assignments=prev_assignments,
+            threads=threads,
+            costs=costs,
         )
-        params = m_step(corpus, assignments, config, params, threads=threads)
+        params = m_step(
+            corpus, assignments, config, params, threads=threads, prev_assignments=prev_assignments
+        )
         log.append(IterationStats(it, total, time.perf_counter() - started))
         if checkpoint_dir is not None:
             save_params(params, Path(checkpoint_dir) / f"checkpoint_iter{it:02d}.json")
-    return TrainState(params=params, assignments=assignments, iteration_log=tuple(log))
+    return TrainState(params=params, assignments=assignments, iteration_log=tuple(log), costs=costs)
 
 
 def final_alignments(
@@ -348,7 +472,15 @@ def final_alignments(
     candidates_map: dict[str, CandidateSpans],
     mu_map: dict[str, tuple[int, ...]],
 ) -> dict[str, Alignment]:
-    """Score the final assignments under the final parameters for reporting."""
+    """Score the final assignments under the final parameters for reporting.
+
+    Reuses the cost rows that training left in `state.costs` when they
+    were built for this corpus and candidate set.
+    """
+    costs = state.costs
+    if costs is None or not costs.serves(corpus, candidates_map):
+        costs = SpanCostStore(corpus, candidates_map)
+    costs.refresh(state.params)
     return {
         pair.utt_id: _score_pair(
             pair,
@@ -356,6 +488,7 @@ def final_alignments(
             candidates_map[pair.utt_id],
             mu_map[pair.utt_id],
             state.assignments[pair.utt_id],
+            costs,
         )
         for pair in corpus
     }

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from spanalign.cli import (
+    _RUN_OPTIONS,
     _SYNTH_OPTIONS,
+    THREADS_ENV,
     _alignment_rows,
     _parse_bool,
     _read_alignment_file,
@@ -93,6 +95,16 @@ def test_flags_override_config_file(tmp_path):
     assert values["seed"] == 7          # flag beats config
     assert values["vocab_size"] == 9    # config beats default
     assert values["sentences"] == 50    # untouched default
+
+
+def test_threads_default_to_one_unless_env_set(monkeypatch):
+    args = build_parser().parse_args(["align"])
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    assert _resolve(args, _RUN_OPTIONS)["threads"] == 1
+    monkeypatch.setenv(THREADS_ENV, "3")
+    assert _resolve(args, _RUN_OPTIONS)["threads"] == 3
+    args = build_parser().parse_args(["align", "--threads", "2"])
+    assert _resolve(args, _RUN_OPTIONS)["threads"] == 2
 
 
 def test_synth_writes_corpus_layout(tmp_path):

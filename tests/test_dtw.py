@@ -8,7 +8,6 @@ from spanalign.dtw import (
     dba_centroid,
     dtw_distance,
     frame_distances,
-    span_costs_from_start,
 )
 
 from oracles import exhaustive_dtw, is_valid_warp_path, path_cost
@@ -89,25 +88,33 @@ def test_frame_distances_euclidean():
     assert d[1, 0] == pytest.approx(5.0)
 
 
-def test_span_costs_from_start_matches_per_span_dp():
-    rng = np.random.default_rng(11)
-    proto = rng.normal(size=(4, 3))
-    frames = rng.normal(size=(12, 3))
-    costs = span_costs_from_start(proto, frames, 3, 10)
-    for off, b in enumerate(range(3, 11)):
-        direct = dtw_distance(fs(proto), fs(frames[2:b])).normalized_cost
-        # bitwise: the batched DP must be the same arithmetic
-        assert costs[off] == direct
+def _kernel_cases():
+    """(proto, frames, spans) inputs covering the lane layouts of the wavefront kernel."""
+    rng = np.random.default_rng(13)
+    yield rng.normal(size=(5, 2)), rng.normal(size=(20, 2)), ((1, 4), (1, 9), (3, 7), (3, 12), (8, 20), (20, 20))
+    for n in range(1, 13):
+        dim = 1 + n % 3
+        proto = rng.normal(size=(n, dim))
+        frames = rng.normal(size=(30, dim))
+        m = frames.shape[0]
+        # width-1 spans, spans narrower than the prototype, spans ending on the last frame
+        yield proto, frames, ((1, 1), (4, 4), (m, m), (2, 2 + n // 2), (7, m), (1, m))
+        # one start with many ends
+        yield proto, frames, tuple((3, b) for b in range(3, m + 1))
+        # unsorted and duplicate spans, several lanes of different widths
+        spans = [(a, b) for a, b in np.sort(rng.integers(1, m + 1, size=(25, 2)), axis=1).tolist()]
+        spans += spans[:5]
+        rng.shuffle(spans)
+        yield proto, frames, tuple((int(a), int(b)) for a, b in spans)
 
 
 def test_candidate_span_costs_matches_loop():
-    rng = np.random.default_rng(13)
-    proto = rng.normal(size=(5, 2))
-    frames = rng.normal(size=(20, 2))
-    spans = ((1, 4), (1, 9), (3, 7), (3, 12), (8, 20), (20, 20))
-    batched = candidate_span_costs(proto, frames, spans)
-    for k, (a, b) in enumerate(spans):
-        assert batched[k] == dtw_distance(fs(proto), fs(frames[a - 1 : b])).normalized_cost
+    for proto, frames, spans in _kernel_cases():
+        batched = candidate_span_costs(proto, frames, spans)
+        assert batched.shape == (len(spans),)
+        for k, (a, b) in enumerate(spans):
+            # bitwise: the wavefront kernel must be the same arithmetic
+            assert batched[k] == dtw_distance(fs(proto), fs(frames[a - 1 : b])).normalized_cost
 
 
 def test_dba_singleton_is_member():

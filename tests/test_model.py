@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from spanalign.corpus import FeatureSequence, SentencePair
+from spanalign.corpus import Corpus, FeatureSequence, SentencePair
 from spanalign.distortion import DistortionParams, log_delta_a, log_delta_b
-from spanalign.dtw import dtw_distance
+from spanalign.dtw import candidate_span_costs, dtw_distance
 from spanalign.model import (
     ClusterInventory,
     ModelParams,
     deficient_log_s_table,
     load_params,
-    proper_log_s_rows,
     save_params,
+    span_cost_rows,
 )
 from spanalign.segmentation import CandidateSpans
-from spanalign.trainer import effective_mu
+from spanalign.trainer import SpanCostStore, _base_tables, effective_mu
 
 from oracles import span_log_delta, word_log_score
 
@@ -84,7 +84,7 @@ def test_live_clusters_require_mass_and_prototype():
 def test_deficient_table_is_softmax_of_neg_squared_costs():
     pair, params, candidates = make_setup()
     proto = params.prototypes[0]
-    table = deficient_log_s_table(proto, pair, candidates)
+    table = deficient_log_s_table(span_cost_rows([proto], [pair], [candidates])[0])
     costs = np.asarray(
         [
             dtw_distance(proto, fs(pair.source.frames[a - 1 : b])).normalized_cost
@@ -109,15 +109,22 @@ def test_documented_two_span_softmax():
     candidates = CandidateSpans(((1, 2), (3, 4)))
     c2 = dtw_distance(proto, fs(pair.source.frames[2:4])).normalized_cost
     assert c2 == pytest.approx(1.0)  # |1-0| + |3-0| over (2+2) frames
-    table = np.exp(deficient_log_s_table(proto, pair, candidates))
+    table = np.exp(deficient_log_s_table(span_cost_rows([proto], [pair], [candidates])[0]))
     z = math.e**0 + math.e**-1
     assert table[0] == pytest.approx(1.0 / z, abs=1e-12)
     assert table[1] == pytest.approx(math.e**-1 / z, abs=1e-12)
 
 
+def _proper_rows(params, pair, candidates):
+    """log s(f | a, b) as the trainer builds it: live cost rows, then proper_log_s_rows."""
+    costs = SpanCostStore(Corpus((pair,)), {pair.utt_id: candidates})
+    costs.refresh(params)
+    return _base_tables(pair, params, costs)
+
+
 def test_proper_rows_normalize_across_live_clusters():
     pair, params, candidates = make_setup(k=2, variant="proper")
-    rows = proper_log_s_rows(params, pair, candidates)
+    rows = _proper_rows(params, pair, candidates)
     assert set(rows) == set(params.live_clusters())
     stacked = np.exp(np.stack([rows[f] for f in sorted(rows)]))
     np.testing.assert_allclose(stacked.sum(axis=0), 1.0, atol=1e-9)
@@ -135,10 +142,30 @@ def test_proper_rows_exclude_dead_clusters():
         distortion=params.distortion,
         variant="proper",
     )
-    rows = proper_log_s_rows(dead, pair, candidates)
+    rows = _proper_rows(dead, pair, candidates)
     assert 0 not in rows
     stacked = np.exp(np.stack(list(rows.values())))
     np.testing.assert_allclose(stacked.sum(axis=0), 1.0, atol=1e-9)
+
+
+def test_span_cost_rows_equal_per_utterance_calls():
+    rng = np.random.default_rng(4)
+    pairs, candidates = [], []
+    for idx, m in enumerate((1, 9, 4, 15)):
+        pairs.append(SentencePair(f"u{idx}", fs(rng.normal(size=(m, 2))), ("w",), (1,)))
+        all_spans = [(a, b) for a in range(1, m + 1) for b in range(a, m + 1)]
+        picked = rng.choice(len(all_spans), size=min(6, len(all_spans)), replace=False)
+        candidates.append(CandidateSpans(tuple(sorted(all_spans[int(j)] for j in picked))))
+    protos = [fs(rng.normal(size=(n, 2))) for n in (1, 3, 8)]
+    rows = span_cost_rows(protos, pairs, candidates)
+    for proto, costs in zip(protos, rows):
+        pos = 0
+        for pair, cands in zip(pairs, candidates):
+            want = candidate_span_costs(proto.frames, pair.source.frames, cands.spans)
+            # bitwise: laying utterances end to end must not change any cost
+            assert np.array_equal(costs[pos : pos + len(cands)], want)
+            pos += len(cands)
+        assert pos == len(costs)
 
 
 def test_effective_mu_clamps_only_single_word():

@@ -10,9 +10,12 @@ from spanalign.corpus import (
     synth_generate,
 )
 from spanalign.distortion import DistortionParams, allocate_mu
+from spanalign import trainer as trainer_module
+from spanalign.dtw import candidate_span_costs
 from spanalign.model import ClusterInventory, ModelParams, load_params
 from spanalign.segmentation import CandidateSpans, SegmentationConfig
 from spanalign.trainer import (
+    SpanCostStore,
     TrainConfig,
     TrainError,
     TrainState,
@@ -190,10 +193,11 @@ def test_e_step_never_decreases_word_scores():
             assert new >= old
 
 
-def test_e_step_threads_match_serial():
+@pytest.mark.parametrize("variant", ["deficient", "proper"])
+def test_e_step_threads_match_serial(variant):
     corpus = _small_corpus()
     candidates_map, mu_map = build_tables(corpus, SegmentationConfig())
-    state = initialize(corpus, TrainConfig(), candidates_map, mu_map)
+    state = initialize(corpus, TrainConfig(variant=variant), candidates_map, mu_map)
     a1, t1 = e_step(corpus, state.params, candidates_map, mu_map)
     a4, t4 = e_step(corpus, state.params, candidates_map, mu_map, threads=4)
     assert a1 == a4
@@ -248,6 +252,128 @@ def test_m_step_relative_frequencies():
     assert params.prototypes[1] is sentinel
     assert params.prototypes[3] is None
     assert params.prototypes[0] is not None and params.prototypes[0].dim == 2
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap trainer.<name> and return the list its calls' first arguments go to."""
+    calls = []
+    original = getattr(trainer_module, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, name, counted)
+    return calls
+
+
+def test_m_step_keeps_prototype_of_unchanged_cluster(monkeypatch):
+    corpus = _small_corpus()
+    tables = build_tables(corpus, SegmentationConfig())
+    state = initialize(corpus, TrainConfig(), *tables)
+    before = state.assignments
+    # Move one word to the other cluster of its type: exactly two member lists change.
+    pair = corpus.pairs[0]
+    f, a, b = before[pair.utt_id][0]
+    slot = state.params.inventory.clusters[pair.target_words[0]]
+    g = slot[1] if f == slot[0] else slot[0]
+    after = dict(before)
+    after[pair.utt_id] = ((g, a, b),) + before[pair.utt_id][1:]
+
+    dba_calls = _count_calls(monkeypatch, "dba_centroid")
+    reused = m_step(corpus, after, TrainConfig(), state.params, prev_assignments=before)
+    assert len(dba_calls) == 2
+    rebuilt = m_step(corpus, after, TrainConfig(), state.params)
+    assert len(dba_calls) == 2 + len(reused.live_clusters())
+    for h in range(state.params.inventory.n_clusters):
+        if h in (f, g):
+            assert reused.prototypes[h] is not state.params.prototypes[h]
+        else:
+            assert reused.prototypes[h] is state.params.prototypes[h]
+        if reused.prototypes[h] is not None:
+            assert np.array_equal(reused.prototypes[h].frames, rebuilt.prototypes[h].frames)
+    assert np.array_equal(reused.u, rebuilt.u)
+
+    # Nothing changed: no DBA at all, and every prototype object survives.
+    del dba_calls[:]
+    same = m_step(corpus, before, TrainConfig(), state.params, prev_assignments=before)
+    assert dba_calls == []
+    assert same.prototypes == state.params.prototypes
+
+
+@pytest.mark.parametrize("variant", ["deficient", "proper"])
+def test_cost_rows_follow_prototype_objects(monkeypatch, variant):
+    corpus = _small_corpus()
+    tables = build_tables(corpus, SegmentationConfig())
+    params = initialize(corpus, TrainConfig(variant=variant), *tables).params
+    live = params.live_clusters()
+    batches = _count_calls(monkeypatch, "span_cost_rows")
+
+    def computed():
+        protos = [p for batch in batches for p in batch]
+        del batches[:]
+        return protos
+
+    def with_prototype(f, proto, u=params.u):
+        protos = list(params.prototypes)
+        protos[f] = proto
+        return ModelParams(params.inventory, u, tuple(protos), params.distortion, variant)
+
+    store = SpanCostStore(corpus, tables[0])
+    store.refresh(params)
+    assert sorted(map(id, computed())) == sorted(id(params.prototypes[f]) for f in live)
+    store.refresh(params)
+    assert computed() == []
+
+    # A new prototype object, even with equal frames, is recomputed; the rest are reused.
+    f = live[0]
+    copy = FeatureSequence(params.prototypes[f].frames.copy())
+    changed = with_prototype(f, copy)
+    store.refresh(changed)
+    assert computed() == [copy]
+    for pair in corpus:
+        spans = tables[0][pair.utt_id].spans
+        for g in live:
+            if variant == "proper" or params.inventory.owner[g] in pair.target_words:
+                want = candidate_span_costs(changed.prototypes[g].frames, pair.source.frames, spans)
+                assert np.array_equal(store.row(g, pair.utt_id), want)
+
+    # A cluster that dies is dropped, so its rows are recomputed if it lives again.
+    u = params.u.copy()
+    u[f] = 0.0
+    store.refresh(with_prototype(f, copy, u / u.sum()))
+    store.refresh(changed)
+    assert computed() == [copy]
+
+
+@pytest.mark.parametrize("variant", ["deficient", "proper"])
+def test_train_reuse_matches_recomputing_everything(variant):
+    corpus = _small_corpus()
+    tables = build_tables(corpus, SegmentationConfig())
+    config = TrainConfig(iterations=4, variant=variant)
+    state = train(corpus, config, tables=tables)
+
+    ref = initialize(corpus, config, *tables)
+    params, assignments = ref.params, ref.assignments
+    totals = [ref.iteration_log[0].total_log_score]
+    for _ in range(config.iterations):
+        assignments, total = e_step(corpus, params, *tables, prev_assignments=assignments)
+        params = m_step(corpus, assignments, config, params)
+        totals.append(total)
+    assert state.assignments == assignments
+    assert [st.total_log_score for st in state.iteration_log] == totals
+    assert np.array_equal(state.params.u, params.u)
+    for mine, theirs in zip(state.params.prototypes, params.prototypes):
+        assert (mine is None) == (theirs is None)
+        if mine is not None:
+            assert np.array_equal(mine.frames, theirs.frames)
+    fresh = TrainState(state.params, state.assignments, state.iteration_log)
+    assert final_alignments(corpus, state, *tables) == final_alignments(corpus, fresh, *tables)
+    # Rows built for other candidates are not reused.
+    narrow = {u: CandidateSpans(tuple(sorted({(a, b) for _, a, b in w}))) for u, w in assignments.items()}
+    assert final_alignments(corpus, state, narrow, tables[1]) == final_alignments(
+        corpus, fresh, narrow, tables[1]
+    )
 
 
 def test_train_iteration_log_and_determinism():
