@@ -72,27 +72,32 @@ def _default_threads() -> int:
     return 1
 
 
+# Defaults are read from the config dataclasses, so each lives in one place.
+_TRAIN, _SEG, _SYNTH = TrainConfig(), SegmentationConfig(), SynthConfig()
+
 _RUN_OPTIONS = [
     Option("manifest", str, None, "utterance manifest, one utt_id per line"),
     Option("features", str, None, "directory holding <utt_id>.feat files and sidecars"),
     Option("translations", str, None, "translation sentences, one per manifest line"),
     Option("gold", str, None, "gold alignment file (optional)"),
     Option("output", str, None, "output directory"),
-    Option("frame_shift_ms", float, 10.0, "frame shift of the features in milliseconds"),
+    Option("frame_shift_ms", float, FeatureSequence.frame_shift_ms,
+           "frame shift of the features in milliseconds"),
     Option("normalize", bool, True, "normalize each utterance to zero mean, unit variance"),
-    Option("p0", float, 0.0, "distortion probability mass on the null span"),
-    Option("lambda", float, 0.5, "distortion sharpness"),
-    Option("threshold_ratio", float, 0.05, "silence threshold as a ratio of the smoothed peak"),
-    Option("min_silence_ms", float, 50.0, "minimum silence duration in milliseconds"),
-    Option("smooth_frames", int, 5, "width of the centered median filter over energy"),
-    Option("grid_stride", int, 5, "uniform boundary grid stride in frames (0 disables)"),
-    Option("span_min_len", int, 3, "minimum candidate span length in frames"),
-    Option("span_max_len", int, 150, "maximum candidate span length in frames"),
-    Option("iterations", int, 3, "EM iterations"),
-    Option("seed", int, 0, "random seed for initialization"),
-    Option("k", int, 2, "clusters per word type"),
-    Option("dba_iterations", int, 3, "barycenter averaging iterations per M-step"),
-    Option("variant", str, "deficient", "span likelihood variant: deficient or proper"),
+    Option("p0", float, _TRAIN.p0, "distortion probability mass on the null span"),
+    Option("lambda", float, _TRAIN.lam, "distortion sharpness"),
+    Option("threshold_ratio", float, _SEG.threshold_ratio,
+           "silence threshold as a ratio of the smoothed peak"),
+    Option("min_silence_ms", float, _SEG.min_silence_ms, "minimum silence duration in milliseconds"),
+    Option("smooth_frames", int, _SEG.smooth_frames, "width of the centered median filter over energy"),
+    Option("grid_stride", int, _SEG.grid_stride, "uniform boundary grid stride in frames (0 disables)"),
+    Option("span_min_len", int, _SEG.span_min_len, "minimum candidate span length in frames"),
+    Option("span_max_len", int, _SEG.span_max_len, "maximum candidate span length in frames"),
+    Option("iterations", int, _TRAIN.iterations, "EM iterations"),
+    Option("seed", int, _TRAIN.seed, "random seed for initialization"),
+    Option("k", int, _TRAIN.k, "clusters per word type"),
+    Option("dba_iterations", int, _TRAIN.dba_iterations, "barycenter averaging iterations per M-step"),
+    Option("variant", str, _TRAIN.variant, "span likelihood variant: deficient or proper"),
     Option("lambda_grid", str, "0.1,0.3,0.5,1.0,2.0", "comma-separated lambda grid (grid only)"),
     Option("dev_manifest", str, None, "manifest naming the dev split (grid only)"),
     Option("test_manifest", str, None, "manifest naming the test split (grid only)"),
@@ -102,19 +107,20 @@ _RUN_OPTIONS = [
 _SYNTH_OPTIONS = [
     Option("output", str, None, "output directory"),
     Option("seed", int, 0, "generator seed"),
-    Option("vocab_size", int, 20, "word types in the vocabulary"),
-    Option("sentences", int, 50, "number of sentences"),
-    Option("sentence_len_min", int, 3, "minimum sentence length in words"),
-    Option("sentence_len_max", int, 8, "maximum sentence length in words"),
-    Option("proto_len_min", int, 8, "minimum prototype length in frames"),
-    Option("proto_len_max", int, 8, "maximum prototype length in frames"),
-    Option("dim", int, 12, "feature dimensions"),
-    Option("noise_std", float, 0.0, "white noise standard deviation"),
-    Option("reorder_prob", float, 0.0, "probability of swapping adjacent words"),
-    Option("silence_prob", float, 1.0, "probability of a silence at each word junction"),
-    Option("silence_len_min", int, 9, "minimum silence length in frames"),
-    Option("silence_len_max", int, 14, "maximum silence length in frames"),
-    Option("frame_shift_ms", float, 10.0, "frame shift in milliseconds"),
+    Option("vocab_size", int, _SYNTH.vocab_size, "word types in the vocabulary"),
+    Option("sentences", int, _SYNTH.n_sentences, "number of sentences"),
+    Option("sentence_len_min", int, _SYNTH.sentence_len_range[0], "minimum sentence length in words"),
+    Option("sentence_len_max", int, _SYNTH.sentence_len_range[1], "maximum sentence length in words"),
+    Option("proto_len_min", int, _SYNTH.proto_len_range[0], "minimum prototype length in frames"),
+    Option("proto_len_max", int, _SYNTH.proto_len_range[1], "maximum prototype length in frames"),
+    Option("dim", int, _SYNTH.dim, "feature dimensions"),
+    Option("noise_std", float, _SYNTH.noise_std, "white noise standard deviation"),
+    Option("reorder_prob", float, _SYNTH.reorder_prob, "probability of swapping adjacent words"),
+    Option("silence_prob", float, _SYNTH.silence_prob,
+           "probability of a silence at each word junction"),
+    Option("silence_len_min", int, _SYNTH.silence_len_range[0], "minimum silence length in frames"),
+    Option("silence_len_max", int, _SYNTH.silence_len_range[1], "maximum silence length in frames"),
+    Option("frame_shift_ms", float, _SYNTH.frame_shift_ms, "frame shift in milliseconds"),
     Option("bounds", bool, True, "write <utt_id>.bounds sidecars with the true word edges"),
 ]
 
@@ -384,10 +390,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    values = _resolve(args, _SYNTH_OPTIONS)
-    _require(values, ["output"], "synth")
-    config = SynthConfig(
+def _synth_config(values: dict) -> SynthConfig:
+    return SynthConfig(
         vocab_size=values["vocab_size"],
         n_sentences=values["sentences"],
         sentence_len_range=(values["sentence_len_min"], values["sentence_len_max"]),
@@ -399,7 +403,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         silence_len_range=(values["silence_len_min"], values["silence_len_max"]),
         frame_shift_ms=values["frame_shift_ms"],
     )
-    corpus, true_params = synth_generate(config, seed=values["seed"])
+
+
+def cmd_synth(args: argparse.Namespace) -> int:
+    values = _resolve(args, _SYNTH_OPTIONS)
+    _require(values, ["output"], "synth")
+    corpus, true_params = synth_generate(_synth_config(values), seed=values["seed"])
     out_dir = Path(values["output"])
     save_corpus(corpus, out_dir)
     save_params(true_params, out_dir / "true_params.json")

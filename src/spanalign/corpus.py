@@ -156,12 +156,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def get(self, utt_id: str) -> SentencePair:
-        for pair in self.pairs:
-            if pair.utt_id == utt_id:
-                return pair
-        raise KeyError(utt_id)
-
 
 # ---------------------------------------------------------------------------
 # file readers / writers

@@ -3,11 +3,17 @@
 Boundaries and spans are 1-indexed; a span (a, b) includes both
 endpoints.  Silence intervals are stored [s, t) so frames s..t-1 are
 silent.  Candidate spans never contain a silent frame.
+
+Spans come from one pass: each distinct boundary is snapped once as a
+start and once as an end, and each start pairs with the ends in its
+length window up to the first silent frame.  Snapping only moves a start
+right and an end left, so every pair with a <= b is an ordered one.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,9 +43,6 @@ class SilenceSpans:
 
     def __iter__(self):
         return iter(self.spans)
-
-    def __len__(self):
-        return len(self.spans)
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,6 @@ def detect_silence(
         raise ValueError("energy track must be a non-empty 1-d array")
     if not np.isfinite(e).all() or (e < 0).any():
         raise ValueError("energy track must be finite and non-negative")
-    m = e.shape[0]
 
     half = smooth_frames // 2
     if half > 0:
@@ -136,17 +138,11 @@ def detect_silence(
     mask = smoothed < threshold
     min_frames = math.ceil(min_ms / frame_shift_ms)
 
-    spans = []
-    run_start = None
-    for pos in range(m + 1):
-        silent = pos < m and mask[pos]
-        if silent and run_start is None:
-            run_start = pos
-        elif not silent and run_start is not None:
-            if pos - run_start >= min_frames:
-                spans.append((run_start + 1, pos + 1))
-            run_start = None
-    return SilenceSpans(tuple(spans))
+    # The padded mask changes at the first frame of each run and just past
+    # its last, so the changes pair up as [s, t) runs, here made 1-indexed.
+    runs = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0])))).reshape(-1, 2) + 1
+    runs = runs[runs[:, 1] - runs[:, 0] >= min_frames]
+    return SilenceSpans(tuple(map(tuple, runs.tolist())))
 
 
 def read_boundary_file(path: Path, m: int) -> set[int]:
@@ -170,7 +166,7 @@ def read_boundary_file(path: Path, m: int) -> set[int]:
 def candidate_boundaries(
     pair: SentencePair,
     config: SegmentationConfig,
-    silences: SilenceSpans | None = None,
+    silences: SilenceSpans,
 ) -> list[int]:
     """Pool boundary points: sidecar file, silence edges, uniform grid, plus 1 and m."""
     m = pair.m
@@ -179,10 +175,9 @@ def candidate_boundaries(
         sidecar = Path(config.boundary_dir) / f"{pair.utt_id}.bounds"
         if sidecar.exists():
             points |= read_boundary_file(sidecar, m)
-    if silences is not None:
-        for s, t in silences:
-            points.add(min(s, m))
-            points.add(min(t, m))
+    for s, t in silences:
+        points.add(min(s, m))
+        points.add(min(t, m))
     if config.grid_stride > 0:
         points.update(range(config.grid_stride, m + 1, config.grid_stride))
     return sorted(points)
@@ -210,25 +205,25 @@ def enumerate_spans(
     points = sorted(set(boundaries))
     if not points or points[0] < 1:
         raise ValueError("boundaries must be positive frame indices")
-    silent_list = list(silences)
+    starts = sorted({_snap(j, silences, is_start=True) for j in points})
+    ends = sorted({_snap(j, silences, is_start=False) for j in points})
+    # quiet[j]: silent frames among 1..j; no end lies past the last boundary
+    silent = np.zeros(points[-1] + 1, dtype=np.int64)
+    for s, t in silences:
+        silent[s:t] = 1
+    quiet = np.cumsum(silent).tolist()
 
-    def overlaps_silence(a: int, b: int) -> bool:
-        return any(max(a, s) <= min(b, t - 1) for s, t in silent_list)
-
-    spans = set()
-    for ai, a in enumerate(points):
-        for b in points[ai:]:
-            a2 = _snap(a, silences, is_start=True)
-            b2 = _snap(b, silences, is_start=False)
-            if a2 > b2 or b2 < 1:
-                continue
-            if overlaps_silence(a2, b2):
-                continue
-            if min_len <= b2 - a2 + 1 <= max_len:
-                spans.add((a2, b2))
+    spans = []
+    for a in starts:
+        lo = bisect_left(ends, a + max(min_len, 1) - 1)
+        hi = bisect_right(ends, a + max_len - 1)
+        for b in ends[lo:hi]:
+            if quiet[b] != quiet[a - 1]:
+                break  # (a, b) holds a silent frame, and so does every later end
+            spans.append((a, b))
     if not spans:
         raise NoCandidateSpansError("no candidate span survived filtering")
-    return CandidateSpans(tuple(sorted(spans)))
+    return CandidateSpans(tuple(spans))
 
 
 def candidate_spans(

@@ -12,6 +12,7 @@ import numpy as np
 
 from spanalign.distortion import log_delta_a, log_delta_b
 from spanalign.dtw import dtw_distance
+from spanalign.segmentation import NoCandidateSpansError
 
 
 def exhaustive_dtw(x: np.ndarray, y: np.ndarray) -> float:
@@ -162,6 +163,63 @@ def brute_force_word_argmax(i, word, pair, params, candidates, mu_i, word_log_sc
             if score > best[0]:
                 best = (score, (f, a, b))
     return best
+
+
+def silence_runs_reference(mask, min_frames: int):
+    """Maximal runs of True in `mask` of at least `min_frames`, as 1-indexed [s, t).
+
+    Walks the mask one frame at a time, closing a run at the first
+    non-silent frame or at the end of the track.
+    """
+    m = len(mask)
+    spans = []
+    run_start = None
+    for pos in range(m + 1):
+        silent = pos < m and mask[pos]
+        if silent and run_start is None:
+            run_start = pos
+        elif not silent and run_start is not None:
+            if pos - run_start >= min_frames:
+                spans.append((run_start + 1, pos + 1))
+            run_start = None
+    return spans
+
+
+def _snap_reference(j: int, silences, is_start: bool) -> int:
+    for s, t in silences:
+        if s <= j < t:
+            return t if is_start else s - 1
+    return j
+
+
+def enumerate_spans_reference(boundaries, silences, min_len: int, max_len: int):
+    """Sorted candidate spans from every boundary pair, snapped and filtered one by one.
+
+    Each pair a <= b of distinct boundaries is snapped off silences (a
+    start inside [s, t) moves to t, an end to s - 1), dropped if it
+    overlaps a silent frame or its length leaves [min_len, max_len].
+    Raises NoCandidateSpansError when nothing survives.
+    """
+    points = sorted(set(boundaries))
+    silent_list = list(silences)
+
+    def overlaps_silence(a: int, b: int) -> bool:
+        return any(max(a, s) <= min(b, t - 1) for s, t in silent_list)
+
+    spans = set()
+    for ai, a in enumerate(points):
+        for b in points[ai:]:
+            a2 = _snap_reference(a, silent_list, is_start=True)
+            b2 = _snap_reference(b, silent_list, is_start=False)
+            if a2 > b2 or b2 < 1:
+                continue
+            if overlaps_silence(a2, b2):
+                continue
+            if min_len <= b2 - a2 + 1 <= max_len:
+                spans.add((a2, b2))
+    if not spans:
+        raise NoCandidateSpansError("no candidate span survived filtering")
+    return tuple(sorted(spans))
 
 
 def largest_remainder_alloc(char_lengths, m: int):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,18 @@ from spanalign.cli import (
     _read_alignment_file,
     _read_config_file,
     _resolve,
+    _seg_config,
+    _synth_config,
+    _train_config,
     build_parser,
     main,
 )
-from spanalign.corpus import Corpus, FeatureSequence, SentencePair, write_feature_file
+from spanalign.corpus import Corpus, FeatureSequence, SentencePair, SynthConfig, write_feature_file
 from spanalign.dtw import dtw_distance
 from spanalign.evalkit import alignment_to_links
 from spanalign.model import Alignment, WordAlignment
+from spanalign.segmentation import SegmentationConfig
+from spanalign.trainer import TrainConfig
 
 SYNTH_SMALL = [
     "--vocab-size", "5",
@@ -105,6 +112,14 @@ def test_threads_default_to_one_unless_env_set(monkeypatch):
     assert _resolve(args, _RUN_OPTIONS)["threads"] == 3
     args = build_parser().parse_args(["align", "--threads", "2"])
     assert _resolve(args, _RUN_OPTIONS)["threads"] == 2
+
+
+def test_bare_commands_use_config_defaults():
+    values = _resolve(build_parser().parse_args(["align"]), _RUN_OPTIONS)
+    assert _train_config(values) == TrainConfig()
+    assert _seg_config({**values, "features": "feats"}) == SegmentationConfig(boundary_dir=Path("feats"))
+    values = _resolve(build_parser().parse_args(["synth"]), _SYNTH_OPTIONS)
+    assert _synth_config(values) == SynthConfig()
 
 
 def test_synth_writes_corpus_layout(tmp_path):

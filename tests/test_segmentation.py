@@ -1,5 +1,9 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from oracles import enumerate_spans_reference, silence_runs_reference
 
 from spanalign.corpus import FeatureSequence, SentencePair
 from spanalign.segmentation import (
@@ -170,3 +174,74 @@ def test_candidate_spans_no_energy_skips_silence():
     cands, silences = candidate_spans(pair, SegmentationConfig())
     assert silences.spans == ()
     assert (1, 20) in cands.spans
+
+
+def _random_silences(rng, top):
+    """Disjoint ordered silences over frames 1..top + 4, some adjacent."""
+    spans = []
+    pos = int(rng.integers(1, 5))
+    while pos <= top + 4:
+        if rng.random() < 0.5:
+            t = pos + int(rng.integers(1, 7))
+            spans.append((pos, t))
+            pos = t + int(rng.choice([0, 0, 1, 2, 4]))
+        else:
+            pos += int(rng.integers(1, 6))
+    return SilenceSpans(tuple(spans))
+
+
+def test_enumerate_spans_matches_pairwise_reference():
+    rng = np.random.default_rng(20161)
+    seen = Counter()
+    for _ in range(6000):
+        top = int(rng.integers(1, 41))
+        silences = _random_silences(rng, top)
+        edges = [j for s, t in silences for j in (s - 1, s, t - 1, t) if 1 <= j <= top]
+        boundaries = [int(j) for j in rng.integers(1, top + 1, size=int(rng.integers(1, 10)))]
+        boundaries += [int(j) for j in rng.choice(edges, size=min(len(edges), 3))] if edges else []
+        rng.shuffle(boundaries)
+        min_len = int(rng.integers(0, 6))
+        max_len = int(rng.integers(0, 25))
+
+        seen["adjacent"] += any(s == prev_t for (_, prev_t), (s, _) in zip(silences, silences.spans[1:]))
+        seen["inside"] += any(s < j < t - 1 for j in boundaries for s, t in silences)
+        seen["on_edge"] += any(j in (s, t - 1, t) for j in boundaries for s, t in silences)
+        seen["past_last"] += any(t - 1 > max(boundaries) for _, t in silences)
+        seen["duplicate"] += len(set(boundaries)) < len(boundaries)
+        seen["unsorted"] += boundaries != sorted(boundaries)
+        seen[f"min_len_{min_len}"] += 1
+        seen["max_below_min"] += max_len < min_len
+
+        try:
+            expected = enumerate_spans_reference(boundaries, silences, min_len, max_len)
+        except NoCandidateSpansError:
+            seen["empty"] += 1
+            with pytest.raises(NoCandidateSpansError):
+                enumerate_spans(boundaries, silences, min_len, max_len)
+            continue
+        seen["non_empty"] += 1
+        assert enumerate_spans(boundaries, silences, min_len, max_len).spans == expected
+    for case in ("adjacent", "inside", "on_edge", "past_last", "duplicate", "unsorted",
+                 "min_len_0", "min_len_1", "max_below_min", "empty", "non_empty"):
+        assert seen[case] >= 100, (case, seen)
+
+
+def test_enumerate_spans_rejects_bad_boundaries():
+    with pytest.raises(ValueError):
+        enumerate_spans([], SilenceSpans(()), 1, 10)
+    with pytest.raises(ValueError):
+        enumerate_spans([0, 5], SilenceSpans(()), 1, 10)
+
+
+def test_detect_silence_runs_match_frame_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        m = int(rng.integers(1, 61))
+        energy = rng.random(m)
+        energy[rng.random(m) < rng.random()] = 0.0
+        ratio = float(rng.uniform(0.05, 0.95))
+        min_ms = float(rng.integers(1, 7) * 10)
+        got = detect_silence(energy, 10.0, ratio, min_ms, smooth_frames=1).spans
+        mask = energy < ratio * energy.max()
+        assert got == tuple(silence_runs_reference(mask, math.ceil(min_ms / 10.0)))
+        assert all(type(v) is int for span in got for v in span)

@@ -436,3 +436,51 @@ def test_final_alignments_scores_are_finite():
 def test_train_config_validation(kwargs):
     with pytest.raises(ValueError):
         TrainConfig(**kwargs)
+
+
+def _degenerate_corpus():
+    """Edge-case utterances next to two ordinary ones, all normalized."""
+    rng = np.random.default_rng(11)
+    energy = np.ones(30)
+    energy[12:20] = 0.0
+    pairs = [
+        _pair(rng, "one_frame", ["aa"], 1),
+        _pair(rng, "two_frames", ["aa", "bbb"], 2),
+        SentencePair("repeat", FeatureSequence(rng.standard_normal((30, 2))),
+                     ("aa", "c", "aa"), (2, 1, 2), energy),
+        _pair(rng, "single_word", ["bbb"], 12),
+        _pair(rng, "plain_1", ["aa", "bbb", "c"], 24),
+        _pair(rng, "plain_2", ["c", "aa"], 16),
+    ]
+    return Corpus(tuple(
+        SentencePair(p.utt_id, normalize_utterance(p.source), p.target_words, p.char_lengths, p.energy_track)
+        for p in pairs
+    ))
+
+
+@pytest.mark.parametrize("variant", ["deficient", "proper"])
+def test_degenerate_utterances_end_to_end(variant):
+    corpus = _degenerate_corpus()
+    config = TrainConfig(iterations=3, variant=variant)
+
+    def run():
+        tables = build_tables(corpus, SegmentationConfig())
+        state = train(corpus, config, tables)
+        return tables, state, final_alignments(corpus, state, *tables)
+
+    tables, state, alignments = run()
+    for pair in corpus:
+        spans = set(tables[0][pair.utt_id].spans)
+        words = alignments[pair.utt_id].words
+        assert len(words) == pair.l
+        for word, entry in zip(pair.target_words, words):
+            assert (entry.a, entry.b) in spans
+            assert entry.cluster_id in state.params.inventory.clusters[word]
+            assert np.isfinite(entry.log_score)
+    _, again, alignments_again = run()
+    assert alignments_again == alignments
+    assert again.assignments == state.assignments
+    assert np.array_equal(again.params.u, state.params.u)
+    assert [st.total_log_score for st in again.iteration_log] == [
+        st.total_log_score for st in state.iteration_log
+    ]
