@@ -355,9 +355,9 @@ def normalize_utterance(features: FeatureSequence) -> FeatureSequence:
 class SynthConfig:
     """Generator settings for corpora sampled from the model family itself.
 
-    Each word type gets a fixed prototype whose length grows with its
-    character count; sentences are emitted as (optionally reordered)
-    prototype concatenations with silences at word junctions.
+    Each word type gets a fixed prototype whose length is drawn uniformly
+    from `proto_len_range`; sentences are emitted as (optionally
+    reordered) prototype concatenations with silences at word junctions.
     """
 
     vocab_size: int = 20
@@ -415,15 +415,6 @@ def _sample_vocab(config: SynthConfig, rng: np.random.Generator) -> list[str]:
     return tokens
 
 
-def _proto_length(chars: int, config: SynthConfig) -> int:
-    # Longer words get proportionally longer prototypes, mirroring the
-    # character-count rationale behind the distortion mu allocation.
-    lo, hi = config.proto_len_range
-    span = _MAX_CHARS - _MIN_CHARS
-    frac = 0.0 if span == 0 else (chars - _MIN_CHARS) / span
-    return lo + round(frac * (hi - lo))
-
-
 def synth_generate(config: SynthConfig, seed: int = 0):
     """Sample a corpus with gold links plus the true generating parameters.
 
@@ -434,9 +425,12 @@ def synth_generate(config: SynthConfig, seed: int = 0):
 
     rng = np.random.default_rng(seed)
     tokens = _sample_vocab(config, rng)
+    # Lengths have a stream of their own: the main stream sees them only
+    # through the prototype sizes, so a fixed length draws nothing from it.
+    lo, hi = config.proto_len_range
+    lengths = np.random.default_rng([seed, 1]).integers(lo, hi + 1, size=len(tokens))
     prototypes = {
-        tok: rng.normal(0.0, 1.0, size=(_proto_length(len(tok), config), config.dim))
-        for tok in tokens
+        tok: rng.normal(0.0, 1.0, size=(int(n), config.dim)) for tok, n in zip(tokens, lengths)
     }
 
     pairs = []

@@ -39,15 +39,10 @@ class DistortionParams:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class MuAllocation:
-    """Per-word frame budgets, each >= 1, summing to the frame count."""
+def allocate_mu(char_lengths, m: int) -> tuple[int, ...]:
+    """Per-word frame budgets mu_i, each >= 1 and summing to m.
 
-    mu: tuple[int, ...]
-
-
-def allocate_mu(char_lengths, m: int) -> MuAllocation:
-    """Largest-remainder split of m frames proportional to character counts.
+    A largest-remainder split of m frames proportional to character counts.
 
     Quota ties go to the lower word index.  Words rounded to zero are
     topped up to one frame by taking a frame from the largest share.
@@ -76,7 +71,7 @@ def allocate_mu(char_lengths, m: int) -> MuAllocation:
         recipient = mu.index(0)
         mu[donor] -= 1
         mu[recipient] += 1
-    return MuAllocation(tuple(mu))
+    return tuple(mu)
 
 
 def _check_args(i: int, l: int, m: int, mu_i: int) -> None:

@@ -95,7 +95,7 @@ def evaluate(
 
 def naive_baseline(pair: SentencePair) -> Alignment:
     """Monotone partition of the utterance into mu-proportional spans."""
-    mu = allocate_mu(pair.char_lengths, pair.m).mu
+    mu = allocate_mu(pair.char_lengths, pair.m)
     words = []
     start = 1
     for width in mu:

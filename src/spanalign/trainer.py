@@ -6,11 +6,18 @@ candidate set, and runs one M-step.  Each EM iteration then alternates
 a per-word independent argmax (E) with relative-frequency priors and
 DBA prototypes (M).
 
+Words are scored on one path.  The distortion depends only on the
+sentence and the run's fixed parameters, so a `SpanCostStore` builds
+each utterance's (words x candidate spans) distortion matrix once per
+run, next to the DTW cost rows; `_word_tables` gives each word type's
+(spans x live clusters) table before distortion.  The initializer, the
+E-step and final scoring all read those two arrays.
+
 Work that cannot change is not redone: a cluster whose member list is
 unchanged keeps its prototype object (DBA is deterministic in its
-members), and a `SpanCostStore` keeps each cluster's DTW cost rows
-while its prototype object is the same.  Outputs are the same as
-recomputing everything.
+members), and the store keeps each cluster's DTW cost rows while its
+prototype object is the same.  Outputs are the same as recomputing
+everything.
 """
 
 from __future__ import annotations
@@ -64,6 +71,9 @@ class TrainConfig:
             raise ValueError("dba_iterations must be >= 1")
         if self.variant not in ("deficient", "proper"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        DistortionParams(p0=self.p0, lam=self.lam)  # rejects a bad lam or p0
+        if self.p0 >= 1.0:  # candidate spans exclude the null span: every score would be -inf
+            raise ValueError(f"p0 must lie in [0, 1) for training, got {self.p0}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +84,10 @@ class IterationStats:
 
 
 class SpanCostStore:
-    """DTW cost rows of every live cluster on the utterances it is scored on.
+    """One run's distortion matrices, and the DTW cost rows of its live clusters.
+
+    `delta[utt_id][i - 1]` is log delta_a(a) + log delta_b(b) of word i
+    on the candidate spans (a, b), built once for `distortion`.
 
     A deficient cluster is scored on the utterances that contain its
     word; a proper cluster on every utterance, since the normalizer runs
@@ -85,9 +98,23 @@ class SpanCostStore:
     are slices at offsets shared by its group.
     """
 
-    def __init__(self, corpus: Corpus, candidates_map: dict[str, CandidateSpans]):
+    def __init__(self, corpus: Corpus, candidates_map, mu_map, distortion: DistortionParams):
         self._pairs = corpus.pairs
         self._candidates = candidates_map
+        self._mu = mu_map
+        self.distortion = distortion
+        self.delta: dict[str, np.ndarray] = {}
+        for pair in corpus:
+            cands = candidates_map[pair.utt_id]
+            rows = np.zeros((pair.l, len(cands)))  # a single frame admits a single span
+            if pair.m > 1:
+                for i, mu_i in enumerate(mu_map[pair.utt_id], start=1):
+                    mu = effective_mu(mu_i, pair.l, pair.m)
+                    la = log_delta_a(i, pair.l, pair.m, mu, distortion)
+                    lb = log_delta_b(i, pair.l, pair.m, mu, distortion)
+                    rows[i - 1] = la[cands.starts] + lb[cands.ends]
+            self.delta[pair.utt_id] = rows
+        self.live: tuple[int, ...] = ()
         # group key (word, or None for every utterance) -> (pairs, offsets)
         self._groups: dict[str | None, tuple[tuple[SentencePair, ...], dict[str, slice]]] = {}
         # cluster -> (prototype the costs belong to, costs, offsets)
@@ -106,8 +133,10 @@ class SpanCostStore:
         return self._groups[key]
 
     def refresh(self, params: ModelParams) -> None:
-        """Make `row` answer for `params`, computing only what changed."""
-        live = params.live_clusters()
+        """Make `row` and `live` answer for `params`, computing only what changed."""
+        if params.distortion != self.distortion:
+            raise ValueError("cost store was built for other distortion parameters")
+        live = self.live = params.live_clusters()
         entries = self._entries
         self._entries = {
             f: entries[f] for f in live if f in entries and entries[f][0] is params.prototypes[f]
@@ -124,9 +153,10 @@ class SpanCostStore:
             for f, proto, costs in zip(fs, protos, span_cost_rows(protos, pairs, cands)):
                 self._entries[f] = (proto, costs, offsets)
 
-    def serves(self, corpus: Corpus, candidates_map: dict[str, CandidateSpans]) -> bool:
-        """Whether this store was built for exactly these utterances and candidates."""
-        return self._pairs is corpus.pairs and self._candidates is candidates_map
+    def serves(self, corpus: Corpus, candidates_map, mu_map, distortion: DistortionParams) -> bool:
+        """Whether this store was built for exactly these utterances, tables and distortion."""
+        same = self._pairs is corpus.pairs and self._candidates is candidates_map
+        return same and self._mu is mu_map and self.distortion == distortion
 
     def row(self, f: int, utt_id: str) -> np.ndarray:
         """Costs of cluster f on the candidate spans of one utterance."""
@@ -139,7 +169,7 @@ class TrainState:
     params: ModelParams
     assignments: dict[str, tuple[Assignment, ...]]
     iteration_log: tuple[IterationStats, ...]
-    # Cost rows of `params`' prototypes, when training left them behind.
+    # The run's SpanCostStore, when training left it behind.
     costs: SpanCostStore | None = field(default=None, compare=False, repr=False)
 
 
@@ -156,7 +186,7 @@ def build_tables(
             )
         spans, _ = candidate_spans(pair, seg_config)
         candidates_map[pair.utt_id] = spans
-        mu_map[pair.utt_id] = allocate_mu(pair.char_lengths, pair.m).mu
+        mu_map[pair.utt_id] = allocate_mu(pair.char_lengths, pair.m)
     return candidates_map, mu_map
 
 
@@ -166,52 +196,40 @@ def effective_mu(mu_i: int, l: int, m: int) -> int:
     return min(mu_i, m - 1) if l == 1 else mu_i
 
 
-def _delta_table(
-    i: int, pair: SentencePair, mu_i: int, dparams: DistortionParams, candidates: CandidateSpans
-) -> np.ndarray:
-    """log delta_a(a) + log delta_b(b) for word i and every candidate span (a, b)."""
-    if pair.m == 1:
-        return np.zeros(len(candidates))  # a single frame admits a single span
-    mu = effective_mu(mu_i, pair.l, pair.m)
-    la = log_delta_a(i, pair.l, pair.m, mu, dparams)
-    lb = log_delta_b(i, pair.l, pair.m, mu, dparams)
-    return la[candidates.starts] + lb[candidates.ends]
-
-
-def _base_tables(
+def _word_tables(
     pair: SentencePair, params: ModelParams, costs: SpanCostStore
-) -> dict[int, np.ndarray]:
-    """Per-cluster span score tables before distortion.
+) -> dict[str, tuple[tuple[int, ...], np.ndarray | None]]:
+    """Each word type of the sentence: its live clusters and their span tables before distortion.
 
-    Deficient: log u(f) + log s(a, b | f).  Proper: log s(f | a, b).
-    Only clusters owned by the sentence's word types are materialized
-    for the deficient variant; the proper normalizer spans all live
-    clusters regardless.  `costs` must be refreshed for `params`.
+    A table is (candidate spans x clusters), clusters in id order, holding
+    log u(f) + log s(a, b | f) (deficient) or log s(f | a, b) (proper,
+    normalized over every live cluster on this utterance).  A word type
+    without live clusters gets () and None.  `costs` must be refreshed
+    for `params`.
     """
+    live = set(costs.live)
+    clusters = {
+        word: tuple(f for f in params.inventory.clusters.get(word, ()) if f in live)
+        for word in dict.fromkeys(pair.target_words)
+    }
     if params.variant == "proper":
-        live = params.live_clusters()
-        if not live:
-            return {}
-        rows = proper_log_s_rows({f: costs.row(f, pair.utt_id) for f in live})
-        needed = set()
-        for word in set(pair.target_words):
-            needed.update(params.inventory.clusters.get(word, ()))
-        return {f: rows[f] for f in needed & set(rows)}
-    live = set(params.live_clusters())
-    tables = {}
-    for word in set(pair.target_words):
-        for f in params.inventory.clusters.get(word, ()):
-            if f in live and f not in tables:
-                table = deficient_log_s_table(costs.row(f, pair.utt_id))
-                tables[f] = math.log(params.u[f]) + table
-    return tables
+        rows = proper_log_s_rows({f: costs.row(f, pair.utt_id) for f in costs.live}) if live else {}
+    else:
+        rows = {
+            f: math.log(params.u[f]) + deficient_log_s_table(costs.row(f, pair.utt_id))
+            for fs in clusters.values()
+            for f in fs
+        }
+    return {
+        word: (fs, np.stack([rows[f] for f in fs], axis=1) if fs else None)
+        for word, fs in clusters.items()
+    }
 
 
 def _align_pair(
     pair: SentencePair,
     params: ModelParams,
     candidates: CandidateSpans,
-    mu: tuple[int, ...],
     prev: tuple[Assignment, ...] | None,
     costs: SpanCostStore,
 ) -> tuple[tuple[Assignment, ...], float]:
@@ -220,22 +238,21 @@ def _align_pair(
     Candidates are scanned in (a, b) order and clusters in id order, so
     on score ties the smaller start, then end, then cluster id wins.
     """
-    tables = _base_tables(pair, params, costs)
-
+    tables = _word_tables(pair, params, costs)
+    delta = costs.delta[pair.utt_id]
     out = []
     total = 0.0
-    for i, word in enumerate(pair.target_words, start=1):
-        allowed = [f for f in params.inventory.clusters.get(word, ()) if f in tables]
-        if not allowed:
+    for i, word in enumerate(pair.target_words):
+        fs, table = tables[word]
+        if not fs:
             if prev is None:
-                raise TrainError(f"{pair.utt_id}: word {i} has no live cluster")
-            out.append(prev[i - 1])
+                raise TrainError(f"{pair.utt_id}: word {i + 1} has no live cluster")
+            out.append(prev[i])
             continue
-        delta_vec = _delta_table(i, pair, mu[i - 1], params.distortion, candidates)
-        scores = np.stack([tables[f] + delta_vec for f in allowed], axis=1)
+        scores = table + delta[i][:, None]
         flat = int(np.argmax(scores))
-        ci, fi = divmod(flat, len(allowed))
-        out.append((allowed[fi], int(candidates.starts[ci]), int(candidates.ends[ci])))
+        ci, fi = divmod(flat, len(fs))
+        out.append((fs[fi], int(candidates.starts[ci]), int(candidates.ends[ci])))
         total += float(scores.flat[flat])
     return tuple(out), total
 
@@ -244,7 +261,6 @@ def _score_pair(
     pair: SentencePair,
     params: ModelParams,
     candidates: CandidateSpans,
-    mu: tuple[int, ...],
     assignment: tuple[Assignment, ...],
     costs: SpanCostStore,
 ) -> Alignment:
@@ -254,25 +270,25 @@ def _score_pair(
     span outside the candidate set scores -inf.
     """
     index = {span: idx for idx, span in enumerate(candidates.spans)}
-    tables = _base_tables(pair, params, costs)
-
+    tables = _word_tables(pair, params, costs)
+    delta = costs.delta[pair.utt_id]
     words = []
-    for i, ((f, a, b), word) in enumerate(zip(assignment, pair.target_words), start=1):
-        delta_vec = _delta_table(i, pair, mu[i - 1], params.distortion, candidates)
+    for i, ((f, a, b), word) in enumerate(zip(assignment, pair.target_words)):
+        fs, table = tables[word]
         idx = index.get((a, b))
-        if f in tables and f in params.inventory.clusters.get(word, ()) and idx is not None:
-            score = float(tables[f][idx] + delta_vec[idx])
+        if f in fs and idx is not None:
+            score = float(table[idx, fs.index(f)] + delta[i, idx])
         else:
             score = float("-inf")
         words.append(WordAlignment(cluster_id=f, a=a, b=b, log_score=score))
     return Alignment(pair.utt_id, tuple(words))
 
 
-def _map_pairs(corpus: Corpus, fn, threads: int):
+def _map(fn, items, threads: int) -> list:
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, corpus.pairs))
-    return [fn(pair) for pair in corpus.pairs]
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def e_step(
@@ -287,20 +303,18 @@ def e_step(
 ) -> tuple[dict[str, tuple[Assignment, ...]], float]:
     """Re-align every word; returns the new assignments and their total log score.
 
-    `costs` carries cost rows over from earlier passes; span costs are
+    `costs` carries the run's store over from earlier passes; span costs are
     computed on the calling thread, the per-utterance argmax on `threads`.
     """
     if costs is None:
-        costs = SpanCostStore(corpus, candidates_map)
+        costs = SpanCostStore(corpus, candidates_map, mu_map, params.distortion)
     costs.refresh(params)
 
     def work(pair: SentencePair):
         prev = prev_assignments.get(pair.utt_id) if prev_assignments else None
-        return _align_pair(
-            pair, params, candidates_map[pair.utt_id], mu_map[pair.utt_id], prev, costs
-        )
+        return _align_pair(pair, params, candidates_map[pair.utt_id], prev, costs)
 
-    results = _map_pairs(corpus, work, threads)
+    results = _map(work, corpus.pairs, threads)
     assignments = {pair.utt_id: r[0] for pair, r in zip(corpus.pairs, results)}
     total = sum(r[1] for r in results)
     return assignments, total
@@ -349,12 +363,7 @@ def m_step(
         frames = [segments[utt_id](a, b) for utt_id, a, b in members[f]]
         return dba_centroid(frames, iterations=config.dba_iterations)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rebuilt = dict(zip(stale, pool.map(rebuild, stale)))
-    else:
-        rebuilt = {f: rebuild(f) for f in stale}
-
+    rebuilt = dict(zip(stale, _map(rebuild, stale, threads)))
     prototypes = tuple(
         rebuilt.get(f, prev_params.prototypes[f]) for f in range(n)
     )
@@ -376,25 +385,24 @@ def initialize(
 ) -> TrainState:
     """Random clusters, distortion-argmax spans, then one M-step.
 
-    The iteration-0 score leaves the cost rows of the initial prototypes
-    in the state's `costs`, where the first E-step finds them.
+    The run's `SpanCostStore` serves the distortion argmax, then keeps
+    the cost rows of the iteration-0 score for the first E-step.
     """
     started = time.perf_counter()
     word_types = sorted({w for pair in corpus for w in pair.target_words})
     inventory = ClusterInventory.build(word_types, config.k)
     dparams = DistortionParams(p0=config.p0, lam=config.lam)
     rng = np.random.default_rng(config.seed)
+    costs = SpanCostStore(corpus, candidates_map, mu_map, dparams)
 
     assignments = {}
     for pair in corpus:
         candidates = candidates_map[pair.utt_id]
-        mu = mu_map[pair.utt_id]
         entry = []
-        for i, word in enumerate(pair.target_words, start=1):
+        for word, delta in zip(pair.target_words, costs.delta[pair.utt_id]):
             slot = int(rng.integers(0, config.k))
             f = inventory.clusters[word][slot]
-            delta_vec = _delta_table(i, pair, mu[i - 1], dparams, candidates)
-            ci = int(np.argmax(delta_vec))
+            ci = int(np.argmax(delta))
             entry.append((f, int(candidates.starts[ci]), int(candidates.ends[ci])))
         assignments[pair.utt_id] = tuple(entry)
 
@@ -407,17 +415,11 @@ def initialize(
     )
     params = m_step(corpus, assignments, config, blank, threads=threads)
 
-    costs = SpanCostStore(corpus, candidates_map)
     costs.refresh(params)
     total = 0.0
     for pair in corpus:
         alignment = _score_pair(
-            pair,
-            params,
-            candidates_map[pair.utt_id],
-            mu_map[pair.utt_id],
-            assignments[pair.utt_id],
-            costs,
+            pair, params, candidates_map[pair.utt_id], assignments[pair.utt_id], costs
         )
         total += sum(w.log_score for w in alignment.words)
     log = IterationStats(0, total, time.perf_counter() - started)
@@ -474,21 +476,17 @@ def final_alignments(
 ) -> dict[str, Alignment]:
     """Score the final assignments under the final parameters for reporting.
 
-    Reuses the cost rows that training left in `state.costs` when they
-    were built for this corpus and candidate set.
+    Reuses the store that training left in `state.costs` when it was
+    built for this corpus, these tables and this distortion.
     """
     costs = state.costs
-    if costs is None or not costs.serves(corpus, candidates_map):
-        costs = SpanCostStore(corpus, candidates_map)
+    distortion = state.params.distortion
+    if costs is None or not costs.serves(corpus, candidates_map, mu_map, distortion):
+        costs = SpanCostStore(corpus, candidates_map, mu_map, distortion)
     costs.refresh(state.params)
     return {
         pair.utt_id: _score_pair(
-            pair,
-            state.params,
-            candidates_map[pair.utt_id],
-            mu_map[pair.utt_id],
-            state.assignments[pair.utt_id],
-            costs,
+            pair, state.params, candidates_map[pair.utt_id], state.assignments[pair.utt_id], costs
         )
         for pair in corpus
     }

@@ -220,6 +220,16 @@ def test_missing_input_exits_nonzero(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_align_rejects_p0_of_one(tmp_path, capsys):
+    # Candidate spans never include the null span, so p0 = 1 would score every word -inf.
+    corpus_dir = _synth(tmp_path)
+    code = main(["align", "--manifest", str(corpus_dir / "manifest.txt"), "--features", str(corpus_dir),
+                 "--translations", str(corpus_dir / "translations.txt"), "--output", str(tmp_path / "run"),
+                 "--p0", "1"])
+    assert code == 1
+    assert "p0 must lie in [0, 1)" in capsys.readouterr().err
+
+
 def test_align_requires_output(tmp_path, capsys):
     code = main(["align", "--manifest", str(tmp_path / "m.txt")])
     assert code == 1

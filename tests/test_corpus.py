@@ -211,6 +211,20 @@ def test_synth_true_params_reference_all_words():
             assert word in params.inventory.clusters
 
 
+def test_synth_prototype_lengths_cover_range():
+    config = SynthConfig(vocab_size=20, n_sentences=10, proto_len_range=(5, 8))
+    corpus, params = synth_generate(config, seed=0)
+    lengths = {proto.m for proto in params.prototypes}
+    assert lengths == {5, 6, 7, 8}
+    # Each word's gold span is exactly its prototype.
+    proto_len = {params.inventory.owner[f]: proto.m for f, proto in enumerate(params.prototypes)}
+    for pair in corpus.pairs:
+        counts = {}
+        for w, _ in corpus.gold[pair.utt_id].links:
+            counts[w] = counts.get(w, 0) + 1
+        assert counts == {w: proto_len[word] for w, word in enumerate(pair.target_words)}
+
+
 def test_synth_rejects_degenerate_config():
     with pytest.raises(ValueError):
         SynthConfig(vocab_size=0, n_sentences=3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spanalign.corpus import Corpus, FeatureSequence, SentencePair
-from spanalign.distortion import DistortionParams, log_delta_a, log_delta_b
+from spanalign.distortion import DistortionParams, allocate_mu, log_delta_a, log_delta_b
 from spanalign.dtw import candidate_span_costs, dtw_distance
 from spanalign.model import (
     ClusterInventory,
@@ -15,7 +15,7 @@ from spanalign.model import (
     span_cost_rows,
 )
 from spanalign.segmentation import CandidateSpans
-from spanalign.trainer import SpanCostStore, _base_tables, effective_mu
+from spanalign.trainer import SpanCostStore, _word_tables, effective_mu
 
 from oracles import span_log_delta, word_log_score
 
@@ -116,10 +116,12 @@ def test_documented_two_span_softmax():
 
 
 def _proper_rows(params, pair, candidates):
-    """log s(f | a, b) as the trainer builds it: live cost rows, then proper_log_s_rows."""
-    costs = SpanCostStore(Corpus((pair,)), {pair.utt_id: candidates})
+    """log s(f | a, b) per live cluster f, read from the trainer's word tables."""
+    mu_map = {pair.utt_id: allocate_mu(pair.char_lengths, pair.m)}
+    costs = SpanCostStore(Corpus((pair,)), {pair.utt_id: candidates}, mu_map, params.distortion)
     costs.refresh(params)
-    return _base_tables(pair, params, costs)
+    tables = _word_tables(pair, params, costs).values()
+    return {f: table[:, col] for fs, table in tables for col, f in enumerate(fs)}
 
 
 def test_proper_rows_normalize_across_live_clusters():

@@ -70,7 +70,7 @@ def _tiny_instance(rng, variant):
         distortion=DistortionParams(p0=float(rng.uniform(0.0, 0.4)), lam=float(rng.uniform(0.05, 3.0))),
         variant=variant,
     )
-    mu = allocate_mu(pair.char_lengths, m).mu
+    mu = allocate_mu(pair.char_lengths, m)
     return pair, params, candidates, mu
 
 
@@ -319,9 +319,13 @@ def test_cost_rows_follow_prototype_objects(monkeypatch, variant):
         protos[f] = proto
         return ModelParams(params.inventory, u, tuple(protos), params.distortion, variant)
 
-    store = SpanCostStore(corpus, tables[0])
+    store = SpanCostStore(corpus, *tables, params.distortion)
     store.refresh(params)
     assert sorted(map(id, computed())) == sorted(id(params.prototypes[f]) for f in live)
+    # The distortion matrices belong to one lambda; a store is never read under another.
+    other = ModelParams(params.inventory, params.u, params.prototypes, DistortionParams(lam=2.0), variant)
+    with pytest.raises(ValueError, match="distortion"):
+        store.refresh(other)
     store.refresh(params)
     assert computed() == []
 
@@ -374,6 +378,16 @@ def test_train_reuse_matches_recomputing_everything(variant):
     assert final_alignments(corpus, state, narrow, tables[1]) == final_alignments(
         corpus, fresh, narrow, tables[1]
     )
+
+
+def test_distortion_built_once_per_word(monkeypatch):
+    # The distortion is fixed for a run: training and final scoring share one matrix per utterance.
+    corpus = _small_corpus()
+    tables = build_tables(corpus, SegmentationConfig())
+    calls = _count_calls(monkeypatch, "log_delta_a")
+    state = train(corpus, TrainConfig(iterations=3), tables)
+    final_alignments(corpus, state, *tables)
+    assert calls == [i for pair in corpus for i in range(1, pair.l + 1)]
 
 
 def test_train_iteration_log_and_determinism():
@@ -431,6 +445,10 @@ def test_final_alignments_scores_are_finite():
         dict(k=0),
         dict(dba_iterations=0),
         dict(variant="soft"),
+        dict(p0=1.0),
+        dict(p0=2.0, lam=-1.0),
+        dict(lam=-1.0),
+        dict(lam=float("nan")),
     ],
 )
 def test_train_config_validation(kwargs):
