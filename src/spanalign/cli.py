@@ -14,13 +14,10 @@ log_score.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .corpus import (
     Corpus,
@@ -43,8 +40,6 @@ from .model import save_params
 from .segmentation import SegmentationConfig
 from .trainer import TrainConfig, TrainError, build_tables, final_alignments, train
 
-THREADS_ENV = "SPANALIGN_THREADS"
-
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -61,15 +56,6 @@ class Option:
     kind: type
     default: object
     help: str
-
-
-def _default_threads() -> int:
-    # One thread unless asked: the span-cost kernel runs on the calling
-    # thread, and more threads only contend for the interpreter lock.
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return int(env)
-    return 1
 
 
 # Defaults are read from the config dataclasses, so each lives in one place.
@@ -101,7 +87,7 @@ _RUN_OPTIONS = [
     Option("lambda_grid", str, "0.1,0.3,0.5,1.0,2.0", "comma-separated lambda grid (grid only)"),
     Option("dev_manifest", str, None, "manifest naming the dev split (grid only)"),
     Option("test_manifest", str, None, "manifest naming the test split (grid only)"),
-    Option("threads", int, None, f"worker threads (default: ${THREADS_ENV} or 1)"),
+    Option("threads", int, 1, "has no effect: training runs on one thread (accepted so old command lines run)"),
 ]
 
 _SYNTH_OPTIONS = [
@@ -166,8 +152,6 @@ def _resolve(args: argparse.Namespace, options: list[Option]) -> dict:
         flag_value = getattr(args, opt.name)
         if flag_value is not None:
             values[opt.name] = flag_value
-    if "threads" in values and values["threads"] is None:
-        values["threads"] = _default_threads()
     return values
 
 
@@ -228,21 +212,8 @@ def _alignment_rows(corpus: Corpus, alignments: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_training(corpus: Corpus, values: dict, tables, lam: float | None = None):
-    state = train(
-        corpus,
-        _train_config(values, lam=lam),
-        tables,
-        threads=values["threads"],
-        checkpoint_dir=values.get("_checkpoint_dir"),
-    )
-    alignments = final_alignments(corpus, state, tables[0], tables[1])
-    return state, alignments
-
-
-def cmd_align(args: argparse.Namespace) -> int:
-    values = _resolve(args, _RUN_OPTIONS)
-    _require(values, ["manifest", "features", "translations", "output"], "align")
+def _load_tables(values: dict, seg_config: SegmentationConfig):
+    """Load (and normalize) the corpus, make the output directory, build the candidate tables."""
     corpus = load_corpus(
         values["manifest"],
         values["features"],
@@ -254,10 +225,21 @@ def cmd_align(args: argparse.Namespace) -> int:
         corpus = _normalized(corpus)
     out_dir = Path(values["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    values["_checkpoint_dir"] = out_dir
+    return corpus, out_dir, build_tables(corpus, seg_config)
 
-    tables = build_tables(corpus, _seg_config(values))
-    state, alignments = _run_training(corpus, values, tables)
+
+def _run_training(corpus: Corpus, config: TrainConfig, tables, checkpoint_dir: Path | None = None):
+    state = train(corpus, config, tables, checkpoint_dir=checkpoint_dir)
+    alignments = final_alignments(corpus, state, tables[0], tables[1])
+    return state, alignments
+
+
+def cmd_align(args: argparse.Namespace) -> int:
+    values = _resolve(args, _RUN_OPTIONS)
+    _require(values, ["manifest", "features", "translations", "output"], "align")
+    config, seg_config = _train_config(values), _seg_config(values)
+    corpus, out_dir, tables = _load_tables(values, seg_config)
+    state, alignments = _run_training(corpus, config, tables, out_dir)
     atomic_write_text(out_dir / "alignments.tsv", _alignment_rows(corpus, alignments))
     save_params(state.params, out_dir / "checkpoint.json")
 
@@ -349,17 +331,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
     grid = tuple(float(v) for v in str(values["lambda_grid"]).split(",") if v.strip())
     if not grid or any(v <= 0 for v in grid):
         raise ValueError("lambda_grid values must be positive")
-    corpus = load_corpus(
-        values["manifest"],
-        values["features"],
-        values["translations"],
-        values["gold"],
-        frame_shift_ms=values["frame_shift_ms"],
-    )
-    if values["normalize"]:
-        corpus = _normalized(corpus)
+    configs = [_train_config(values, lam=lam) for lam in grid]
+    seg_config = _seg_config(values)
     dev_ids = _read_manifest_ids(values["dev_manifest"])
     test_ids = _read_manifest_ids(values["test_manifest"])
+    corpus, out_dir, tables = _load_tables(values, seg_config)
     by_id = {p.utt_id: p for p in corpus.pairs}
     for utt_id in dev_ids + test_ids:
         if utt_id not in by_id:
@@ -367,14 +343,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
     dev = Corpus(tuple(by_id[u] for u in dict.fromkeys(dev_ids)))
     test = Corpus(tuple(by_id[u] for u in dict.fromkeys(test_ids)))
 
-    out_dir = Path(values["output"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    tables = build_tables(corpus, _seg_config(values))
     rows = ["lambda\tdev_f"]
     best = None
-    for lam in grid:
-        _, alignments = _run_training(corpus, values, tables, lam=lam)
+    for config in configs:
+        lam = config.lam
+        _, alignments = _run_training(corpus, config, tables)
         dev_f = evaluate(alignments, corpus.gold, dev).f_score
         rows.append(f"{lam!r}\t{dev_f!r}")
         print(f"lambda {lam}: dev f_score {dev_f:.6f}")

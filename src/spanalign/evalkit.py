@@ -9,6 +9,7 @@ utterances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Corpus, GoldAlignment, SentencePair
 from .distortion import allocate_mu
@@ -17,13 +18,19 @@ from .model import Alignment, WordAlignment
 Link = tuple[int, int]
 
 
+class Scores(NamedTuple):
+    precision: float
+    recall: float
+    f_score: float
+
+
 @dataclass(frozen=True)
 class EvalReport:
     precision: float
     recall: float
     f_score: float
-    per_utterance: dict[str, tuple[float, float, float]]
-    per_word_type: dict[str, tuple[float, float, float]]
+    per_utterance: dict[str, Scores]
+    per_word_type: dict[str, Scores]
 
 
 def alignment_to_links(alignment: Alignment, pair: SentencePair) -> set[Link]:
@@ -38,7 +45,7 @@ def alignment_to_links(alignment: Alignment, pair: SentencePair) -> set[Link]:
     return links
 
 
-def score_links(predicted: set, gold: set) -> tuple[float, float, float]:
+def score_links(predicted: set, gold: set) -> Scores:
     """Precision, recall, F over link sets.
 
     An empty side scores 1.0 against an empty counterpart and 0.0
@@ -54,43 +61,24 @@ def score_links(predicted: set, gold: set) -> tuple[float, float, float]:
     else:
         recall = 1.0 if not predicted else 0.0
     f_score = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f_score
+    return Scores(precision, recall, f_score)
 
 
 def evaluate(
     alignments: dict[str, Alignment],
     gold: dict[str, GoldAlignment],
     corpus: Corpus,
-) -> EvalReport:
-    """Micro-averaged report with per-utterance and per-word-type breakdowns."""
+) -> Scores:
+    """Micro-averaged scores over the links of `corpus`; a missing side counts as empty."""
     pooled_pred = set()
     pooled_gold = set()
-    per_utterance = {}
-    type_pred: dict[str, set] = {}
-    type_gold: dict[str, set] = {}
-
     for pair in corpus:
-        pred_links = (
-            alignment_to_links(alignments[pair.utt_id], pair)
-            if pair.utt_id in alignments
-            else set()
-        )
-        gold_links = set(gold[pair.utt_id].links) if pair.utt_id in gold else set()
-        per_utterance[pair.utt_id] = score_links(pred_links, gold_links)
-        pooled_pred.update((pair.utt_id, w, j) for w, j in pred_links)
-        pooled_gold.update((pair.utt_id, w, j) for w, j in gold_links)
-        for w, j in pred_links:
-            type_pred.setdefault(pair.target_words[w], set()).add((pair.utt_id, w, j))
-        for w, j in gold_links:
-            if w < pair.l:
-                type_gold.setdefault(pair.target_words[w], set()).add((pair.utt_id, w, j))
-
-    precision, recall, f_score = score_links(pooled_pred, pooled_gold)
-    per_word_type = {
-        word: score_links(type_pred.get(word, set()), type_gold.get(word, set()))
-        for word in sorted(set(type_pred) | set(type_gold))
-    }
-    return EvalReport(precision, recall, f_score, per_utterance, per_word_type)
+        if pair.utt_id in alignments:
+            links = alignment_to_links(alignments[pair.utt_id], pair)
+            pooled_pred.update((pair.utt_id, w, j) for w, j in links)
+        if pair.utt_id in gold:
+            pooled_gold.update((pair.utt_id, w, j) for w, j in gold[pair.utt_id].links)
+    return score_links(pooled_pred, pooled_gold)
 
 
 def naive_baseline(pair: SentencePair) -> Alignment:

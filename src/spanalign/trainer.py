@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -284,39 +283,30 @@ def _score_pair(
     return Alignment(pair.utt_id, tuple(words))
 
 
-def _map(fn, items, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def e_step(
     corpus: Corpus,
     params: ModelParams,
     candidates_map: dict[str, CandidateSpans],
     mu_map: dict[str, tuple[int, ...]],
     prev_assignments: dict[str, tuple[Assignment, ...]] | None = None,
-    threads: int = 1,
     *,
     costs: SpanCostStore | None = None,
 ) -> tuple[dict[str, tuple[Assignment, ...]], float]:
     """Re-align every word; returns the new assignments and their total log score.
 
-    `costs` carries the run's store over from earlier passes; span costs are
-    computed on the calling thread, the per-utterance argmax on `threads`.
+    `costs` carries the run's store over from earlier passes.
     """
     if costs is None:
         costs = SpanCostStore(corpus, candidates_map, mu_map, params.distortion)
     costs.refresh(params)
-
-    def work(pair: SentencePair):
+    assignments = {}
+    total = 0.0
+    for pair in corpus:
         prev = prev_assignments.get(pair.utt_id) if prev_assignments else None
-        return _align_pair(pair, params, candidates_map[pair.utt_id], prev, costs)
-
-    results = _map(work, corpus.pairs, threads)
-    assignments = {pair.utt_id: r[0] for pair, r in zip(corpus.pairs, results)}
-    total = sum(r[1] for r in results)
+        assignments[pair.utt_id], score = _align_pair(
+            pair, params, candidates_map[pair.utt_id], prev, costs
+        )
+        total += score
     return assignments, total
 
 
@@ -336,7 +326,6 @@ def m_step(
     assignments: dict[str, tuple[Assignment, ...]],
     config: TrainConfig,
     prev_params: ModelParams,
-    threads: int = 1,
     *,
     prev_assignments: dict[str, tuple[Assignment, ...]] | None = None,
 ) -> ModelParams:
@@ -356,21 +345,16 @@ def m_step(
         counts[f] = len(triples)
     u = counts / counts.sum()
 
-    stale = [f for f in sorted(members) if members[f] != prev_members.get(f)]
     segments = {pair.utt_id: pair.source.segment for pair in corpus}
-
-    def rebuild(f: int):
-        frames = [segments[utt_id](a, b) for utt_id, a, b in members[f]]
-        return dba_centroid(frames, iterations=config.dba_iterations)
-
-    rebuilt = dict(zip(stale, _map(rebuild, stale, threads)))
-    prototypes = tuple(
-        rebuilt.get(f, prev_params.prototypes[f]) for f in range(n)
-    )
+    prototypes = list(prev_params.prototypes)
+    for f in sorted(members):
+        if members[f] != prev_members.get(f):
+            frames = [segments[utt_id](a, b) for utt_id, a, b in members[f]]
+            prototypes[f] = dba_centroid(frames, iterations=config.dba_iterations)
     return ModelParams(
         inventory=prev_params.inventory,
         u=u,
-        prototypes=prototypes,
+        prototypes=tuple(prototypes),
         distortion=prev_params.distortion,
         variant=prev_params.variant,
     )
@@ -381,7 +365,6 @@ def initialize(
     config: TrainConfig,
     candidates_map: dict[str, CandidateSpans],
     mu_map: dict[str, tuple[int, ...]],
-    threads: int = 1,
 ) -> TrainState:
     """Random clusters, distortion-argmax spans, then one M-step.
 
@@ -413,7 +396,7 @@ def initialize(
         distortion=dparams,
         variant=config.variant,
     )
-    params = m_step(corpus, assignments, config, blank, threads=threads)
+    params = m_step(corpus, assignments, config, blank)
 
     costs.refresh(params)
     total = 0.0
@@ -430,7 +413,6 @@ def train(
     corpus: Corpus,
     config: TrainConfig,
     tables: tuple[dict[str, CandidateSpans], dict[str, tuple[int, ...]]],
-    threads: int = 1,
     checkpoint_dir: Path | str | None = None,
 ) -> TrainState:
     """Initialization followed by `iterations` rounds of (E-step, M-step).
@@ -438,7 +420,7 @@ def train(
     `tables` is the (candidate spans, mu) pair from `build_tables`.
     """
     candidates_map, mu_map = tables
-    state = initialize(corpus, config, candidates_map, mu_map, threads=threads)
+    state = initialize(corpus, config, candidates_map, mu_map)
     if checkpoint_dir is not None:
         Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
         save_params(state.params, Path(checkpoint_dir) / "checkpoint_iter00.json")
@@ -456,12 +438,9 @@ def train(
             candidates_map,
             mu_map,
             prev_assignments=prev_assignments,
-            threads=threads,
             costs=costs,
         )
-        params = m_step(
-            corpus, assignments, config, params, threads=threads, prev_assignments=prev_assignments
-        )
+        params = m_step(corpus, assignments, config, params, prev_assignments=prev_assignments)
         log.append(IterationStats(it, total, time.perf_counter() - started))
         if checkpoint_dir is not None:
             save_params(params, Path(checkpoint_dir) / f"checkpoint_iter{it:02d}.json")

@@ -6,7 +6,6 @@ import pytest
 from spanalign.cli import (
     _RUN_OPTIONS,
     _SYNTH_OPTIONS,
-    THREADS_ENV,
     _alignment_rows,
     _parse_bool,
     _read_alignment_file,
@@ -102,16 +101,6 @@ def test_flags_override_config_file(tmp_path):
     assert values["seed"] == 7          # flag beats config
     assert values["vocab_size"] == 9    # config beats default
     assert values["sentences"] == 50    # untouched default
-
-
-def test_threads_default_to_one_unless_env_set(monkeypatch):
-    args = build_parser().parse_args(["align"])
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert _resolve(args, _RUN_OPTIONS)["threads"] == 1
-    monkeypatch.setenv(THREADS_ENV, "3")
-    assert _resolve(args, _RUN_OPTIONS)["threads"] == 3
-    args = build_parser().parse_args(["align", "--threads", "2"])
-    assert _resolve(args, _RUN_OPTIONS)["threads"] == 2
 
 
 def test_bare_commands_use_config_defaults():
@@ -220,14 +209,33 @@ def test_missing_input_exits_nonzero(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _assert_rejected_before_reading(tmp_path, capsys, command, setting, message):
+    # Every input path is missing, so the run fails on the setting only if it is
+    # checked before any file is read, and it leaves no output directory behind.
+    paths = ["--manifest", "m.txt", "--features", "f", "--translations", "t.txt", "--gold", "g.tsv"]
+    if command == "grid":
+        paths += ["--dev-manifest", "dev.txt", "--test-manifest", "test.txt"]
+    code = main([command, *paths, "--output", str(tmp_path / "run"), *setting])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_align_rejects_p0_of_one(tmp_path, capsys):
     # Candidate spans never include the null span, so p0 = 1 would score every word -inf.
-    corpus_dir = _synth(tmp_path)
-    code = main(["align", "--manifest", str(corpus_dir / "manifest.txt"), "--features", str(corpus_dir),
-                 "--translations", str(corpus_dir / "translations.txt"), "--output", str(tmp_path / "run"),
-                 "--p0", "1"])
-    assert code == 1
-    assert "p0 must lie in [0, 1)" in capsys.readouterr().err
+    _assert_rejected_before_reading(tmp_path, capsys, "align", ["--p0", "1"], "p0 must lie in [0, 1)")
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("grid", ["--p0", "1"], "p0 must lie in [0, 1)"),
+        ("align", ["--span-min-len", "5", "--span-max-len", "3"], "need 1 <= span_min_len <= span_max_len"),
+    ],
+    ids=["grid_p0", "align_span_len"],
+)
+def test_bad_settings_rejected_before_reading_files(tmp_path, capsys, command, setting, message):
+    _assert_rejected_before_reading(tmp_path, capsys, command, setting, message)
 
 
 def test_align_requires_output(tmp_path, capsys):

@@ -40,6 +40,11 @@ ITERATION_LOG = {
 }
 
 
+# grid_report.tsv of a three-lambda sweep on a corpus without .bounds sidecars
+# (dev F 0.565, 0.598 and 0.663; lambda 2.0 selected).
+GRID_REPORT = "0689b8b2f6aa77cb3d4ed8871931c521d78167f00e359a7ac940b9acdaf32fbb"
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden") / "corpus"
@@ -71,3 +76,28 @@ def test_outputs_match_golden_digests(corpus_dir, tmp_path, variant):
     assert digests == GOLDEN[variant]
     lines = (run / "iteration_log.tsv").read_text().splitlines()
     assert ["\t".join(line.split("\t")[:2]) for line in lines] == ITERATION_LOG[variant]
+
+
+def test_grid_report_matches_golden_digest(tmp_path):
+    corpus = tmp_path / "corpus"
+    synth = ["--sentences", "20", "--vocab-size", "8", "--noise-std", "0.1", "--reorder-prob", "0.1",
+             "--no-bounds", "--silence-prob", "0.3"]
+    assert main(["synth", "--output", str(corpus), *synth]) == 0
+    ids = (corpus / "manifest.txt").read_text().split()
+    (tmp_path / "dev.txt").write_text("\n".join(ids[:8]) + "\n")
+    (tmp_path / "test.txt").write_text("\n".join(ids[-12:]) + "\n")
+    code = main(
+        [
+            "grid",
+            "--manifest", str(corpus / "manifest.txt"),
+            "--features", str(corpus),
+            "--translations", str(corpus / "translations.txt"),
+            "--gold", str(corpus / "gold.tsv"),
+            "--output", str(tmp_path / "grid"),
+            "--dev-manifest", str(tmp_path / "dev.txt"),
+            "--test-manifest", str(tmp_path / "test.txt"),
+            "--lambda-grid", "0.1,0.5,2.0",
+        ]
+    )
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "grid" / "grid_report.tsv").read_bytes()).hexdigest() == GRID_REPORT

@@ -193,17 +193,6 @@ def test_e_step_never_decreases_word_scores():
             assert new >= old
 
 
-@pytest.mark.parametrize("variant", ["deficient", "proper"])
-def test_e_step_threads_match_serial(variant):
-    corpus = _small_corpus()
-    candidates_map, mu_map = build_tables(corpus, SegmentationConfig())
-    state = initialize(corpus, TrainConfig(variant=variant), candidates_map, mu_map)
-    a1, t1 = e_step(corpus, state.params, candidates_map, mu_map)
-    a4, t4 = e_step(corpus, state.params, candidates_map, mu_map, threads=4)
-    assert a1 == a4
-    assert t1 == t4
-
-
 def test_e_step_dead_word_keeps_previous_assignment():
     rng = np.random.default_rng(2)
     pair = _pair(rng, "t", ["aa"], m=4)
