@@ -16,14 +16,13 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import (
     Corpus,
     CorpusError,
     FeatureSequence,
-    SentencePair,
     SynthConfig,
     atomic_write_text,
     links_to_intervals,
@@ -31,6 +30,8 @@ from .corpus import (
     normalize_utterance,
     read_feature_file,
     read_gold_file,
+    read_interval_rows,
+    read_manifest,
     save_corpus,
     synth_generate,
 )
@@ -139,7 +140,10 @@ def _read_config_file(path: str, options: list[Option]) -> dict:
             if key not in by_name:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             opt = by_name[key]
-            values[key] = _parse_bool(value) if opt.kind is bool else opt.kind(value)
+            try:
+                values[key] = _parse_bool(value) if opt.kind is bool else opt.kind(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -162,16 +166,7 @@ def _require(values: dict, names: list[str], command: str) -> None:
 
 
 def _normalized(corpus: Corpus) -> Corpus:
-    pairs = tuple(
-        SentencePair(
-            utt_id=p.utt_id,
-            source=normalize_utterance(p.source),
-            target_words=p.target_words,
-            char_lengths=p.char_lengths,
-            energy_track=p.energy_track,
-        )
-        for p in corpus.pairs
-    )
+    pairs = tuple(replace(p, source=normalize_utterance(p.source)) for p in corpus)
     return Corpus(pairs, corpus.gold)
 
 
@@ -195,7 +190,6 @@ def _seg_config(values: dict) -> SegmentationConfig:
         grid_stride=values["grid_stride"],
         span_min_len=values["span_min_len"],
         span_max_len=values["span_max_len"],
-        boundary_dir=Path(values["features"]),
     )
 
 
@@ -259,20 +253,9 @@ def cmd_align(args: argparse.Namespace) -> int:
 def _read_alignment_file(path: str):
     links = set()
     names = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 7:
-                raise CorpusError(f"{path}:{lineno}: expected 7 tab-separated fields")
-            utt_id, w_idx, word = parts[0], int(parts[1]), parts[2]
-            start, end = int(parts[4]), int(parts[5])
-            if start < 0 or end <= start:
-                raise CorpusError(f"{path}:{lineno}: invalid frame interval [{start}, {end})")
-            names[(utt_id, w_idx)] = word
-            links.update((utt_id, w_idx, j) for j in range(start, end))
+    for parts, w_idx, start, end in read_interval_rows(path, 7, (1, 4, 5)):
+        names[(parts[0], w_idx)] = parts[2]
+        links.update((parts[0], w_idx, j) for j in range(start, end))
     return links, names
 
 
@@ -313,14 +296,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_manifest_ids(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as handle:
-        ids = [ln.strip() for ln in handle.read().splitlines() if ln.strip()]
-    if not ids:
-        raise CorpusError(f"{path}: empty manifest")
-    return ids
-
-
 def cmd_grid(args: argparse.Namespace) -> int:
     values = _resolve(args, _RUN_OPTIONS)
     _require(
@@ -333,8 +308,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
         raise ValueError("lambda_grid values must be positive")
     configs = [_train_config(values, lam=lam) for lam in grid]
     seg_config = _seg_config(values)
-    dev_ids = _read_manifest_ids(values["dev_manifest"])
-    test_ids = _read_manifest_ids(values["test_manifest"])
+    dev_ids = read_manifest(values["dev_manifest"])
+    test_ids = read_manifest(values["test_manifest"])
     corpus, out_dir, tables = _load_tables(values, seg_config)
     by_id = {p.utt_id: p for p in corpus.pairs}
     for utt_id in dev_ids + test_ids:
@@ -382,16 +357,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     values = _resolve(args, _SYNTH_OPTIONS)
     _require(values, ["output"], "synth")
     corpus, true_params = synth_generate(_synth_config(values), seed=values["seed"])
+    if values["bounds"]:  # the true word edges, 1-indexed, for save_corpus to write
+        edges = {
+            u: {j for _, s, e in links_to_intervals(ga.links) for j in (s + 1, e)}
+            for u, ga in corpus.gold.items()
+        }
+        corpus = Corpus(tuple(replace(p, boundaries=edges[p.utt_id]) for p in corpus), corpus.gold)
     out_dir = Path(values["output"])
     save_corpus(corpus, out_dir)
     save_params(true_params, out_dir / "true_params.json")
-    if values["bounds"]:
-        for pair in corpus:
-            intervals = links_to_intervals(corpus.gold[pair.utt_id].links)
-            points = sorted({p for _, s, e in intervals for p in (s + 1, e)})
-            atomic_write_text(
-                out_dir / f"{pair.utt_id}.bounds", "\n".join(str(p) for p in points) + "\n"
-            )
     print(f"wrote {len(corpus)} utterances to {out_dir}")
     return 0
 

@@ -1,14 +1,16 @@
 """Corpus types, file I/O, feature normalization, and synthetic data.
 
 On-disk layout:
-  manifest           one utterance id per line
+  manifest           one utterance id per line, no blank line before the last
   <utt_id>.feat      header line "m d", then m lines of d floats
   translations       one whitespace-tokenized sentence per manifest line
   gold file          utt_id<TAB>word_index<TAB>start_frame<TAB>end_frame,
                      0-indexed, end exclusive
   <utt_id>.energy    optional sidecar, one non-negative float per frame
+  <utt_id>.bounds    optional sidecar, one 1-indexed boundary frame per line
 
-Frame spans are stored 1-indexed and inclusive inside the package; the
+This module is the only one that reads or writes these files.  Frame
+spans are stored 1-indexed and inclusive inside the package; the
 0-indexed end-exclusive convention applies to files only.
 """
 
@@ -85,6 +87,7 @@ class SentencePair:
     target_words: tuple[str, ...]
     char_lengths: tuple[int, ...]
     energy_track: np.ndarray | None = None
+    boundaries: tuple[int, ...] = ()  # known word-edge frames, 1-indexed; kept sorted and unique
 
     def __post_init__(self):
         if not self.utt_id:
@@ -106,6 +109,10 @@ class SentencePair:
                 raise CorpusError(f"{self.utt_id}: energy track must be finite and non-negative")
             e.setflags(write=False)
             object.__setattr__(self, "energy_track", e)
+        points = tuple(sorted(set(self.boundaries)))
+        if points and not (1 <= points[0] and points[-1] <= self.m):
+            raise CorpusError(f"{self.utt_id}: boundaries must lie in [1, {self.m}]")
+        object.__setattr__(self, "boundaries", points)
 
     @property
     def l(self) -> int:
@@ -214,6 +221,36 @@ def write_energy_file(path: Path | str, energy: np.ndarray) -> None:
     atomic_write_text(path, "\n".join(repr(float(v)) for v in energy) + "\n")
 
 
+def read_boundary_file(path: Path | str, m: int) -> tuple[int, ...]:
+    """Parse a sidecar of 1-indexed boundary frame indices, one per line."""
+    points = set()
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value = int(line)
+            except ValueError:
+                raise CorpusError(f"{path}:{lineno}: non-integer boundary") from None
+            if not (1 <= value <= m):
+                raise CorpusError(f"{path}:{lineno}: boundary {value} outside [1, {m}]")
+            points.add(value)
+    return tuple(sorted(points))
+
+
+def read_manifest(path: Path | str) -> list[str]:
+    """Utterance ids, one per line; trailing blank lines are ignored, inner ones rejected."""
+    with open(path, encoding="utf-8") as handle:
+        utt_ids = [ln.strip() for ln in handle.read().rstrip().splitlines()]
+    for lineno, utt_id in enumerate(utt_ids, start=1):
+        if not utt_id:
+            raise CorpusError(f"{path}:{lineno}: blank utterance id")
+    if not utt_ids:
+        raise CorpusError(f"{path}: empty manifest")
+    return utt_ids
+
+
 def links_to_intervals(links: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
     """Collapse (word, frame) links into (word, start, end) runs, end exclusive."""
     by_word: dict[int, list[int]] = {}
@@ -232,25 +269,34 @@ def links_to_intervals(links: Iterable[tuple[int, int]]) -> list[tuple[int, int,
     return out
 
 
-def read_gold_file(path: Path | str) -> dict[str, GoldAlignment]:
-    path = Path(path)
-    links: dict[str, set[tuple[int, int]]] = {}
+def read_interval_rows(
+    path: Path | str, n_fields: int, columns: tuple[int, int, int]
+) -> Iterator[tuple[list[str], int, int, int]]:
+    """(fields, word, start, end) per non-blank row; `columns` locates word, start and end."""
+    word_col, start_col, end_col = columns
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             parts = line.split("\t")
-            if len(parts) != 4:
-                raise CorpusError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            utt_id = parts[0]
+            if len(parts) != n_fields:
+                raise CorpusError(f"{path}:{lineno}: expected {n_fields} tab-separated fields")
             try:
-                word, start, end = int(parts[1]), int(parts[2]), int(parts[3])
+                word, start, end = int(parts[word_col]), int(parts[start_col]), int(parts[end_col])
             except ValueError:
                 raise CorpusError(f"{path}:{lineno}: non-integer field") from None
-            if word < 0 or start < 0 or end <= start:
+            if word < 0:
+                raise CorpusError(f"{path}:{lineno}: negative word index {word}")
+            if start < 0 or end <= start:
                 raise CorpusError(f"{path}:{lineno}: invalid interval [{start}, {end})")
-            links.setdefault(utt_id, set()).update((word, f) for f in range(start, end))
+            yield parts, word, start, end
+
+
+def read_gold_file(path: Path | str) -> dict[str, GoldAlignment]:
+    links: dict[str, set[tuple[int, int]]] = {}
+    for parts, word, start, end in read_interval_rows(path, 4, (1, 2, 3)):
+        links.setdefault(parts[0], set()).update((word, f) for f in range(start, end))
     return {u: GoldAlignment(u, frozenset(s)) for u, s in links.items()}
 
 
@@ -270,17 +316,8 @@ def load_corpus(
     frame_shift_ms: float = 10.0,
 ) -> Corpus:
     """Load a corpus from the external file layout, validating as it goes."""
-    manifest_path = Path(manifest_path)
     feature_dir = Path(feature_dir)
-    with open(manifest_path, encoding="utf-8") as handle:
-        utt_ids = [ln.strip() for ln in handle.read().splitlines()]
-    while utt_ids and not utt_ids[-1]:
-        utt_ids.pop()
-    for lineno, utt_id in enumerate(utt_ids, start=1):
-        if not utt_id:
-            raise CorpusError(f"{manifest_path}:{lineno}: blank utterance id")
-    if not utt_ids:
-        raise CorpusError(f"{manifest_path}: empty manifest")
+    utt_ids = read_manifest(manifest_path)
 
     with open(translations_path, encoding="utf-8") as handle:
         sentences = handle.read().splitlines()
@@ -299,6 +336,8 @@ def load_corpus(
         features = read_feature_file(feature_dir / f"{utt_id}.feat", frame_shift_ms)
         energy_path = feature_dir / f"{utt_id}.energy"
         energy = read_energy_file(energy_path, features.m) if energy_path.exists() else None
+        bounds_path = feature_dir / f"{utt_id}.bounds"
+        bounds = read_boundary_file(bounds_path, features.m) if bounds_path.exists() else ()
         pairs.append(
             SentencePair(
                 utt_id=utt_id,
@@ -306,6 +345,7 @@ def load_corpus(
                 target_words=words,
                 char_lengths=tuple(len(w) for w in words),
                 energy_track=energy,
+                boundaries=bounds,
             )
         )
 
@@ -326,6 +366,9 @@ def save_corpus(corpus: Corpus, out_dir: Path | str) -> None:
         write_feature_file(out_dir / f"{pair.utt_id}.feat", pair.source)
         if pair.energy_track is not None:
             write_energy_file(out_dir / f"{pair.utt_id}.energy", pair.energy_track)
+        if pair.boundaries:
+            bounds = "\n".join(map(str, pair.boundaries)) + "\n"
+            atomic_write_text(out_dir / f"{pair.utt_id}.bounds", bounds)
     if corpus.gold:
         write_gold_file(out_dir / "gold.tsv", corpus.gold)
 
@@ -398,8 +441,9 @@ class SynthConfig:
             raise ValueError("silence_prob must lie in [0, 1]")
 
 
-_MIN_CHARS = 5
-_MAX_CHARS = 5
+# Tokens have one fixed length because the mu split allocates frames by
+# character count, while every word's true slot is its prototype's length.
+_TOKEN_CHARS = 5
 
 
 def _sample_vocab(config: SynthConfig, rng: np.random.Generator) -> list[str]:
@@ -407,8 +451,7 @@ def _sample_vocab(config: SynthConfig, rng: np.random.Generator) -> list[str]:
     tokens: list[str] = []
     seen = set()
     while len(tokens) < config.vocab_size:
-        n = int(rng.integers(_MIN_CHARS, _MAX_CHARS + 1))
-        token = "".join(letters[int(c)] for c in rng.integers(0, 26, size=n))
+        token = "".join(letters[int(c)] for c in rng.integers(0, 26, size=_TOKEN_CHARS))
         if token not in seen:
             seen.add(token)
             tokens.append(token)

@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusError, SentencePair
+from .corpus import SentencePair
 
 
 class NoCandidateSpansError(Exception):
@@ -87,7 +86,6 @@ class SegmentationConfig:
     grid_stride: int = 5
     span_min_len: int = 3
     span_max_len: int = 150
-    boundary_dir: Path | None = None
 
     def __post_init__(self):
         if not (0.0 < self.threshold_ratio < 1.0):
@@ -145,36 +143,14 @@ def detect_silence(
     return SilenceSpans(tuple(map(tuple, runs.tolist())))
 
 
-def read_boundary_file(path: Path, m: int) -> set[int]:
-    """Parse a sidecar of 1-indexed boundary frame indices, one per line."""
-    points = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = int(line)
-            except ValueError:
-                raise CorpusError(f"{path}:{lineno}: non-integer boundary") from None
-            if not (1 <= value <= m):
-                raise CorpusError(f"{path}:{lineno}: boundary {value} outside [1, {m}]")
-            points.add(value)
-    return points
-
-
 def candidate_boundaries(
     pair: SentencePair,
     config: SegmentationConfig,
     silences: SilenceSpans,
 ) -> list[int]:
-    """Pool boundary points: sidecar file, silence edges, uniform grid, plus 1 and m."""
+    """Pool boundary points: the pair's own, silence edges, uniform grid, plus 1 and m."""
     m = pair.m
-    points = {1, m}
-    if config.boundary_dir is not None:
-        sidecar = Path(config.boundary_dir) / f"{pair.utt_id}.bounds"
-        if sidecar.exists():
-            points |= read_boundary_file(sidecar, m)
+    points = {1, m, *pair.boundaries}
     for s, t in silences:
         points.add(min(s, m))
         points.add(min(t, m))

@@ -33,6 +33,7 @@ from .corpus import Corpus, FeatureSequence, SentencePair
 from .distortion import DistortionParams, allocate_mu, log_delta_a, log_delta_b
 from .dtw import dba_centroid
 from .model import (
+    VARIANTS,
     Alignment,
     ClusterInventory,
     ModelParams,
@@ -68,7 +69,7 @@ class TrainConfig:
             raise ValueError("k must be >= 1")
         if self.dba_iterations < 1:
             raise ValueError("dba_iterations must be >= 1")
-        if self.variant not in ("deficient", "proper"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         DistortionParams(p0=self.p0, lam=self.lam)  # rejects a bad lam or p0
         if self.p0 >= 1.0:  # candidate spans exclude the null span: every score would be -inf
@@ -283,6 +284,21 @@ def _score_pair(
     return Alignment(pair.utt_id, tuple(words))
 
 
+def _score_assignments(
+    corpus: Corpus,
+    params: ModelParams,
+    candidates_map: dict[str, CandidateSpans],
+    assignments: dict[str, tuple[Assignment, ...]],
+    costs: SpanCostStore,
+) -> dict[str, Alignment]:
+    """Score every utterance's fixed assignment under `params`, in corpus order."""
+    costs.refresh(params)
+    return {
+        p.utt_id: _score_pair(p, params, candidates_map[p.utt_id], assignments[p.utt_id], costs)
+        for p in corpus
+    }
+
+
 def e_step(
     corpus: Corpus,
     params: ModelParams,
@@ -398,12 +414,8 @@ def initialize(
     )
     params = m_step(corpus, assignments, config, blank)
 
-    costs.refresh(params)
     total = 0.0
-    for pair in corpus:
-        alignment = _score_pair(
-            pair, params, candidates_map[pair.utt_id], assignments[pair.utt_id], costs
-        )
+    for alignment in _score_assignments(corpus, params, candidates_map, assignments, costs).values():
         total += sum(w.log_score for w in alignment.words)
     log = IterationStats(0, total, time.perf_counter() - started)
     return TrainState(params=params, assignments=assignments, iteration_log=(log,), costs=costs)
@@ -462,10 +474,4 @@ def final_alignments(
     distortion = state.params.distortion
     if costs is None or not costs.serves(corpus, candidates_map, mu_map, distortion):
         costs = SpanCostStore(corpus, candidates_map, mu_map, distortion)
-    costs.refresh(state.params)
-    return {
-        pair.utt_id: _score_pair(
-            pair, state.params, candidates_map[pair.utt_id], state.assignments[pair.utt_id], costs
-        )
-        for pair in corpus
-    }
+    return _score_assignments(corpus, state.params, candidates_map, state.assignments, costs)

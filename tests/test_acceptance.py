@@ -77,7 +77,7 @@ def noisy_run(tmp_path_factory):
     corpus_dir = tmp_path_factory.mktemp("accept") / "noisy"
     _synth(corpus_dir, "--noise-std", "0.1", "--reorder-prob", "0.1")
     corpus = _load_normalized(corpus_dir)
-    tables = build_tables(corpus, SegmentationConfig(boundary_dir=corpus_dir))
+    tables = build_tables(corpus, SegmentationConfig())
     state = train(corpus, TrainConfig(), tables=tables)
     alignments = final_alignments(corpus, state, *tables)
     seconds = time.perf_counter() - started

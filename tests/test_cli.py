@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -92,6 +90,20 @@ def test_config_file_rejects_missing_equals(tmp_path):
         _read_config_file(str(path), _SYNTH_OPTIONS)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [("seed = x", "invalid literal for int()"), ("normalize = maybe", "not a boolean")],
+    ids=["int", "bool"],
+)
+def test_config_file_bad_value_names_file_and_line(tmp_path, capsys, line, message):
+    path = tmp_path / "run.conf"
+    path.write_text(f"# comment line\n{line}\n")
+    code = main(["align", "--config", str(path), "--output", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{path}:2: " in err and message in err
+
+
 def test_flags_override_config_file(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text("seed = 5\nvocab_size = 9\n")
@@ -106,7 +118,7 @@ def test_flags_override_config_file(tmp_path):
 def test_bare_commands_use_config_defaults():
     values = _resolve(build_parser().parse_args(["align"]), _RUN_OPTIONS)
     assert _train_config(values) == TrainConfig()
-    assert _seg_config({**values, "features": "feats"}) == SegmentationConfig(boundary_dir=Path("feats"))
+    assert _seg_config(values) == SegmentationConfig()
     values = _resolve(build_parser().parse_args(["synth"]), _SYNTH_OPTIONS)
     assert _synth_config(values) == SynthConfig()
 
@@ -189,6 +201,22 @@ def test_alignment_rows_round_trip(tmp_path):
     expected = {("u1", w, j) for w, j in alignment_to_links(alignment, pair)}
     assert links == expected
     assert names == {("u1", 0): "aa", ("u1", 1): "b"}
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("u1\t0\taa\t4\t0\tx\t-1.5", "non-integer field"), ("u1\t-1\taa\t4\t0\t2\t-1.5", "negative word index")],
+    ids=["non_integer", "negative_word"],
+)
+def test_eval_rejects_malformed_alignment_row(tmp_path, capsys, row, message):
+    pred = tmp_path / "alignments.tsv"
+    pred.write_text(f"u1\t1\tb\t-\t2\t3\t0.0\n{row}\n")
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("u1\t0\t0\t2\n")
+    assert main(["eval", str(pred), str(gold)]) == 1
+    captured = capsys.readouterr()
+    assert f"{pred}:2: {message}" in captured.err
+    assert captured.out == ""
 
 
 def test_dtw_subcommand_prints_normalized_cost(tmp_path, capsys):
@@ -276,6 +304,29 @@ def test_grid_selects_lambda_on_dev(tmp_path, capsys):
     assert rows[4].startswith("test_f\t")
     selected = float(rows[3].split("\t")[1])
     assert selected in (0.3, 0.5)
+
+
+def test_grid_rejects_blank_line_inside_split_manifest(tmp_path, capsys):
+    corpus_dir = _synth(tmp_path)
+    ids = (corpus_dir / "manifest.txt").read_text().split()
+    (tmp_path / "dev.txt").write_text(f"{ids[0]}\n\n{ids[1]}\n")
+    (tmp_path / "test.txt").write_text("\n".join(ids[2:]) + "\n\n")  # trailing blank lines are fine
+    out = tmp_path / "grid"
+    code = main(
+        [
+            "grid",
+            "--manifest", str(corpus_dir / "manifest.txt"),
+            "--features", str(corpus_dir),
+            "--translations", str(corpus_dir / "translations.txt"),
+            "--gold", str(corpus_dir / "gold.tsv"),
+            "--output", str(out),
+            "--dev-manifest", str(tmp_path / "dev.txt"),
+            "--test-manifest", str(tmp_path / "test.txt"),
+        ]
+    )
+    assert code == 1
+    assert f"{tmp_path / 'dev.txt'}:2: blank utterance id" in capsys.readouterr().err
+    assert not out.exists()  # rejected before the corpus was loaded or trained on
 
 
 @pytest.mark.parametrize("grid", [",", "0.5,0"], ids=["empty", "non_positive"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,12 @@ def test_energy_track_length_checked():
         )
 
 
+@pytest.mark.parametrize("boundaries", [(0, 3), (3, 7)], ids=["zero", "past_m"])
+def test_boundaries_must_lie_inside_utterance(boundaries):
+    with pytest.raises(CorpusError, match=r"u: boundaries must lie in \[1, 6\]"):
+        SentencePair("u", FeatureSequence(np.zeros((6, 1))), ("ab",), (2,), boundaries=boundaries)
+
+
 def test_normalize_utterance_zero_mean_unit_variance():
     seq = FeatureSequence(np.random.default_rng(1).normal(3.0, 2.5, size=(40, 4)))
     norm = normalize_utterance(seq)
@@ -153,7 +161,10 @@ def test_normalize_constant_dimension_centered_only():
 
 def test_corpus_save_load_round_trip(tmp_path):
     corpus, _ = synth_generate(SynthConfig(vocab_size=4, n_sentences=3), seed=1)
+    first = replace(corpus.pairs[0], boundaries=(5, 2))  # only this pair gets a .bounds sidecar
+    corpus = Corpus((first, *corpus.pairs[1:]), corpus.gold)
     save_corpus(corpus, tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("*.bounds")) == [f"{first.utt_id}.bounds"]
     back = load_corpus(
         tmp_path / "manifest.txt",
         tmp_path,
@@ -166,6 +177,8 @@ def test_corpus_save_load_round_trip(tmp_path):
         assert a.target_words == b.target_words
         np.testing.assert_array_equal(a.source.frames, b.source.frames)
         np.testing.assert_array_equal(a.energy_track, b.energy_track)
+        assert a.boundaries == b.boundaries
+    assert back.pairs[0].boundaries == (2, 5)
     for utt_id, ga in corpus.gold.items():
         assert back.gold[utt_id].links == ga.links
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import enumerate_spans_reference, silence_runs_reference
 
-from spanalign.corpus import FeatureSequence, SentencePair
+from spanalign.corpus import FeatureSequence, SentencePair, read_boundary_file
 from spanalign.segmentation import (
     CandidateSpans,
     NoCandidateSpansError,
@@ -15,17 +15,17 @@ from spanalign.segmentation import (
     candidate_spans,
     detect_silence,
     enumerate_spans,
-    read_boundary_file,
 )
 
 
-def make_pair(m, energy=None, utt_id="u1"):
+def make_pair(m, energy=None, utt_id="u1", boundaries=()):
     return SentencePair(
         utt_id=utt_id,
         source=FeatureSequence(np.zeros((m, 2))),
         target_words=("word",),
         char_lengths=(4,),
         energy_track=energy,
+        boundaries=boundaries,
     )
 
 
@@ -87,10 +87,9 @@ def test_boundaries_include_silence_edges():
     assert 8 in points and 13 in points
 
 
-def test_boundaries_union_sidecar(tmp_path):
-    pair = make_pair(20)
-    (tmp_path / "u1.bounds").write_text("7\n3\n", encoding="utf-8")
-    cfg = SegmentationConfig(boundary_dir=tmp_path)
+def test_boundaries_union_sidecar():
+    pair = make_pair(20, boundaries=(7, 3))
+    cfg = SegmentationConfig()
     points = candidate_boundaries(pair, cfg, SilenceSpans(()))
     assert {3, 7}.issubset(points)
     assert points == sorted(points)

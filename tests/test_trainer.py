@@ -4,6 +4,7 @@ import pytest
 from spanalign.corpus import (
     Corpus,
     FeatureSequence,
+    GoldAlignment,
     SentencePair,
     SynthConfig,
     normalize_utterance,
@@ -12,6 +13,7 @@ from spanalign.corpus import (
 from spanalign.distortion import DistortionParams, allocate_mu
 from spanalign import trainer as trainer_module
 from spanalign.dtw import candidate_span_costs
+from spanalign.evalkit import evaluate
 from spanalign.model import ClusterInventory, ModelParams, load_params
 from spanalign.segmentation import CandidateSpans, SegmentationConfig
 from spanalign.trainer import (
@@ -491,3 +493,57 @@ def test_degenerate_utterances_end_to_end(variant):
     assert [st.total_log_score for st in again.iteration_log] == [
         st.total_log_score for st in state.iteration_log
     ]
+
+
+def _repeated_type_corpus():
+    """A noisy synthetic corpus plus sentences that repeat a word type.
+
+    `synth` never repeats a type within a sentence, so these sentences are
+    built here from its true prototypes: each word is followed by a loud,
+    low-energy pause, and noise of the corpus's level is added on top.
+    """
+    base, true_params = synth_generate(SynthConfig(vocab_size=6, n_sentences=12, noise_std=0.1), seed=0)
+    protos = {true_params.inventory.owner[f]: p.frames for f, p in enumerate(true_params.prototypes)}
+    t = sorted(protos)
+    rng = np.random.default_rng(5)
+    pairs, gold = list(base.pairs), dict(base.gold)
+    for n, words in enumerate([(t[0], t[1], t[0]), (t[2], t[2]), (t[3], t[4], t[3], t[5], t[4])]):
+        chunks, energy, links, cursor = [], [], set(), 0
+        for i, word in enumerate(words):
+            links.update((i, j) for j in range(cursor, cursor + len(protos[word])))
+            chunks += [protos[word], 3.0 * rng.standard_normal((10, protos[word].shape[1]))]
+            energy += [rng.uniform(0.8, 1.2, len(protos[word])), rng.uniform(0.0, 0.02, 10)]
+            cursor += len(protos[word]) + 10
+        frames = np.concatenate(chunks) + rng.normal(0.0, 0.1, size=(cursor, chunks[0].shape[1]))
+        utt_id = f"repeat{n}"
+        pairs.append(SentencePair(utt_id, FeatureSequence(frames), words, tuple(map(len, words)),
+                                  np.concatenate(energy)))
+        gold[utt_id] = GoldAlignment(utt_id, frozenset(links))
+    return Corpus(tuple(pairs), gold)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.0])
+def test_repeated_word_types_in_noisy_corpus(lam):
+    corpus = _repeated_type_corpus()
+    tables = build_tables(corpus, SegmentationConfig())
+    config = TrainConfig(lam=lam)
+    runs = []
+    for _ in range(2):
+        state = train(corpus, config, tables)
+        runs.append((state.assignments, final_alignments(corpus, state, *tables)))
+    assert runs[0] == runs[1]
+
+    assignments, alignments = runs[0]
+    for pair in corpus:
+        spans = set(tables[0][pair.utt_id].spans)
+        for entry in alignments[pair.utt_id].words:
+            assert (entry.a, entry.b) in spans
+            assert np.isfinite(entry.log_score)
+    assert np.isfinite(evaluate(alignments, corpus.gold, corpus).f_score)
+    if lam == 0.0:
+        # A flat distortion scores every occurrence of a type on the same
+        # table, so all of them take the same (cluster, span).
+        for pair in corpus:
+            by_type = {}
+            for word, assignment in zip(pair.target_words, assignments[pair.utt_id]):
+                assert by_type.setdefault(word, assignment) == assignment
