@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -96,72 +97,118 @@ def dtw_distance(x: FeatureSequence, y: FeatureSequence) -> WarpResult:
 _DIST_BLOCK_CELLS = 1 << 15  # bound on the (n, block, d) temporary of one distance block
 
 
+class SpanLanes(tuple):
+    """A tuple of (a, b) spans over one frame array, with the kernel's lane layout.
+
+    `candidate_span_costs` runs one lane per distinct start a, over the
+    frames a..a + width - 1 of the widest span from a.  None of the
+    layout depends on the prototype, so a caller that scores several
+    prototypes against the same spans builds it once.  It holds the
+    packed covered frames, so it should not outlive that caller.
+    """
+
+    def __new__(cls, frames: np.ndarray, spans: Sequence[tuple[int, int]]):
+        self = super().__new__(cls, spans)
+        self.frames = frames
+        pairs = np.fromiter(chain.from_iterable(self), np.intp, 2 * len(self)).reshape(-1, 2)
+        starts, lane_of_span = np.unique(pairs[:, 0], return_inverse=True)
+        self.offsets = pairs[:, 1] - pairs[:, 0]  # column of each span in its lane, 0-based
+        widths = np.zeros(len(starts), dtype=np.intp)
+        np.maximum.at(widths, lane_of_span, self.offsets + 1)
+        # Widest lanes first, so the lanes still running at any diagonal are a prefix.
+        order = np.argsort(-widths, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        starts, widths, self.lane_of_span = starts[order], widths[order], rank[lane_of_span]
+        self.width = int(widths[0]) if len(widths) else 0
+
+        # Past row n the kernel computes a prefix of the lanes.  It keeps
+        # computing lanes that have ended until fewer than half of the
+        # prefix still run, so it shrinks its buffers at most log2(lanes)
+        # times.  prefix[r - 1] is the prefix on diagonal n + r.
+        running = np.searchsorted(-widths, -np.arange(1, self.width + 1), side="right")
+        self.prefix = []
+        kept = len(starts)
+        for live in running.tolist():
+            if 2 * live <= kept:
+                kept = live
+            self.prefix.append(kept)
+
+        # Frame distances are needed only for the frames some lane covers.
+        # Packing those frames keeps each lane's frames contiguous.
+        cover = np.zeros(frames.shape[0] + 1, dtype=np.intp)
+        np.add.at(cover, starts - 1, 1)
+        np.add.at(cover, starts - 1 + widths, -1)
+        used = np.cumsum(cover[:-1]) > 0
+        self.packed = frames[used]
+        self.base = (np.cumsum(used) - 1)[starts - 1]  # packed column of each lane's first frame
+        return self
+
+
 def candidate_span_costs(
     proto: np.ndarray, frames: np.ndarray, spans: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Normalized DTW cost from a prototype to each (a, b) span, in the order given.
 
-    Spans are 1-indexed inclusive.  There is one lane per distinct start
-    a, holding the DP table of the prototype against frames a..max b;
-    row n of that table yields every span (a, b), because column b - a + 1
-    only depends on the columns before it.  All lanes advance together,
-    one anti-diagonal i + j = k per numpy step, and each cell is the same
-    `d + min(diag, up, left)` as `_accumulate`, so the costs equal
+    Spans are 1-indexed inclusive.  Pass a `SpanLanes` built on this
+    `frames` array to reuse its layout; any other sequence of spans gets
+    its layout built here.  Lane l holds the DP table of the prototype
+    against the frames of its start a, and row n of that table yields
+    every span (a, b), because column b - a + 1 only depends on the
+    columns before it.  All lanes advance together, one anti-diagonal
+    i + j = k per step over (rows, lanes) arrays, and each cell is the
+    same `d + min(diag, up, left)` as `_accumulate`, so the costs equal
     `dtw_distance` on each span bit for bit (Sakoe & Chiba 1978).
     """
+    if not (isinstance(spans, SpanLanes) and spans.frames is frames):
+        spans = SpanLanes(frames, spans)
+    if not spans:
+        return np.empty(0)
     n = proto.shape[0]
-    pairs = np.array(spans, dtype=np.intp).reshape(-1, 2)
-    starts, lane_of_span = np.unique(pairs[:, 0], return_inverse=True)
-    offsets = pairs[:, 1] - pairs[:, 0]  # column of the span in its lane, 0-based
-    widths = np.zeros(len(starts), dtype=np.intp)
-    np.maximum.at(widths, lane_of_span, offsets + 1)
-    # Widest lanes first, so the lanes still running at diagonal k are a prefix.
-    order = np.argsort(-widths, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    starts, widths, lane_of_span = starts[order], widths[order], rank[lane_of_span]
+    packed, base = spans.packed, spans.base
 
-    # Frame distances are needed only for the frames some lane covers.
-    # Packing those frames keeps each lane's frames contiguous.
-    cover = np.zeros(frames.shape[0] + 1, dtype=np.intp)
-    np.add.at(cover, starts - 1, 1)
-    np.add.at(cover, starts - 1 + widths, -1)
-    used = np.cumsum(cover[:-1]) > 0
-    packed = frames[used]
-    base = (np.cumsum(used) - 1)[starts - 1]  # packed column of each lane's first frame
-
-    # skewed[t, i - 1] = d(proto[i - 1], packed[t - (i - 1)]): cell (i, j) of
-    # lane l reads row base[l] + (i + j) - 2, so one anti-diagonal of every
-    # lane is one row gather.
+    # skewed[i - 1, t] = d(proto[i - 1], packed[t - (i - 1)]): cell (i, j)
+    # of lane l reads column base[l] + (i + j) - 2, so one anti-diagonal of
+    # every lane is one column gather.  `diag` views the skewed cells as
+    # (n, packed frames), so each distance block lands in one copy.
     ncols = packed.shape[0]
-    skewed = np.full((ncols + n - 1, n), _INF)
+    skewed = np.full((n, ncols + n - 1), _INF)
+    row, col = skewed.strides
+    diag = np.lib.stride_tricks.as_strided(skewed, (n, ncols), (row + col, col), writeable=True)
     step = max(1, _DIST_BLOCK_CELLS // (n * proto.shape[1]))
     for c0 in range(0, ncols, step):
-        block = frame_distances(proto, packed[c0 : c0 + step])
-        for i in range(n):
-            skewed[c0 + i : c0 + i + block.shape[1], i] = block[i]
+        diag[:, c0 : c0 + step] = frame_distances(proto, packed[c0 : c0 + step])
 
-    # Three diagonals of w, indexed by row i = 0..n; row 0 is the border
-    # (w[0][0] = 0, +inf elsewhere).  Cells with j <= 0 need no reset: from
-    # diagonal 2 on they read only such cells in rows >= 1, which start at
-    # +inf, so they stay +inf.
-    lanes = len(starts)
-    older = np.full((lanes, n + 1), _INF)
-    older[:, 0] = 0.0
-    prev = np.full((lanes, n + 1), _INF)
-    cur = np.empty((lanes, n + 1))
-    last = np.empty((int(widths[0]), lanes))  # last[j - 1, lane] = w[n][j]
-    for k in range(2, n + int(widths[0]) + 1):
-        live = lanes if k <= n + 1 else int(np.count_nonzero(widths >= k - n))
-        dst = cur[:live]
-        dst[:, 0] = _INF
-        np.minimum(older[:live, :-1], prev[:live, :-1], out=dst[:, 1:])
-        np.minimum(dst[:, 1:], prev[:live, 1:], out=dst[:, 1:])
-        dst[:, 1:] += skewed[base[:live] + (k - 2)]
+    # Three diagonals of w, indexed [row i = 0..n, lane]; row 0 is the
+    # border (w[0][0] = 0 on diagonal 0, +inf after).  Cells with j <= 0
+    # need no reset: from diagonal 2 on they read only such cells in rows
+    # >= 1, which start at +inf, so they stay +inf.  A lane that has ended
+    # runs on over whatever columns it reads (clipped at the table's end);
+    # no span reads those cells.
+    cols = len(base)
+    older = np.full((n + 1, cols), _INF)
+    older[0] = 0.0
+    prev = np.full((n + 1, cols), _INF)
+    cur = np.full((n + 1, cols), _INF)
+    dist = np.empty((n, cols))
+    last = np.empty((spans.width, cols))  # last[j - 1, lane] = w[n][j]
+    for k in range(2, n + spans.width + 1):
+        if k > n and spans.prefix[k - n - 1] < cols:
+            cols = spans.prefix[k - n - 1]
+            older, prev, cur = older[:, :cols].copy(), prev[:, :cols].copy(), cur[:, :cols].copy()
+            dist, base = np.empty((n, cols)), base[:cols]
+        dst = cur[1:]
+        np.minimum(older[:-1], prev[:-1], out=dst)
+        np.minimum(dst, prev[1:], out=dst)
+        skewed.take(base + (k - 2), axis=1, out=dist, mode="clip")
+        dst += dist
         if k > n:
-            last[k - n - 1, :live] = dst[:, n]
+            last[k - n - 1, :cols] = cur[n]
+        if k == 2:
+            older[0] = _INF
         older, prev, cur = prev, cur, older
-    return last[offsets, lane_of_span] / (n + offsets + 1)
+    offsets = spans.offsets
+    return last[offsets, spans.lane_of_span] / (n + offsets + 1)
 
 
 def dba_centroid(
@@ -173,11 +220,13 @@ def dba_centroid(
 
     The skeleton starts as a median-length member (upper median; ties go
     to the lowest member index) and each iteration replaces every
-    skeleton frame with the mean of the member frames warped onto it.  Stops early once the sum of squared
-    normalized costs improves by less than 1e-6 relative; an update that
-    worsens that objective is discarded outright, since the mean update
-    minimizes framewise error along the old paths, not the normalized
-    path cost itself, and can overshoot.
+    skeleton frame with the mean of the member frames warped onto it.
+    The sums add member by member, each along its path, in one call.
+    Stops early once the sum of squared normalized costs improves by
+    less than 1e-6 relative; an update that worsens that objective is
+    discarded outright, since the mean update minimizes framewise error
+    along the old paths, not the normalized path cost itself, and can
+    overshoot.
     """
     if not members:
         raise ValueError("dba_centroid needs at least one member")
@@ -192,6 +241,8 @@ def dba_centroid(
     target = lengths[len(lengths) // 2]
     skeleton = next(mem.frames.copy() for mem in members if mem.m == target)
     shift = members[0].frame_shift_ms
+    stacked = np.concatenate([mem.frames for mem in members])
+    firsts = np.cumsum([0, *(mem.m for mem in members[:-1])])  # row of each member in stacked
 
     def objective_and_paths(skel: np.ndarray):
         total = 0.0
@@ -206,12 +257,12 @@ def dba_centroid(
     obj, paths = objective_and_paths(skeleton)
     history = [obj]
     for _ in range(iterations):
+        cells = np.fromiter(chain.from_iterable(chain.from_iterable(paths)), np.intp).reshape(-1, 2)
+        rows = cells[:, 0] - 1
+        warped = stacked[cells[:, 1] - 1 + np.repeat(firsts, [len(path) for path in paths])]
         sums = np.zeros_like(skeleton)
-        counts = np.zeros(skeleton.shape[0])
-        for mem, path in zip(members, paths):
-            for i, j in path:
-                sums[i - 1] += mem.frames[j - 1]
-                counts[i - 1] += 1
+        np.add.at(sums, rows, warped)  # in member, then path order
+        counts = np.bincount(rows, minlength=skeleton.shape[0])
         assert counts.min() >= 1  # every skeleton frame lies on every path
         candidate = sums / counts[:, None]
         cand_obj, cand_paths = objective_and_paths(candidate)

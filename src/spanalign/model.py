@@ -29,7 +29,7 @@ import numpy as np
 
 from .corpus import FeatureSequence, SentencePair, atomic_write_text
 from .distortion import DistortionParams
-from .dtw import candidate_span_costs
+from .dtw import SpanLanes, candidate_span_costs
 from .segmentation import CandidateSpans
 
 VARIANTS = ("deficient", "proper")
@@ -141,9 +141,10 @@ def span_cost_rows(
     """DTW costs from each prototype to every candidate span of every pair.
 
     The utterances are laid end to end, so each prototype takes one
-    `candidate_span_costs` call.  No span crosses an utterance, so item
-    k holds exactly the per-utterance costs of prototype k: those of
-    pairs[0]'s candidates, then pairs[1]'s, and so on.
+    `candidate_span_costs` call, and all of them share one lane layout.
+    No span crosses an utterance, so item k holds exactly the
+    per-utterance costs of prototype k: those of pairs[0]'s candidates,
+    then pairs[1]'s, and so on.
     """
     if not pairs:
         return [np.empty(0) for _ in prototypes]
@@ -153,7 +154,8 @@ def span_cost_rows(
     for pair, cands in zip(pairs, candidates):
         spans.extend((a + shift, b + shift) for a, b in cands.spans)
         shift += pair.m
-    return [candidate_span_costs(proto.frames, frames, spans) for proto in prototypes]
+    lanes = SpanLanes(frames, spans)
+    return [candidate_span_costs(proto.frames, frames, lanes) for proto in prototypes]
 
 
 def deficient_log_s_table(costs: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from spanalign.corpus import FeatureSequence
 from spanalign.distortion import log_delta_a, log_delta_b
 from spanalign.dtw import dtw_distance
 from spanalign.segmentation import NoCandidateSpansError
@@ -65,6 +66,47 @@ def is_valid_warp_path(path, m: int, mp: int) -> bool:
         if (i1 - i0, j1 - j0) not in ((1, 0), (0, 1), (1, 1)):
             return False
     return True
+
+
+def dba_centroid_reference(members, iterations: int = 3, return_history: bool = False):
+    """`dba_centroid` with the mean update summed one path cell at a time.
+
+    Same skeleton choice, objective, acceptance test and stopping rule;
+    the member frames are added in member order, each along its path.
+    """
+    lengths = sorted(mem.m for mem in members)
+    target = lengths[len(lengths) // 2]
+    skeleton = next(mem.frames.copy() for mem in members if mem.m == target)
+    shift = members[0].frame_shift_ms
+
+    def objective_and_paths(skel):
+        total = 0.0
+        paths = []
+        for mem in members:
+            result = dtw_distance(FeatureSequence(skel, shift), mem)
+            total += result.normalized_cost * result.normalized_cost
+            paths.append(result.path)
+        return total, paths
+
+    obj, paths = objective_and_paths(skeleton)
+    history = [obj]
+    for _ in range(iterations):
+        sums = np.zeros_like(skeleton)
+        counts = np.zeros(skeleton.shape[0])
+        for mem, path in zip(members, paths):
+            for i, j in path:
+                sums[i - 1] += mem.frames[j - 1]
+                counts[i - 1] += 1
+        candidate = sums / counts[:, None]
+        cand_obj, cand_paths = objective_and_paths(candidate)
+        if cand_obj > obj:
+            break
+        skeleton, obj, paths = candidate, cand_obj, cand_paths
+        history.append(obj)
+        if history[-2] - obj < 1e-6 * max(history[-2], 1e-300):
+            break
+    centroid = FeatureSequence(skeleton, shift)
+    return (centroid, history) if return_history else centroid
 
 
 def analytic_delta_argmax(i: int, l: int, m: int, mu_i: int, shifted: bool) -> int:

@@ -1,0 +1,63 @@
+"""The traced work counts of an align on the smoke corpora are pinned.
+
+perfbench counts DP cells, pairwise DTW calls, DBA members, span-cost
+calls and span tables from call arguments and results.  A change that
+only makes the same work faster must leave every one of these counts
+as it is; this test installs the benchmark's tracer in-process on the
+8-sentence seed-0 smoke corpora and compares them with recorded values.
+"""
+
+import pytest
+
+from spanalign import cli
+
+from test_bench_hooks import MODULES, child, run
+
+EXPECTED = {
+    "smoke": {
+        "dtw.dp_cells": 85090,
+        "dtw.repeat_rows": 0,
+        "dtw.dba_members": 100,
+        "model.span_tables": 322,
+        "dtw.pair_dtw_calls": 306,
+        "dtw.span_costs_calls": 19,
+        "dtw.dba_calls": 19,
+    },
+    "smoke-proper": {
+        "dtw.dp_cells": 110943,
+        "dtw.repeat_rows": 0,
+        "dtw.dba_members": 146,
+        "model.span_tables": 360,
+        "dtw.pair_dtw_calls": 443,
+        "dtw.span_costs_calls": 26,
+        "dtw.dba_calls": 26,
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(EXPECTED))
+def test_traced_work_counts(tmp_path, workload):
+    spec = run.WORKLOADS[workload]
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--output", str(corpus), "--seed", "0", *spec.synth]) == 0
+    saved = {key: getattr(MODULES[key[0]], key[1]) for key in [*child.TIMED, *child.COUNTED]}
+    tracer = child.Tracer()
+    try:
+        tracer.install(MODULES)
+        assert cli.main([
+            "align", "--manifest", str(corpus / "manifest.txt"), "--features", str(corpus),
+            "--translations", str(corpus / "translations.txt"), "--output", str(tmp_path / "run"),
+            "--threads", "1", *spec.align,
+        ]) == 0
+    finally:
+        for (mod, attr), fn in saved.items():
+            setattr(MODULES[mod], attr, fn)
+
+    counts = {
+        name: tracer.counts[name]
+        for name in ("dtw.dp_cells", "dtw.repeat_rows", "dtw.dba_members", "model.span_tables")
+    }
+    counts["dtw.pair_dtw_calls"] = tracer.calls["dtw.dtw_distance"]
+    counts["dtw.span_costs_calls"] = tracer.calls["model.candidate_span_costs"]
+    counts["dtw.dba_calls"] = tracer.calls["trainer.dba_centroid"]
+    assert counts == EXPECTED[workload]

@@ -3,6 +3,7 @@ import pytest
 
 from spanalign.corpus import FeatureSequence
 from spanalign.dtw import (
+    SpanLanes,
     WarpResult,
     candidate_span_costs,
     dba_centroid,
@@ -10,7 +11,7 @@ from spanalign.dtw import (
     frame_distances,
 )
 
-from oracles import exhaustive_dtw, is_valid_warp_path, path_cost
+from oracles import dba_centroid_reference, exhaustive_dtw, is_valid_warp_path, path_cost
 
 
 def fs(arr) -> FeatureSequence:
@@ -115,6 +116,59 @@ def test_candidate_span_costs_matches_loop():
         for k, (a, b) in enumerate(spans):
             # bitwise: the wavefront kernel must be the same arithmetic
             assert batched[k] == dtw_distance(fs(proto), fs(frames[a - 1 : b])).normalized_cost
+
+
+def test_shared_layout_matches_fresh_calls():
+    rng = np.random.default_rng(17)
+    frames = rng.normal(size=(60, 2))
+    # lanes of widths 1, 2, 3 and 45, so most lanes end long before the widest
+    spans = [(a, a + w - 1) for a, w in ((1, 1), (5, 2), (9, 3), (13, 45), (14, 1), (59, 2))]
+    spans += [(13, b) for b in range(13, 58, 4)] + [(60, 60), (2, 3)]
+    # no span wider than 4 frames, so most prototypes below are longer than every span
+    short = (rng.normal(size=(10, 3)), [(1, 2), (3, 6), (4, 4), (10, 10)])
+    cases = [(frames, spans), short] + [(f, s) for _, f, s in _kernel_cases()]
+    for case_frames, case_spans in cases:
+        lanes = SpanLanes(case_frames, case_spans)
+        assert lanes == tuple(case_spans)
+        for n in range(1, 13):
+            proto = rng.normal(size=(n, case_frames.shape[1]))
+            shared = candidate_span_costs(proto, case_frames, lanes)
+            assert np.array_equal(shared, candidate_span_costs(proto, case_frames, case_spans))
+            for k, (a, b) in enumerate(case_spans):
+                want = dtw_distance(fs(proto), fs(case_frames[a - 1 : b])).normalized_cost
+                assert shared[k] == want
+
+
+def test_layout_of_other_frames_is_not_reused():
+    rng = np.random.default_rng(23)
+    spans = ((1, 3), (2, 6), (4, 4))
+    lanes = SpanLanes(rng.normal(size=(6, 2)), spans)
+    frames = rng.normal(size=(6, 2))
+    proto = rng.normal(size=(3, 2))
+    want = candidate_span_costs(proto, frames, spans)
+    assert np.array_equal(candidate_span_costs(proto, frames, lanes), want)
+
+
+def test_candidate_span_costs_no_spans():
+    frames = np.zeros((4, 2))
+    for spans in ([], (), SpanLanes(frames, [])):
+        costs = candidate_span_costs(np.ones((3, 2)), frames, spans)
+        assert costs.shape == (0,) and costs.dtype == np.float64
+
+
+def test_dba_matches_reference():
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        dim = 1 + trial % 3
+        size = 1 if trial % 5 == 0 else int(rng.integers(2, 8))
+        members = [fs(rng.normal(size=(int(rng.integers(1, 13)), dim))) for _ in range(size)]
+        iterations = 1 + trial % 5
+        got, got_history = dba_centroid(members, iterations=iterations, return_history=True)
+        want, want_history = dba_centroid_reference(members, iterations, return_history=True)
+        # bitwise: one add.at per pass keeps the order of the per-cell sums
+        assert np.array_equal(got.frames, want.frames)
+        assert got_history == want_history
+        assert np.array_equal(dba_centroid(members, iterations=iterations).frames, want.frames)
 
 
 def test_dba_singleton_is_member():

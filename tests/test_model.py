@@ -6,6 +6,7 @@ import pytest
 from spanalign.corpus import Corpus, FeatureSequence, SentencePair
 from spanalign.distortion import DistortionParams, allocate_mu, log_delta_a, log_delta_b
 from spanalign.dtw import candidate_span_costs, dtw_distance
+from spanalign import model
 from spanalign.model import (
     ClusterInventory,
     ModelParams,
@@ -168,6 +169,28 @@ def test_span_cost_rows_equal_per_utterance_calls():
             assert np.array_equal(costs[pos : pos + len(cands)], want)
             pos += len(cands)
         assert pos == len(costs)
+
+
+def test_span_cost_rows_share_one_layout(monkeypatch):
+    rng = np.random.default_rng(6)
+    pairs = [SentencePair(f"u{i}", fs(rng.normal(size=(m, 2))), ("w",), (1,)) for i, m in enumerate((5, 8))]
+    candidates = [CandidateSpans(((1, 2), (1, 5), (3, 4))), CandidateSpans(((2, 8), (4, 6)))]
+    protos = [fs(rng.normal(size=(n, 2))) for n in (2, 4, 7)]
+    seen = []
+
+    def spy(proto, frames, spans):
+        seen.append((proto, frames, spans))
+        return candidate_span_costs(proto, frames, spans)
+
+    monkeypatch.setattr(model, "candidate_span_costs", spy)
+    rows = span_cost_rows(protos, pairs, candidates)
+    assert len(seen) == len(protos)
+    assert all(called is proto.frames for (called, _, _), proto in zip(seen, protos))
+    assert all(frames is seen[0][1] and spans is seen[0][2] for _, frames, spans in seen)
+    assert tuple(seen[0][2]) == ((1, 2), (1, 5), (3, 4), (7, 13), (9, 11))
+    frames, spans = seen[0][1], tuple(seen[0][2])
+    for proto, costs in zip(protos, rows):
+        assert np.array_equal(costs, candidate_span_costs(proto.frames, frames, spans))
 
 
 def test_effective_mu_clamps_only_single_word():
