@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .corpus import (
@@ -170,27 +170,10 @@ def _normalized(corpus: Corpus) -> Corpus:
     return Corpus(pairs, corpus.gold)
 
 
-def _train_config(values: dict, lam: float | None = None) -> TrainConfig:
-    return TrainConfig(
-        iterations=values["iterations"],
-        seed=values["seed"],
-        k=values["k"],
-        dba_iterations=values["dba_iterations"],
-        variant=values["variant"],
-        p0=values["p0"],
-        lam=values["lambda"] if lam is None else lam,
-    )
-
-
-def _seg_config(values: dict) -> SegmentationConfig:
-    return SegmentationConfig(
-        threshold_ratio=values["threshold_ratio"],
-        min_silence_ms=values["min_silence_ms"],
-        smooth_frames=values["smooth_frames"],
-        grid_stride=values["grid_stride"],
-        span_min_len=values["span_min_len"],
-        span_max_len=values["span_max_len"],
-    )
+def _config(cls, values: dict, **renamed):
+    """A config dataclass filled from the settings of the same name; `renamed` gives the rest."""
+    same = {f.name: values[f.name] for f in fields(cls) if f.name not in renamed}
+    return cls(**same, **renamed)
 
 
 def _alignment_rows(corpus: Corpus, alignments: dict) -> str:
@@ -231,7 +214,8 @@ def _run_training(corpus: Corpus, config: TrainConfig, tables, checkpoint_dir: P
 def cmd_align(args: argparse.Namespace) -> int:
     values = _resolve(args, _RUN_OPTIONS)
     _require(values, ["manifest", "features", "translations", "output"], "align")
-    config, seg_config = _train_config(values), _seg_config(values)
+    config = _config(TrainConfig, values, lam=values["lambda"])
+    seg_config = _config(SegmentationConfig, values)
     corpus, out_dir, tables = _load_tables(values, seg_config)
     state, alignments = _run_training(corpus, config, tables, out_dir)
     atomic_write_text(out_dir / "alignments.tsv", _alignment_rows(corpus, alignments))
@@ -306,8 +290,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     grid = tuple(float(v) for v in str(values["lambda_grid"]).split(",") if v.strip())
     if not grid or any(v <= 0 for v in grid):
         raise ValueError("lambda_grid values must be positive")
-    configs = [_train_config(values, lam=lam) for lam in grid]
-    seg_config = _seg_config(values)
+    configs = [_config(TrainConfig, values, lam=lam) for lam in grid]
+    seg_config = _config(SegmentationConfig, values)
     dev_ids = read_manifest(values["dev_manifest"])
     test_ids = read_manifest(values["test_manifest"])
     corpus, out_dir, tables = _load_tables(values, seg_config)
@@ -338,25 +322,15 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _synth_config(values: dict) -> SynthConfig:
-    return SynthConfig(
-        vocab_size=values["vocab_size"],
-        n_sentences=values["sentences"],
-        sentence_len_range=(values["sentence_len_min"], values["sentence_len_max"]),
-        proto_len_range=(values["proto_len_min"], values["proto_len_max"]),
-        dim=values["dim"],
-        noise_std=values["noise_std"],
-        reorder_prob=values["reorder_prob"],
-        silence_prob=values["silence_prob"],
-        silence_len_range=(values["silence_len_min"], values["silence_len_max"]),
-        frame_shift_ms=values["frame_shift_ms"],
-    )
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     values = _resolve(args, _SYNTH_OPTIONS)
     _require(values, ["output"], "synth")
-    corpus, true_params = synth_generate(_synth_config(values), seed=values["seed"])
+    ranges = {
+        f"{name}_range": (values[f"{name}_min"], values[f"{name}_max"])
+        for name in ("sentence_len", "proto_len", "silence_len")
+    }
+    config = _config(SynthConfig, values, n_sentences=values["sentences"], **ranges)
+    corpus, true_params = synth_generate(config, seed=values["seed"])
     if values["bounds"]:  # the true word edges, 1-indexed, for save_corpus to write
         edges = {
             u: {j for _, s, e in links_to_intervals(ga.links) for j in (s + 1, e)}

@@ -205,7 +205,7 @@ def enumerate_spans(
 def candidate_spans(
     pair: SentencePair, config: SegmentationConfig
 ) -> tuple[CandidateSpans, SilenceSpans]:
-    """Full per-utterance pipeline with fallbacks guaranteeing a non-empty set."""
+    """Full per-utterance pipeline, with one fallback guaranteeing a non-empty set."""
     if pair.energy_track is not None:
         silences = detect_silence(
             pair.energy_track,
@@ -221,10 +221,7 @@ def candidate_spans(
     try:
         spans = enumerate_spans(boundaries, silences, config.span_min_len, config.span_max_len)
     except NoCandidateSpansError:
-        try:
-            spans = enumerate_spans(
-                range(1, pair.m + 1), SilenceSpans(()), config.span_min_len, config.span_max_len
-            )
-        except NoCandidateSpansError:
-            spans = CandidateSpans(((1, pair.m),))
+        # Every frame is a boundary; an utterance shorter than span_min_len gets only (1, m).
+        min_len = min(config.span_min_len, pair.m)
+        spans = enumerate_spans(range(1, pair.m + 1), SilenceSpans(()), min_len, config.span_max_len)
     return spans, silences

@@ -9,9 +9,9 @@ DBA prototypes (M).
 Words are scored on one path.  The distortion depends only on the
 sentence and the run's fixed parameters, so a `SpanCostStore` builds
 each utterance's (words x candidate spans) distortion matrix once per
-run, next to the DTW cost rows; `_word_tables` gives each word type's
-(spans x live clusters) table before distortion.  The initializer, the
-E-step and final scoring all read those two arrays.
+run, next to the DTW cost rows.  `_utterance_scores` adds both into one
+(words x spans x clusters) array per utterance, which the E-step's
+argmax and final scoring read; the initializer reads the distortion.
 
 Work that cannot change is not redone: a cluster whose member list is
 unchanged keeps its prototype object (DBA is deterministic in its
@@ -93,9 +93,10 @@ class SpanCostStore:
     word; a proper cluster on every utterance, since the normalizer runs
     over all live clusters.  `refresh` computes the rows of each cluster
     whose prototype object changed, one `span_cost_rows` call per group
-    of clusters sharing an utterance list, and drops clusters that are
-    no longer live.  Each cluster holds one contiguous array; its rows
-    are slices at offsets shared by its group.
+    of clusters sharing an utterance list, drops clusters that are no
+    longer live, and drops every row when the variant changes.  Each
+    cluster holds one contiguous array; its rows are slices at offsets
+    shared by its group.
     """
 
     def __init__(self, corpus: Corpus, candidates_map, mu_map, distortion: DistortionParams):
@@ -114,7 +115,8 @@ class SpanCostStore:
                     lb = log_delta_b(i, pair.l, pair.m, mu, distortion)
                     rows[i - 1] = la[cands.starts] + lb[cands.ends]
             self.delta[pair.utt_id] = rows
-        self.live: tuple[int, ...] = ()
+        self.live: dict[int, None] = {}  # live clusters in id order
+        self._variant: str | None = None
         # group key (word, or None for every utterance) -> (pairs, offsets)
         self._groups: dict[str | None, tuple[tuple[SentencePair, ...], dict[str, slice]]] = {}
         # cluster -> (prototype the costs belong to, costs, offsets)
@@ -136,8 +138,9 @@ class SpanCostStore:
         """Make `row` and `live` answer for `params`, computing only what changed."""
         if params.distortion != self.distortion:
             raise ValueError("cost store was built for other distortion parameters")
-        live = self.live = params.live_clusters()
-        entries = self._entries
+        live = self.live = dict.fromkeys(params.live_clusters())
+        entries = self._entries if params.variant == self._variant else {}
+        self._variant = params.variant
         self._entries = {
             f: entries[f] for f in live if f in entries and entries[f][0] is params.prototypes[f]
         }
@@ -196,34 +199,34 @@ def effective_mu(mu_i: int, l: int, m: int) -> int:
     return min(mu_i, m - 1) if l == 1 else mu_i
 
 
-def _word_tables(
+def _utterance_scores(
     pair: SentencePair, params: ModelParams, costs: SpanCostStore
-) -> dict[str, tuple[tuple[int, ...], np.ndarray | None]]:
-    """Each word type of the sentence: its live clusters and their span tables before distortion.
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Each word's clusters, and its scores on every (candidate span, cluster).
 
-    A table is (candidate spans x clusters), clusters in id order, holding
-    log u(f) + log s(a, b | f) (deficient) or log s(f | a, b) (proper,
-    normalized over every live cluster on this utterance).  A word type
-    without live clusters gets () and None.  `costs` must be refreshed
-    for `params`.
+    `clusters[i]` is word i's inventory slice in id order and
+    `scores[i, s, j]` scores word i on candidate span s with cluster
+    `clusters[i][j]`: (log u(f) + log s(a, b | f)) + log delta (deficient)
+    or log s(f | a, b) + log delta (proper, normalized over every live
+    cluster on this utterance).  Dead clusters score -inf.  Spans are
+    major and clusters minor, so a first argmax over word i's (s, j)
+    prefers the smaller start, then end, then cluster id.  `costs` must
+    be refreshed for `params`.
     """
-    live = set(costs.live)
-    clusters = {
-        word: tuple(f for f in params.inventory.clusters.get(word, ()) if f in live)
-        for word in dict.fromkeys(pair.target_words)
-    }
+    clusters = [params.inventory.clusters[word] for word in pair.target_words]
     if params.variant == "proper":
-        rows = proper_log_s_rows({f: costs.row(f, pair.utt_id) for f in costs.live}) if live else {}
+        rows = proper_log_s_rows({f: costs.row(f, pair.utt_id) for f in costs.live}) if costs.live else {}
     else:
         rows = {
             f: math.log(params.u[f]) + deficient_log_s_table(costs.row(f, pair.utt_id))
-            for fs in clusters.values()
+            for fs in dict.fromkeys(clusters)
             for f in fs
+            if f in costs.live
         }
-    return {
-        word: (fs, np.stack([rows[f] for f in fs], axis=1) if fs else None)
-        for word, fs in clusters.items()
-    }
+    delta = costs.delta[pair.utt_id]
+    dead = np.full(delta.shape[1], -np.inf)
+    table = np.stack([rows.get(f, dead) for fs in clusters for f in fs])  # (words * k, spans)
+    return clusters, table.reshape(pair.l, -1, delta.shape[1]).transpose(0, 2, 1) + delta[:, :, None]
 
 
 def _align_pair(
@@ -233,55 +236,27 @@ def _align_pair(
     prev: tuple[Assignment, ...] | None,
     costs: SpanCostStore,
 ) -> tuple[tuple[Assignment, ...], float]:
-    """Per-word independent argmax over (cluster, span), with fixed tie order.
+    """Per-word independent argmax over (span, cluster), one argmax per utterance.
 
-    Candidates are scanned in (a, b) order and clusters in id order, so
-    on score ties the smaller start, then end, then cluster id wins.
+    A word without a live cluster keeps its previous assignment; with
+    none to keep, it is an error.
     """
-    tables = _word_tables(pair, params, costs)
-    delta = costs.delta[pair.utt_id]
+    clusters, scores = _utterance_scores(pair, params, costs)
+    flat = scores.reshape(pair.l, -1)
+    best = flat.argmax(axis=1)
+    maxima = flat[np.arange(pair.l), best].tolist()
     out = []
     total = 0.0
-    for i, word in enumerate(pair.target_words):
-        fs, table = tables[word]
-        if not fs:
+    for i, (fs, pick, score) in enumerate(zip(clusters, best.tolist(), maxima)):
+        if not any(f in costs.live for f in fs):
             if prev is None:
                 raise TrainError(f"{pair.utt_id}: word {i + 1} has no live cluster")
             out.append(prev[i])
             continue
-        scores = table + delta[i][:, None]
-        flat = int(np.argmax(scores))
-        ci, fi = divmod(flat, len(fs))
-        out.append((fs[fi], int(candidates.starts[ci]), int(candidates.ends[ci])))
-        total += float(scores.flat[flat])
+        ci, j = divmod(pick, len(fs))
+        out.append((fs[j], *candidates.spans[ci]))
+        total += score
     return tuple(out), total
-
-
-def _score_pair(
-    pair: SentencePair,
-    params: ModelParams,
-    candidates: CandidateSpans,
-    assignment: tuple[Assignment, ...],
-    costs: SpanCostStore,
-) -> Alignment:
-    """Score a fixed assignment with the same tables the E-step uses.
-
-    A cluster outside the word's inventory slice, a dead cluster, or a
-    span outside the candidate set scores -inf.
-    """
-    index = {span: idx for idx, span in enumerate(candidates.spans)}
-    tables = _word_tables(pair, params, costs)
-    delta = costs.delta[pair.utt_id]
-    words = []
-    for i, ((f, a, b), word) in enumerate(zip(assignment, pair.target_words)):
-        fs, table = tables[word]
-        idx = index.get((a, b))
-        if f in fs and idx is not None:
-            score = float(table[idx, fs.index(f)] + delta[i, idx])
-        else:
-            score = float("-inf")
-        words.append(WordAlignment(cluster_id=f, a=a, b=b, log_score=score))
-    return Alignment(pair.utt_id, tuple(words))
 
 
 def _score_assignments(
@@ -291,12 +266,24 @@ def _score_assignments(
     assignments: dict[str, tuple[Assignment, ...]],
     costs: SpanCostStore,
 ) -> dict[str, Alignment]:
-    """Score every utterance's fixed assignment under `params`, in corpus order."""
+    """Score every utterance's fixed assignment under `params`, in corpus order.
+
+    Another word's cluster, a dead cluster or a span outside the candidate
+    set scores -inf.
+    """
     costs.refresh(params)
-    return {
-        p.utt_id: _score_pair(p, params, candidates_map[p.utt_id], assignments[p.utt_id], costs)
-        for p in corpus
-    }
+    out = {}
+    for pair in corpus:
+        assignment = assignments[pair.utt_id]
+        clusters, scores = _utterance_scores(pair, params, costs)
+        index = {span: s for s, span in enumerate(candidates_map[pair.utt_id].spans)}
+        spans = np.array([index.get((a, b), -1) for _, a, b in assignment])
+        hit = np.array(clusters) == np.array([f for f, _, _ in assignment])[:, None]
+        picked = scores[np.arange(pair.l), spans, hit.argmax(axis=1)]
+        picked = np.where(hit.any(axis=1) & (spans >= 0), picked, -np.inf).tolist()
+        words = (WordAlignment(f, a, b, score) for (f, a, b), score in zip(assignment, picked))
+        out[pair.utt_id] = Alignment(pair.utt_id, tuple(words))
+    return out
 
 
 def e_step(
@@ -396,14 +383,12 @@ def initialize(
 
     assignments = {}
     for pair in corpus:
-        candidates = candidates_map[pair.utt_id]
-        entry = []
-        for word, delta in zip(pair.target_words, costs.delta[pair.utt_id]):
-            slot = int(rng.integers(0, config.k))
-            f = inventory.clusters[word][slot]
-            ci = int(np.argmax(delta))
-            entry.append((f, int(candidates.starts[ci]), int(candidates.ends[ci])))
-        assignments[pair.utt_id] = tuple(entry)
+        spans = candidates_map[pair.utt_id].spans
+        best = costs.delta[pair.utt_id].argmax(axis=1).tolist()
+        assignments[pair.utt_id] = tuple(  # one draw per word, in word order
+            (inventory.clusters[word][int(rng.integers(0, config.k))], *spans[ci])
+            for word, ci in zip(pair.target_words, best)
+        )
 
     blank = ModelParams(
         inventory=inventory,

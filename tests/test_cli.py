@@ -5,13 +5,11 @@ from spanalign.cli import (
     _RUN_OPTIONS,
     _SYNTH_OPTIONS,
     _alignment_rows,
+    _config,
     _parse_bool,
     _read_alignment_file,
     _read_config_file,
     _resolve,
-    _seg_config,
-    _synth_config,
-    _train_config,
     build_parser,
     main,
 )
@@ -117,10 +115,14 @@ def test_flags_override_config_file(tmp_path):
 
 def test_bare_commands_use_config_defaults():
     values = _resolve(build_parser().parse_args(["align"]), _RUN_OPTIONS)
-    assert _train_config(values) == TrainConfig()
-    assert _seg_config(values) == SegmentationConfig()
+    assert _config(TrainConfig, values, lam=values["lambda"]) == TrainConfig()
+    assert _config(SegmentationConfig, values) == SegmentationConfig()
     values = _resolve(build_parser().parse_args(["synth"]), _SYNTH_OPTIONS)
-    assert _synth_config(values) == SynthConfig()
+    ranges = {
+        f"{name}_range": (values[f"{name}_min"], values[f"{name}_max"])
+        for name in ("sentence_len", "proto_len", "silence_len")
+    }
+    assert _config(SynthConfig, values, n_sentences=values["sentences"], **ranges) == SynthConfig()
 
 
 def test_synth_writes_corpus_layout(tmp_path):

@@ -16,7 +16,7 @@ from spanalign.model import (
     span_cost_rows,
 )
 from spanalign.segmentation import CandidateSpans
-from spanalign.trainer import SpanCostStore, _word_tables, effective_mu
+from spanalign.trainer import SpanCostStore, _utterance_scores, effective_mu
 
 from oracles import span_log_delta, word_log_score
 
@@ -117,12 +117,18 @@ def test_documented_two_span_softmax():
 
 
 def _proper_rows(params, pair, candidates):
-    """log s(f | a, b) per live cluster f, read from the trainer's word tables."""
+    """log s(f | a, b) per live cluster f, read from the trainer's word scores less distortion."""
     mu_map = {pair.utt_id: allocate_mu(pair.char_lengths, pair.m)}
     costs = SpanCostStore(Corpus((pair,)), {pair.utt_id: candidates}, mu_map, params.distortion)
     costs.refresh(params)
-    tables = _word_tables(pair, params, costs).values()
-    return {f: table[:, col] for fs, table in tables for col, f in enumerate(fs)}
+    clusters, scores = _utterance_scores(pair, params, costs)
+    delta = costs.delta[pair.utt_id]
+    return {
+        f: scores[i, :, j] - delta[i]
+        for i, fs in enumerate(clusters)
+        for j, f in enumerate(fs)
+        if f in costs.live
+    }
 
 
 def test_proper_rows_normalize_across_live_clusters():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,36 @@ def test_e_step_never_decreases_word_scores():
             assert new >= old
 
 
+@pytest.mark.parametrize("variant", ["deficient", "proper"])
+def test_e_step_tie_order_matches_brute_force(variant):
+    # Frames repeat with period 3, so the spans (1, 3), (4, 6), ... hold the
+    # same frames; with lam = 0 the distortion is flat, and each word's two
+    # clusters share one prototype object and one u.  Every tie must resolve
+    # as the oracle's scan does: smaller start, then end, then cluster id.
+    period = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+    pair = SentencePair("t", FeatureSequence(np.tile(period, (4, 1))), ("aa", "bb"), (2, 2))
+    inventory = ClusterInventory.build(["aa", "bb"], 2)
+    p, q = FeatureSequence(period), FeatureSequence(period[1:])
+    params = ModelParams(
+        inventory=inventory,
+        u=np.full(4, 0.25),
+        prototypes=(p, p, q, q),
+        distortion=DistortionParams(p0=0.0, lam=0.0),
+        variant=variant,
+    )
+    candidates = CandidateSpans(tuple((a, b) for a in range(1, 13) for b in range(a, min(a + 5, 12) + 1)))
+    mu = allocate_mu(pair.char_lengths, pair.m)
+    assignments, _ = e_step(Corpus((pair,)), params, {"t": candidates}, {"t": mu})
+
+    for i, word in enumerate(pair.target_words, start=1):
+        score, triple = brute_force_word_argmax(i, word, pair, params, candidates, mu[i - 1], word_log_score)
+        assert assignments["t"][i - 1] == triple
+        f, a, b = triple
+        # The search did meet ties: the other cluster, and the next period.
+        for g, shift in ((f + 1, 0), (f, 3)):
+            assert word_log_score(i, word, g, a + shift, b + shift, pair, params, candidates, mu[i - 1]) == score
+
+
 def test_e_step_dead_word_keeps_previous_assignment():
     rng = np.random.default_rng(2)
     pair = _pair(rng, "t", ["aa"], m=4)
@@ -379,6 +411,22 @@ def test_distortion_built_once_per_word(monkeypatch):
     state = train(corpus, TrainConfig(iterations=3), tables)
     final_alignments(corpus, state, *tables)
     assert calls == [i for pair in corpus for i in range(1, pair.l + 1)]
+
+
+def test_variant_switch_matches_fresh_store():
+    # Deficient rows cover a word's utterances and proper rows cover all of
+    # them, so a store refreshed under the other variant must not keep any.
+    corpus, _ = synth_generate(SynthConfig(n_sentences=30, vocab_size=20, noise_std=0.1), seed=0)
+    tables = build_tables(corpus, SegmentationConfig())
+    state = train(corpus, TrainConfig(iterations=1), tables)
+    proper = dataclasses.replace(state.params, variant="proper")
+    fresh = TrainState(proper, state.assignments, state.iteration_log)
+    assert final_alignments(corpus, dataclasses.replace(state, params=proper), *tables) == (
+        final_alignments(corpus, fresh, *tables)
+    )
+    for params in (state.params, proper):
+        got = e_step(corpus, params, *tables, prev_assignments=state.assignments, costs=state.costs)
+        assert got == e_step(corpus, params, *tables, prev_assignments=state.assignments)
 
 
 def test_train_iteration_log_and_determinism():
