@@ -25,6 +25,7 @@ from .corpus import (
     FeatureSequence,
     SynthConfig,
     atomic_write_text,
+    check_frame_shift,
     links_to_intervals,
     load_corpus,
     normalize_utterance,
@@ -216,6 +217,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     _require(values, ["manifest", "features", "translations", "output"], "align")
     config = _config(TrainConfig, values, lam=values["lambda"])
     seg_config = _config(SegmentationConfig, values)
+    check_frame_shift(values["frame_shift_ms"])
     corpus, out_dir, tables = _load_tables(values, seg_config)
     state, alignments = _run_training(corpus, config, tables, out_dir)
     atomic_write_text(out_dir / "alignments.tsv", _alignment_rows(corpus, alignments))
@@ -292,6 +294,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         raise ValueError("lambda_grid values must be positive")
     configs = [_config(TrainConfig, values, lam=lam) for lam in grid]
     seg_config = _config(SegmentationConfig, values)
+    check_frame_shift(values["frame_shift_ms"])
     dev_ids = read_manifest(values["dev_manifest"])
     test_ids = read_manifest(values["test_manifest"])
     corpus, out_dir, tables = _load_tables(values, seg_config)

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
-from dataclasses import dataclass, field
+import secrets
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -31,17 +31,22 @@ class CorpusError(ValueError):
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write a file via a temp file and rename so readers never see partials."""
+    """Write via a new temp file and rename, so readers never see partials; umask sets the mode."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with open(tmp, "x", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def check_frame_shift(frame_shift_ms: float) -> None:
+    """Reject a frame shift that is not a positive, finite number of milliseconds."""
+    if not (frame_shift_ms > 0 and math.isfinite(frame_shift_ms)):
+        raise CorpusError(f"frame_shift_ms must be positive and finite, got {frame_shift_ms}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +62,7 @@ class FeatureSequence:
             raise CorpusError(f"feature matrix must have shape (m>=1, d>=1), got {arr.shape}")
         if not np.isfinite(arr).all():
             raise CorpusError("feature matrix contains non-finite values")
-        if self.frame_shift_ms <= 0:
-            raise CorpusError(f"frame_shift_ms must be positive, got {self.frame_shift_ms}")
+        check_frame_shift(self.frame_shift_ms)
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "frames", arr)
@@ -85,7 +89,6 @@ class SentencePair:
     utt_id: str
     source: FeatureSequence
     target_words: tuple[str, ...]
-    char_lengths: tuple[int, ...]
     energy_track: np.ndarray | None = None
     boundaries: tuple[int, ...] = ()  # known word-edge frames, 1-indexed; kept sorted and unique
 
@@ -94,13 +97,8 @@ class SentencePair:
             raise CorpusError("empty utterance id")
         if len(self.target_words) < 1:
             raise CorpusError(f"{self.utt_id}: empty target sentence")
-        if len(self.char_lengths) != len(self.target_words):
-            raise CorpusError(f"{self.utt_id}: char_lengths does not match target_words")
-        for word, n in zip(self.target_words, self.char_lengths):
-            if not word:
-                raise CorpusError(f"{self.utt_id}: empty token")
-            if n != len(word):
-                raise CorpusError(f"{self.utt_id}: char length {n} does not match token {word!r}")
+        if not all(self.target_words):
+            raise CorpusError(f"{self.utt_id}: empty token")
         if self.energy_track is not None:
             e = np.asarray(self.energy_track, dtype=np.float64)
             if e.ndim != 1 or e.shape[0] != self.source.m:
@@ -113,6 +111,10 @@ class SentencePair:
         if points and not (1 <= points[0] and points[-1] <= self.m):
             raise CorpusError(f"{self.utt_id}: boundaries must lie in [1, {self.m}]")
         object.__setattr__(self, "boundaries", points)
+
+    @property
+    def char_lengths(self) -> tuple[int, ...]:
+        return tuple(len(w) for w in self.target_words)
 
     @property
     def l(self) -> int:
@@ -168,7 +170,9 @@ class Corpus:
 # file readers / writers
 # ---------------------------------------------------------------------------
 
-def read_feature_file(path: Path | str, frame_shift_ms: float = 10.0) -> FeatureSequence:
+def read_feature_file(
+    path: Path | str, frame_shift_ms: float = FeatureSequence.frame_shift_ms
+) -> FeatureSequence:
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -313,7 +317,7 @@ def load_corpus(
     feature_dir: Path | str,
     translations_path: Path | str,
     gold_path: Path | str | None = None,
-    frame_shift_ms: float = 10.0,
+    frame_shift_ms: float = FeatureSequence.frame_shift_ms,
 ) -> Corpus:
     """Load a corpus from the external file layout, validating as it goes."""
     feature_dir = Path(feature_dir)
@@ -343,7 +347,6 @@ def load_corpus(
                 utt_id=utt_id,
                 source=features,
                 target_words=words,
-                char_lengths=tuple(len(w) for w in words),
                 energy_track=energy,
                 boundaries=bounds,
             )
@@ -415,7 +418,7 @@ class SynthConfig:
     reorder_prob: float = 0.0
     silence_prob: float = 1.0
     silence_len_range: tuple[int, int] = (9, 14)
-    frame_shift_ms: float = 10.0
+    frame_shift_ms: float = FeatureSequence.frame_shift_ms
 
     def __post_init__(self):
         if self.vocab_size < 1:
@@ -531,7 +534,6 @@ def synth_generate(config: SynthConfig, seed: int = 0):
                 utt_id=utt_id,
                 source=FeatureSequence(frames, config.frame_shift_ms),
                 target_words=words,
-                char_lengths=tuple(len(w) for w in words),
                 energy_track=energy,
             )
         )

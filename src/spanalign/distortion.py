@@ -18,11 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-
-_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -33,8 +30,9 @@ class DistortionParams:
     lam: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 <= self.p0 <= 1.0):
-            raise ValueError(f"p0 must lie in [0, 1], got {self.p0}")
+        # Candidate spans never include the null span: at p0 = 1 every word would score -inf.
+        if not (0.0 <= self.p0 < 1.0):
+            raise ValueError(f"p0 must lie in [0, 1), got {self.p0}")
         if not (self.lam >= 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
@@ -74,37 +72,21 @@ def allocate_mu(char_lengths, m: int) -> tuple[int, ...]:
     return tuple(mu)
 
 
-def _check_args(i: int, l: int, m: int, mu_i: int) -> None:
+def _log_delta(i: int, l: int, m: int, mu_i: int, params: DistortionParams, shift: int) -> np.ndarray:
+    """log delta over j = 0..m: log p0, then log(1 - p0) plus a log softmax of lam * h."""
     if l < 1 or not (1 <= i <= l):
         raise ValueError(f"word index i={i} out of range for l={l}")
-    if m < 1:
-        raise ValueError(f"frame count m={m} must be >= 1")
     if not (0 < mu_i < m):
         raise ValueError(f"mu_i={mu_i} must satisfy 0 < mu_i < m={m}")
-
-
-@lru_cache(maxsize=65536)
-def _log_softmax_body(i: int, l: int, m: int, mu_i: int, lam: float, shift: int) -> np.ndarray:
-    """log softmax over j = 1..m of lam * h, with h via the exact numerator."""
     j = np.arange(1, m + 1, dtype=np.int64)
     num = np.abs(i * (m - mu_i) - l * (j - shift))
     h = -num.astype(np.float64) / float(l * (m - mu_i))
-    logits = lam * h
+    logits = params.lam * h
     peak = logits.max()
-    out = logits - (peak + math.log(np.exp(logits - peak).sum()))
-    out.setflags(write=False)
-    return out
-
-
-def _log_delta(i: int, l: int, m: int, mu_i: int, params: DistortionParams, shift: int) -> np.ndarray:
-    _check_args(i, l, m, mu_i)
-    body = _log_softmax_body(i, l, m, mu_i, params.lam, shift)
+    body = logits - (peak + math.log(np.exp(logits - peak).sum()))
     out = np.empty(m + 1)
-    out[0] = math.log(params.p0) if params.p0 > 0 else _NEG_INF
-    if params.p0 < 1.0:
-        out[1:] = body + math.log1p(-params.p0)
-    else:
-        out[1:] = _NEG_INF
+    out[0] = math.log(params.p0) if params.p0 > 0 else -math.inf
+    out[1:] = body + math.log1p(-params.p0)
     out.setflags(write=False)
     return out
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -38,39 +38,26 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class ClusterInventory:
-    """k cluster ids per word type plus the inverse owner map."""
+    """k cluster ids per word type; `owner` maps each id back to its word."""
 
     clusters: dict[str, tuple[int, ...]]
-    owner: dict[int, str]
+    owner: dict[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = sorted(self.owner)
-        if ids != list(range(len(ids))):
-            raise ValueError("cluster ids must be 0..n-1")
         for word, fs in self.clusters.items():
             if not fs:
                 raise ValueError(f"word {word!r} has no clusters")
-            for f in fs:
-                if self.owner.get(f) != word:
-                    raise ValueError(f"owner map inconsistent for cluster {f}")
-        if sum(len(fs) for fs in self.clusters.values()) != len(self.owner):
-            raise ValueError("owner map inconsistent with cluster lists")
+        ids = sorted(f for fs in self.clusters.values() for f in fs)
+        if ids != list(range(len(ids))):
+            raise ValueError("cluster ids must be 0..n-1, each used once")
+        object.__setattr__(self, "owner", {f: word for word, fs in self.clusters.items() for f in fs})
 
     @classmethod
     def build(cls, word_types: Iterable[str], k: int) -> "ClusterInventory":
         if k < 1:
             raise ValueError("k must be >= 1")
         words = sorted(set(word_types))
-        clusters = {}
-        owner = {}
-        next_id = 0
-        for word in words:
-            ids = tuple(range(next_id, next_id + k))
-            clusters[word] = ids
-            for f in ids:
-                owner[f] = word
-            next_id += k
-        return cls(clusters, owner)
+        return cls({word: tuple(range(n * k, (n + 1) * k)) for n, word in enumerate(words)})
 
     @property
     def n_clusters(self) -> int:
@@ -202,9 +189,7 @@ def load_params(path: Path | str) -> ModelParams:
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    clusters = {w: tuple(fs) for w, fs in payload["clusters"].items()}
-    owner = {f: w for w, fs in clusters.items() for f in fs}
-    inventory = ClusterInventory(clusters, owner)
+    inventory = ClusterInventory({w: tuple(fs) for w, fs in payload["clusters"].items()})
     prototypes = tuple(
         None
         if entry is None

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import SentencePair
+from .corpus import FeatureSequence, SentencePair
 
 
 class NoCandidateSpansError(Exception):
@@ -90,8 +90,8 @@ class SegmentationConfig:
     def __post_init__(self):
         if not (0.0 < self.threshold_ratio < 1.0):
             raise ValueError("threshold_ratio must lie in (0, 1)")
-        if self.min_silence_ms <= 0:
-            raise ValueError("min_silence_ms must be positive")
+        if not (self.min_silence_ms > 0 and math.isfinite(self.min_silence_ms)):
+            raise ValueError(f"min_silence_ms must be positive and finite, got {self.min_silence_ms}")
         if self.smooth_frames < 1:
             raise ValueError("smooth_frames must be >= 1")
         if self.grid_stride < 0:
@@ -102,10 +102,10 @@ class SegmentationConfig:
 
 def detect_silence(
     energy: np.ndarray,
-    frame_shift_ms: float = 10.0,
-    threshold_ratio: float = 0.05,
-    min_ms: float = 50.0,
-    smooth_frames: int = 5,
+    frame_shift_ms: float = FeatureSequence.frame_shift_ms,
+    threshold_ratio: float = SegmentationConfig.threshold_ratio,
+    min_ms: float = SegmentationConfig.min_silence_ms,
+    smooth_frames: int = SegmentationConfig.smooth_frames,
 ) -> SilenceSpans:
     """Find low-energy runs: smooth, threshold at a ratio of the peak, keep long runs.
 
@@ -167,12 +167,7 @@ def _snap(j: int, silences: SilenceSpans, is_start: bool) -> int:
     return j
 
 
-def enumerate_spans(
-    boundaries,
-    silences: SilenceSpans,
-    min_len: int = 3,
-    max_len: int = 150,
-) -> CandidateSpans:
+def enumerate_spans(boundaries, silences: SilenceSpans, min_len: int, max_len: int) -> CandidateSpans:
     """All boundary-point pairs, snapped off silences, filtered by length.
 
     Raises NoCandidateSpansError when nothing survives, signalling the

@@ -59,8 +59,8 @@ class TrainConfig:
     k: int = 2
     dba_iterations: int = 3
     variant: str = "deficient"
-    p0: float = 0.0
-    lam: float = 0.5
+    p0: float = DistortionParams.p0
+    lam: float = DistortionParams.lam
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -72,8 +72,6 @@ class TrainConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         DistortionParams(p0=self.p0, lam=self.lam)  # rejects a bad lam or p0
-        if self.p0 >= 1.0:  # candidate spans exclude the null span: every score would be -inf
-            raise ValueError(f"p0 must lie in [0, 1) for training, got {self.p0}")
 
 
 @dataclass(frozen=True)

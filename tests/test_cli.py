@@ -182,7 +182,6 @@ def test_alignment_rows_round_trip(tmp_path):
         "u1",
         FeatureSequence(rng.standard_normal((3, 2))),
         ("aa", "b"),
-        (2, 1),
     )
     corpus = Corpus((pair,))
     alignment = Alignment(
@@ -261,8 +260,13 @@ def test_align_rejects_p0_of_one(tmp_path, capsys):
     [
         ("grid", ["--p0", "1"], "p0 must lie in [0, 1)"),
         ("align", ["--span-min-len", "5", "--span-max-len", "3"], "need 1 <= span_min_len <= span_max_len"),
+        ("align", ["--frame-shift-ms", "0"], "frame_shift_ms must be positive and finite, got 0.0"),
+        ("grid", ["--frame-shift-ms", "nan"], "frame_shift_ms must be positive and finite, got nan"),
+        ("align", ["--min-silence-ms", "nan"], "min_silence_ms must be positive and finite, got nan"),
+        ("grid", ["--min-silence-ms", "inf"], "min_silence_ms must be positive and finite, got inf"),
     ],
-    ids=["grid_p0", "align_span_len"],
+    ids=["grid_p0", "align_span_len", "align_frame_shift_zero", "grid_frame_shift_nan",
+         "align_min_silence_nan", "grid_min_silence_inf"],
 )
 def test_bad_settings_rejected_before_reading_files(tmp_path, capsys, command, setting, message):
     _assert_rejected_before_reading(tmp_path, capsys, command, setting, message)

@@ -1,3 +1,5 @@
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +33,6 @@ def make_pair(utt_id="u1", m=6, words=("ab", "cde")):
         utt_id=utt_id,
         source=FeatureSequence(frames),
         target_words=tuple(words),
-        char_lengths=tuple(len(w) for w in words),
     )
 
 
@@ -86,6 +87,16 @@ def test_atomic_write_replaces_content(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_follows_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "f.txt", "one\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "f.txt").stat().st_mode) == mode
+
+
 def test_links_to_intervals_groups_runs():
     links = [(0, 0), (0, 1), (0, 2), (1, 5), (1, 7)]
     assert links_to_intervals(links) == [(0, 0, 3), (1, 5, 6), (1, 7, 8)]
@@ -116,14 +127,13 @@ def test_gold_out_of_range_rejected():
         Corpus(pairs=(pair,), gold=gold)
 
 
-def test_char_lengths_must_match_tokens():
-    with pytest.raises(CorpusError):
-        SentencePair(
-            utt_id="u",
-            source=FeatureSequence(np.zeros((2, 1))),
-            target_words=("ab",),
-            char_lengths=(3,),
-        )
+def test_empty_token_rejected():
+    with pytest.raises(CorpusError, match="u: empty token"):
+        SentencePair("u", FeatureSequence(np.zeros((2, 1))), ("ab", ""))
+
+
+def test_char_lengths_follow_tokens():
+    assert make_pair(words=("ab", "cde")).char_lengths == (2, 3)
 
 
 def test_energy_track_length_checked():
@@ -132,7 +142,6 @@ def test_energy_track_length_checked():
             utt_id="u",
             source=FeatureSequence(np.zeros((2, 1))),
             target_words=("ab",),
-            char_lengths=(2,),
             energy_track=np.ones(5),
         )
 
@@ -140,7 +149,7 @@ def test_energy_track_length_checked():
 @pytest.mark.parametrize("boundaries", [(0, 3), (3, 7)], ids=["zero", "past_m"])
 def test_boundaries_must_lie_inside_utterance(boundaries):
     with pytest.raises(CorpusError, match=r"u: boundaries must lie in \[1, 6\]"):
-        SentencePair("u", FeatureSequence(np.zeros((6, 1))), ("ab",), (2,), boundaries=boundaries)
+        SentencePair("u", FeatureSequence(np.zeros((6, 1))), ("ab",), boundaries=boundaries)
 
 
 def test_normalize_utterance_zero_mean_unit_variance():

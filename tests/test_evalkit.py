@@ -21,7 +21,6 @@ def _pair(utt_id, words, m):
         utt_id,
         FeatureSequence(rng.standard_normal((m, 2))),
         tuple(words),
-        tuple(len(w) for w in words),
     )
 
 

@@ -31,7 +31,6 @@ def make_setup(k=1, variant="deficient"):
         utt_id="u1",
         source=FeatureSequence(rng.normal(size=(10, 2))),
         target_words=("foo", "bar"),
-        char_lengths=(3, 3),
     )
     inventory = ClusterInventory.build(["foo", "bar"], k)
     n = inventory.n_clusters
@@ -55,9 +54,24 @@ def test_inventory_build_assigns_sequential_ids():
     assert inv.n_clusters == 4
 
 
-def test_inventory_rejects_bad_owner_map():
-    with pytest.raises(ValueError):
-        ClusterInventory({"a": (0,)}, {0: "b"})
+def test_inventory_derives_owner_map():
+    inv = ClusterInventory({"b": (1,), "a": (2, 0)})
+    assert inv.owner == {0: "a", 1: "b", 2: "a"}
+    assert inv.n_clusters == 3
+
+
+@pytest.mark.parametrize(
+    "clusters, message",
+    [
+        ({"a": (0, 1), "b": (1, 2)}, "cluster ids must be 0..n-1, each used once"),
+        ({"a": (0,), "b": (2,)}, "cluster ids must be 0..n-1, each used once"),
+        ({"a": (0,), "b": ()}, "word 'b' has no clusters"),
+    ],
+    ids=["reused_id", "gap", "no_clusters"],
+)
+def test_inventory_rejects_bad_cluster_ids(clusters, message):
+    with pytest.raises(ValueError, match=message):
+        ClusterInventory(clusters)
 
 
 def test_params_prior_must_sum_to_one():
@@ -104,7 +118,6 @@ def test_documented_two_span_softmax():
         utt_id="u",
         source=FeatureSequence(np.asarray([[0.0], [0.0], [1.0], [3.0]])),
         target_words=("w",),
-        char_lengths=(1,),
     )
     proto = fs([[0.0], [0.0]])
     candidates = CandidateSpans(((1, 2), (3, 4)))
@@ -161,7 +174,7 @@ def test_span_cost_rows_equal_per_utterance_calls():
     rng = np.random.default_rng(4)
     pairs, candidates = [], []
     for idx, m in enumerate((1, 9, 4, 15)):
-        pairs.append(SentencePair(f"u{idx}", fs(rng.normal(size=(m, 2))), ("w",), (1,)))
+        pairs.append(SentencePair(f"u{idx}", fs(rng.normal(size=(m, 2))), ("w",)))
         all_spans = [(a, b) for a in range(1, m + 1) for b in range(a, m + 1)]
         picked = rng.choice(len(all_spans), size=min(6, len(all_spans)), replace=False)
         candidates.append(CandidateSpans(tuple(sorted(all_spans[int(j)] for j in picked))))
@@ -179,7 +192,7 @@ def test_span_cost_rows_equal_per_utterance_calls():
 
 def test_span_cost_rows_share_one_layout(monkeypatch):
     rng = np.random.default_rng(6)
-    pairs = [SentencePair(f"u{i}", fs(rng.normal(size=(m, 2))), ("w",), (1,)) for i, m in enumerate((5, 8))]
+    pairs = [SentencePair(f"u{i}", fs(rng.normal(size=(m, 2))), ("w",)) for i, m in enumerate((5, 8))]
     candidates = [CandidateSpans(((1, 2), (1, 5), (3, 4))), CandidateSpans(((2, 8), (4, 6)))]
     protos = [fs(rng.normal(size=(n, 2))) for n in (2, 4, 7)]
     seen = []
@@ -210,7 +223,6 @@ def test_span_log_delta_single_frame_sentence():
         utt_id="u",
         source=FeatureSequence(np.zeros((1, 1))),
         target_words=("w",),
-        char_lengths=(1,),
     )
     assert span_log_delta(1, 1, 1, pair, 1, DistortionParams()) == 0.0
 
@@ -253,6 +265,7 @@ def test_params_round_trip(tmp_path):
     back = load_params(path)
     assert back.variant == params.variant
     assert back.inventory.clusters == params.inventory.clusters
+    assert back.inventory.owner == params.inventory.owner
     np.testing.assert_array_equal(back.u, params.u)
     assert back.distortion == params.distortion
     for p, q in zip(back.prototypes, params.prototypes):

@@ -23,7 +23,6 @@ def make_pair(m, energy=None, utt_id="u1", boundaries=()):
         utt_id=utt_id,
         source=FeatureSequence(np.zeros((m, 2))),
         target_words=("word",),
-        char_lengths=(4,),
         energy_track=energy,
         boundaries=boundaries,
     )

@@ -36,12 +36,7 @@ from oracles import brute_force_word_argmax, word_log_score
 
 def _pair(rng, utt_id, words, m, dim=2):
     frames = rng.standard_normal((m, dim))
-    return SentencePair(
-        utt_id,
-        FeatureSequence(frames),
-        tuple(words),
-        tuple(len(w) for w in words),
-    )
+    return SentencePair(utt_id, FeatureSequence(frames), tuple(words))
 
 
 def _tiny_instance(rng, variant):
@@ -126,7 +121,7 @@ def _small_corpus(seed=1, n_sentences=6):
     config = SynthConfig(vocab_size=5, n_sentences=n_sentences)
     corpus, _ = synth_generate(config, seed=seed)
     pairs = tuple(
-        SentencePair(p.utt_id, normalize_utterance(p.source), p.target_words, p.char_lengths, p.energy_track)
+        SentencePair(p.utt_id, normalize_utterance(p.source), p.target_words, p.energy_track)
         for p in corpus
     )
     return Corpus(pairs, corpus.gold)
@@ -204,7 +199,7 @@ def test_e_step_tie_order_matches_brute_force(variant):
     # clusters share one prototype object and one u.  Every tie must resolve
     # as the oracle's scan does: smaller start, then end, then cluster id.
     period = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
-    pair = SentencePair("t", FeatureSequence(np.tile(period, (4, 1))), ("aa", "bb"), (2, 2))
+    pair = SentencePair("t", FeatureSequence(np.tile(period, (4, 1))), ("aa", "bb"))
     inventory = ClusterInventory.build(["aa", "bb"], 2)
     p, q = FeatureSequence(period), FeatureSequence(period[1:])
     params = ModelParams(
@@ -503,14 +498,13 @@ def _degenerate_corpus():
     pairs = [
         _pair(rng, "one_frame", ["aa"], 1),
         _pair(rng, "two_frames", ["aa", "bbb"], 2),
-        SentencePair("repeat", FeatureSequence(rng.standard_normal((30, 2))),
-                     ("aa", "c", "aa"), (2, 1, 2), energy),
+        SentencePair("repeat", FeatureSequence(rng.standard_normal((30, 2))), ("aa", "c", "aa"), energy),
         _pair(rng, "single_word", ["bbb"], 12),
         _pair(rng, "plain_1", ["aa", "bbb", "c"], 24),
         _pair(rng, "plain_2", ["c", "aa"], 16),
     ]
     return Corpus(tuple(
-        SentencePair(p.utt_id, normalize_utterance(p.source), p.target_words, p.char_lengths, p.energy_track)
+        SentencePair(p.utt_id, normalize_utterance(p.source), p.target_words, p.energy_track)
         for p in pairs
     ))
 
@@ -564,8 +558,7 @@ def _repeated_type_corpus():
             cursor += len(protos[word]) + 10
         frames = np.concatenate(chunks) + rng.normal(0.0, 0.1, size=(cursor, chunks[0].shape[1]))
         utt_id = f"repeat{n}"
-        pairs.append(SentencePair(utt_id, FeatureSequence(frames), words, tuple(map(len, words)),
-                                  np.concatenate(energy)))
+        pairs.append(SentencePair(utt_id, FeatureSequence(frames), words, np.concatenate(energy)))
         gold[utt_id] = GoldAlignment(utt_id, frozenset(links))
     return Corpus(tuple(pairs), gold)
 
