@@ -23,10 +23,8 @@ from .corpus import (
     Corpus,
     CorpusError,
     FeatureSequence,
-    SynthConfig,
     atomic_write_text,
     check_frame_shift,
-    links_to_intervals,
     load_corpus,
     normalize_utterance,
     read_feature_file,
@@ -34,11 +32,10 @@ from .corpus import (
     read_interval_rows,
     read_manifest,
     save_corpus,
-    synth_generate,
 )
 from .dtw import dtw_distance
 from .evalkit import EvalReport, evaluate, format_report, report_rows, score_links
-from .model import save_params
+from .model import SynthConfig, save_params, synth_generate
 from .segmentation import SegmentationConfig
 from .trainer import TrainConfig, TrainError, build_tables, final_alignments, train
 
@@ -94,22 +91,22 @@ _RUN_OPTIONS = [
 
 _SYNTH_OPTIONS = [
     Option("output", str, None, "output directory"),
-    Option("seed", int, 0, "generator seed"),
+    Option("seed", int, _SYNTH.seed, "generator seed"),
     Option("vocab_size", int, _SYNTH.vocab_size, "word types in the vocabulary"),
-    Option("sentences", int, _SYNTH.n_sentences, "number of sentences"),
-    Option("sentence_len_min", int, _SYNTH.sentence_len_range[0], "minimum sentence length in words"),
-    Option("sentence_len_max", int, _SYNTH.sentence_len_range[1], "maximum sentence length in words"),
-    Option("proto_len_min", int, _SYNTH.proto_len_range[0], "minimum prototype length in frames"),
-    Option("proto_len_max", int, _SYNTH.proto_len_range[1], "maximum prototype length in frames"),
+    Option("sentences", int, _SYNTH.sentences, "number of sentences"),
+    Option("sentence_len_min", int, _SYNTH.sentence_len_min, "minimum sentence length in words"),
+    Option("sentence_len_max", int, _SYNTH.sentence_len_max, "maximum sentence length in words"),
+    Option("proto_len_min", int, _SYNTH.proto_len_min, "minimum prototype length in frames"),
+    Option("proto_len_max", int, _SYNTH.proto_len_max, "maximum prototype length in frames"),
     Option("dim", int, _SYNTH.dim, "feature dimensions"),
     Option("noise_std", float, _SYNTH.noise_std, "white noise standard deviation"),
     Option("reorder_prob", float, _SYNTH.reorder_prob, "probability of swapping adjacent words"),
     Option("silence_prob", float, _SYNTH.silence_prob,
            "probability of a silence at each word junction"),
-    Option("silence_len_min", int, _SYNTH.silence_len_range[0], "minimum silence length in frames"),
-    Option("silence_len_max", int, _SYNTH.silence_len_range[1], "maximum silence length in frames"),
+    Option("silence_len_min", int, _SYNTH.silence_len_min, "minimum silence length in frames"),
+    Option("silence_len_max", int, _SYNTH.silence_len_max, "maximum silence length in frames"),
     Option("frame_shift_ms", float, _SYNTH.frame_shift_ms, "frame shift in milliseconds"),
-    Option("bounds", bool, True, "write <utt_id>.bounds sidecars with the true word edges"),
+    Option("bounds", bool, _SYNTH.bounds, "write <utt_id>.bounds sidecars with the true word edges"),
 ]
 
 
@@ -328,18 +325,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     values = _resolve(args, _SYNTH_OPTIONS)
     _require(values, ["output"], "synth")
-    ranges = {
-        f"{name}_range": (values[f"{name}_min"], values[f"{name}_max"])
-        for name in ("sentence_len", "proto_len", "silence_len")
-    }
-    config = _config(SynthConfig, values, n_sentences=values["sentences"], **ranges)
-    corpus, true_params = synth_generate(config, seed=values["seed"])
-    if values["bounds"]:  # the true word edges, 1-indexed, for save_corpus to write
-        edges = {
-            u: {j for _, s, e in links_to_intervals(ga.links) for j in (s + 1, e)}
-            for u, ga in corpus.gold.items()
-        }
-        corpus = Corpus(tuple(replace(p, boundaries=edges[p.utt_id]) for p in corpus), corpus.gold)
+    corpus, true_params = synth_generate(_config(SynthConfig, values))
     out_dir = Path(values["output"])
     save_corpus(corpus, out_dir)
     save_params(true_params, out_dir / "true_params.json")

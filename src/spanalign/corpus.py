@@ -1,4 +1,4 @@
-"""Corpus types, file I/O, feature normalization, and synthetic data.
+"""Corpus types, file I/O and feature normalization.
 
 On-disk layout:
   manifest           one utterance id per line, no blank line before the last
@@ -209,16 +209,23 @@ def write_feature_file(path: Path | str, features: FeatureSequence) -> None:
 
 
 def read_energy_file(path: Path | str, m: int) -> np.ndarray:
-    path = Path(path)
+    """Parse a sidecar of non-negative energy values, one per frame and line."""
+    values = []
     with open(path, encoding="utf-8") as handle:
-        lines = [ln for ln in handle.read().splitlines() if ln.strip()]
-    if len(lines) != m:
-        raise CorpusError(f"{path}: expected {m} energy values, got {len(lines)}")
-    try:
-        values = np.array([float(ln) for ln in lines], dtype=np.float64)
-    except ValueError:
-        raise CorpusError(f"{path}: non-numeric energy value") from None
-    return values
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                raise CorpusError(f"{path}:{lineno}: non-numeric energy value") from None
+            if not 0.0 <= value < math.inf:
+                raise CorpusError(f"{path}:{lineno}: energy must be finite and non-negative, got {line}")
+            values.append(value)
+    if len(values) != m:
+        raise CorpusError(f"{path}: expected {m} energy values, got {len(values)}")
+    return np.array(values, dtype=np.float64)
 
 
 def write_energy_file(path: Path | str, energy: np.ndarray) -> None:
@@ -391,170 +398,3 @@ def normalize_utterance(features: FeatureSequence) -> FeatureSequence:
     centered = frames - mean
     scale = np.where(var > 0.0, np.sqrt(var), 1.0)
     return FeatureSequence(centered / scale, features.frame_shift_ms)
-
-
-# ---------------------------------------------------------------------------
-# synthetic corpora
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SynthConfig:
-    """Generator settings for corpora sampled from the model family itself.
-
-    Each word type gets a fixed prototype whose length is drawn uniformly
-    from `proto_len_range`; sentences are emitted as (optionally
-    reordered) prototype concatenations with silences at word junctions.
-    """
-
-    vocab_size: int = 20
-    n_sentences: int = 50
-    sentence_len_range: tuple[int, int] = (3, 8)
-    # Default tokens are uniform (5 chars, 8 frames) so that the
-    # char-proportional mu split matches the true slot geometry exactly;
-    # mismatched length-to-char ratios bias the span prior off the truth.
-    proto_len_range: tuple[int, int] = (8, 8)
-    dim: int = 12
-    noise_std: float = 0.0
-    reorder_prob: float = 0.0
-    silence_prob: float = 1.0
-    silence_len_range: tuple[int, int] = (9, 14)
-    frame_shift_ms: float = FeatureSequence.frame_shift_ms
-
-    def __post_init__(self):
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
-        if self.n_sentences < 1:
-            raise ValueError("n_sentences must be >= 1")
-        lo, hi = self.sentence_len_range
-        if not (1 <= lo <= hi):
-            raise ValueError(f"bad sentence_len_range {self.sentence_len_range}")
-        lo, hi = self.proto_len_range
-        if not (1 <= lo <= hi):
-            raise ValueError(f"bad proto_len_range {self.proto_len_range}")
-        lo, hi = self.silence_len_range
-        if not (1 <= lo <= hi):
-            raise ValueError(f"bad silence_len_range {self.silence_len_range}")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
-        if not (0.0 <= self.reorder_prob <= 1.0):
-            raise ValueError("reorder_prob must lie in [0, 1]")
-        if not (0.0 <= self.silence_prob <= 1.0):
-            raise ValueError("silence_prob must lie in [0, 1]")
-
-
-# Tokens have one fixed length because the mu split allocates frames by
-# character count, while every word's true slot is its prototype's length.
-_TOKEN_CHARS = 5
-
-
-def _sample_vocab(config: SynthConfig, rng: np.random.Generator) -> list[str]:
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    tokens: list[str] = []
-    seen = set()
-    while len(tokens) < config.vocab_size:
-        token = "".join(letters[int(c)] for c in rng.integers(0, 26, size=_TOKEN_CHARS))
-        if token not in seen:
-            seen.add(token)
-            tokens.append(token)
-    return tokens
-
-
-def synth_generate(config: SynthConfig, seed: int = 0):
-    """Sample a corpus with gold links plus the true generating parameters.
-
-    Returns (Corpus, ModelParams).  Gold links mark exactly the frames
-    emitted for each word; silence frames are linked to no word.
-    """
-    from . import model as model_mod  # deferred: model imports corpus types
-
-    rng = np.random.default_rng(seed)
-    tokens = _sample_vocab(config, rng)
-    # Lengths have a stream of their own: the main stream sees them only
-    # through the prototype sizes, so a fixed length draws nothing from it.
-    lo, hi = config.proto_len_range
-    lengths = np.random.default_rng([seed, 1]).integers(lo, hi + 1, size=len(tokens))
-    prototypes = {
-        tok: rng.normal(0.0, 1.0, size=(int(n), config.dim)) for tok, n in zip(tokens, lengths)
-    }
-
-    pairs = []
-    gold: dict[str, GoldAlignment] = {}
-    lo_sent, hi_sent = config.sentence_len_range
-    lo_sil, hi_sil = config.silence_len_range
-    for n in range(config.n_sentences):
-        utt_id = f"synth{n:04d}"
-        l = int(rng.integers(lo_sent, hi_sent + 1))
-        l = min(l, config.vocab_size)
-        # Without replacement: a sentence that repeats a type is ambiguous
-        # on purpose (the per-word argmax may assign both words the same
-        # span), which would make exact-recovery checks ill-posed.
-        word_ids = [int(v) for v in rng.choice(config.vocab_size, size=l, replace=False)]
-        words = tuple(tokens[v] for v in word_ids)
-
-        order = list(range(l))
-        for i in range(l - 1):
-            if rng.random() < config.reorder_prob:
-                order[i], order[i + 1] = order[i + 1], order[i]
-
-        chunks: list[np.ndarray] = []
-        energies: list[np.ndarray] = []
-        spans: dict[int, tuple[int, int]] = {}
-        cursor = 0
-
-        def maybe_silence():
-            nonlocal cursor
-            if rng.random() < config.silence_prob:
-                n_sil = int(rng.integers(lo_sil, hi_sil + 1))
-                # Silence is low ENERGY, not low feature magnitude: pauses
-                # carry loud non-repeating junk (breaths, clicks) so that a
-                # span absorbing pause frames pays a real warping cost
-                # instead of matching a repeatable near-constant chunk.
-                chunks.append(3.0 * rng.standard_normal((n_sil, config.dim)))
-                energies.append(rng.uniform(0.0, 0.02, size=n_sil))
-                cursor += n_sil
-
-        maybe_silence()
-        for text_idx in order:
-            proto = prototypes[words[text_idx]]
-            chunks.append(proto.copy())
-            energies.append(rng.uniform(0.8, 1.2, size=proto.shape[0]))
-            spans[text_idx] = (cursor, cursor + proto.shape[0])
-            cursor += proto.shape[0]
-            maybe_silence()
-
-        frames = np.concatenate(chunks, axis=0)
-        if config.noise_std > 0:
-            frames = frames + rng.normal(0.0, config.noise_std, size=frames.shape)
-        energy = np.concatenate(energies)
-
-        pairs.append(
-            SentencePair(
-                utt_id=utt_id,
-                source=FeatureSequence(frames, config.frame_shift_ms),
-                target_words=words,
-                energy_track=energy,
-            )
-        )
-        links = frozenset(
-            (word, frame) for word, (s, e) in spans.items() for frame in range(s, e)
-        )
-        gold[utt_id] = GoldAlignment(utt_id, links)
-
-    corpus = Corpus(tuple(pairs), gold)
-
-    inventory = model_mod.ClusterInventory.build(tokens, k=1)
-    u = np.full(config.vocab_size, 1.0 / config.vocab_size)
-    protos = tuple(
-        FeatureSequence(prototypes[inventory.owner[f]], config.frame_shift_ms)
-        for f in range(config.vocab_size)
-    )
-    true_params = model_mod.ModelParams(
-        inventory=inventory,
-        u=u,
-        prototypes=protos,
-        distortion=model_mod.DistortionParams(),
-        variant="deficient",
-    )
-    return corpus, true_params

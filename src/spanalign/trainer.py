@@ -65,6 +65,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.dba_iterations < 1:

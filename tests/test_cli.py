@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,10 @@ from spanalign.cli import (
     build_parser,
     main,
 )
-from spanalign.corpus import Corpus, FeatureSequence, SentencePair, SynthConfig, write_feature_file
+from spanalign.corpus import Corpus, FeatureSequence, SentencePair, write_feature_file
 from spanalign.dtw import dtw_distance
 from spanalign.evalkit import alignment_to_links
-from spanalign.model import Alignment, WordAlignment
+from spanalign.model import Alignment, SynthConfig, WordAlignment
 from spanalign.segmentation import SegmentationConfig
 from spanalign.trainer import TrainConfig
 
@@ -118,11 +120,8 @@ def test_bare_commands_use_config_defaults():
     assert _config(TrainConfig, values, lam=values["lambda"]) == TrainConfig()
     assert _config(SegmentationConfig, values) == SegmentationConfig()
     values = _resolve(build_parser().parse_args(["synth"]), _SYNTH_OPTIONS)
-    ranges = {
-        f"{name}_range": (values[f"{name}_min"], values[f"{name}_max"])
-        for name in ("sentence_len", "proto_len", "silence_len")
-    }
-    assert _config(SynthConfig, values, n_sentences=values["sentences"], **ranges) == SynthConfig()
+    assert _config(SynthConfig, values) == SynthConfig()
+    assert {f.name for f in fields(SynthConfig)} == set(values) - {"output"}
 
 
 def test_synth_writes_corpus_layout(tmp_path):
@@ -264,9 +263,11 @@ def test_align_rejects_p0_of_one(tmp_path, capsys):
         ("grid", ["--frame-shift-ms", "nan"], "frame_shift_ms must be positive and finite, got nan"),
         ("align", ["--min-silence-ms", "nan"], "min_silence_ms must be positive and finite, got nan"),
         ("grid", ["--min-silence-ms", "inf"], "min_silence_ms must be positive and finite, got inf"),
+        ("align", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("grid", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ],
     ids=["grid_p0", "align_span_len", "align_frame_shift_zero", "grid_frame_shift_nan",
-         "align_min_silence_nan", "grid_min_silence_inf"],
+         "align_min_silence_nan", "grid_min_silence_inf", "align_seed", "grid_seed"],
 )
 def test_bad_settings_rejected_before_reading_files(tmp_path, capsys, command, setting, message):
     _assert_rejected_before_reading(tmp_path, capsys, command, setting, message)

@@ -1,3 +1,4 @@
+import math
 import os
 import stat
 from dataclasses import replace
@@ -11,7 +12,6 @@ from spanalign.corpus import (
     FeatureSequence,
     GoldAlignment,
     SentencePair,
-    SynthConfig,
     atomic_write_text,
     links_to_intervals,
     load_corpus,
@@ -20,11 +20,11 @@ from spanalign.corpus import (
     read_feature_file,
     read_gold_file,
     save_corpus,
-    synth_generate,
     write_energy_file,
     write_feature_file,
     write_gold_file,
 )
+from spanalign.model import SynthConfig, synth_generate
 
 
 def make_pair(utt_id="u1", m=6, words=("ab", "cde")):
@@ -77,6 +77,20 @@ def test_energy_file_round_trip(tmp_path):
     np.testing.assert_array_equal(read_energy_file(path, 3), e)
     with pytest.raises(CorpusError):
         read_energy_file(path, 4)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("x", "non-numeric energy value"), ("nan", "energy must be finite and non-negative, got nan"),
+     ("inf", "energy must be finite and non-negative, got inf"),
+     ("-0.5", "energy must be finite and non-negative, got -0.5")],
+    ids=["non_numeric", "nan", "inf", "negative"],
+)
+def test_energy_file_bad_value_reports_line(tmp_path, value, message):
+    path = tmp_path / "u.energy"
+    path.write_text(f"0.5\n\n{value}\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=rf"u\.energy:3: {message}"):
+        read_energy_file(path, 2)
 
 
 def test_atomic_write_replaces_content(tmp_path):
@@ -169,7 +183,7 @@ def test_normalize_constant_dimension_centered_only():
 
 
 def test_corpus_save_load_round_trip(tmp_path):
-    corpus, _ = synth_generate(SynthConfig(vocab_size=4, n_sentences=3), seed=1)
+    corpus, _ = synth_generate(SynthConfig(seed=1, vocab_size=4, sentences=3, bounds=False))
     first = replace(corpus.pairs[0], boundaries=(5, 2))  # only this pair gets a .bounds sidecar
     corpus = Corpus((first, *corpus.pairs[1:]), corpus.gold)
     save_corpus(corpus, tmp_path)
@@ -193,9 +207,9 @@ def test_corpus_save_load_round_trip(tmp_path):
 
 
 def test_synth_same_seed_bit_identical():
-    cfg = SynthConfig(vocab_size=5, n_sentences=4)
-    c1, p1 = synth_generate(cfg, seed=9)
-    c2, p2 = synth_generate(cfg, seed=9)
+    cfg = SynthConfig(seed=9, vocab_size=5, sentences=4)
+    c1, p1 = synth_generate(cfg)
+    c2, p2 = synth_generate(cfg)
     for a, b in zip(c1.pairs, c2.pairs):
         np.testing.assert_array_equal(a.source.frames, b.source.frames)
         assert a.target_words == b.target_words
@@ -204,15 +218,14 @@ def test_synth_same_seed_bit_identical():
 
 
 def test_synth_gold_tiles_frames_without_silence():
-    cfg = SynthConfig(vocab_size=3, n_sentences=5, silence_prob=0.0)
-    corpus, _ = synth_generate(cfg, seed=2)
+    corpus, _ = synth_generate(SynthConfig(seed=2, vocab_size=3, sentences=5, silence_prob=0.0))
     for pair in corpus.pairs:
         covered = sorted(j for (_, j) in corpus.gold[pair.utt_id].links)
         assert covered == list(range(pair.m))
 
 
 def test_synth_gold_spans_in_bounds_and_disjoint():
-    corpus, _ = synth_generate(SynthConfig(vocab_size=6, n_sentences=6), seed=3)
+    corpus, _ = synth_generate(SynthConfig(seed=3, vocab_size=6, sentences=6))
     for pair in corpus.pairs:
         per_word = {}
         seen_frames = set()
@@ -227,15 +240,15 @@ def test_synth_gold_spans_in_bounds_and_disjoint():
 
 
 def test_synth_true_params_reference_all_words():
-    corpus, params = synth_generate(SynthConfig(vocab_size=4, n_sentences=4), seed=5)
+    corpus, params = synth_generate(SynthConfig(seed=5, vocab_size=4, sentences=4))
     for pair in corpus.pairs:
         for word in pair.target_words:
             assert word in params.inventory.clusters
 
 
 def test_synth_prototype_lengths_cover_range():
-    config = SynthConfig(vocab_size=20, n_sentences=10, proto_len_range=(5, 8))
-    corpus, params = synth_generate(config, seed=0)
+    config = SynthConfig(vocab_size=20, sentences=10, proto_len_min=5, proto_len_max=8)
+    corpus, params = synth_generate(config)
     lengths = {proto.m for proto in params.prototypes}
     assert lengths == {5, 6, 7, 8}
     # Each word's gold span is exactly its prototype.
@@ -247,11 +260,27 @@ def test_synth_prototype_lengths_cover_range():
         assert counts == {w: proto_len[word] for w, word in enumerate(pair.target_words)}
 
 
+@pytest.mark.parametrize("bounds", [True, False])
+def test_synth_bounds_are_the_gold_word_edges(bounds):
+    config = SynthConfig(seed=4, vocab_size=6, sentences=6, silence_prob=0.5, bounds=bounds)
+    corpus, _ = synth_generate(config)
+    for pair in corpus.pairs:
+        edges = {j for _, s, e in links_to_intervals(corpus.gold[pair.utt_id].links) for j in (s + 1, e)}
+        assert pair.boundaries == (tuple(sorted(edges)) if bounds else ())
+
+
 def test_synth_rejects_degenerate_config():
-    with pytest.raises(ValueError):
-        SynthConfig(vocab_size=0, n_sentences=3)
-    with pytest.raises(ValueError):
-        SynthConfig(vocab_size=3, n_sentences=3, proto_len_range=(0, 4))
+    with pytest.raises(ValueError, match="vocab_size must be >= 1"):
+        SynthConfig(vocab_size=0, sentences=3)
+    with pytest.raises(ValueError, match="need 1 <= proto_len_min <= proto_len_max, got 0 and 8"):
+        SynthConfig(vocab_size=3, sentences=3, proto_len_min=0)
+    with pytest.raises(ValueError, match="need 1 <= proto_len_min <= proto_len_max, got 9 and 8"):
+        SynthConfig(proto_len_min=9)
+    for noise_std in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"noise_std must be finite and >= 0, got {noise_std}"):
+            SynthConfig(noise_std=noise_std)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SynthConfig(seed=-1)
 
 
 def test_load_corpus_missing_feature_file(tmp_path):

@@ -8,15 +8,13 @@ from spanalign.corpus import (
     FeatureSequence,
     GoldAlignment,
     SentencePair,
-    SynthConfig,
     normalize_utterance,
-    synth_generate,
 )
 from spanalign.distortion import DistortionParams, allocate_mu
 from spanalign import trainer as trainer_module
 from spanalign.dtw import candidate_span_costs
 from spanalign.evalkit import evaluate
-from spanalign.model import ClusterInventory, ModelParams, load_params
+from spanalign.model import ClusterInventory, ModelParams, SynthConfig, load_params, synth_generate
 from spanalign.segmentation import CandidateSpans, SegmentationConfig
 from spanalign.trainer import (
     SpanCostStore,
@@ -117,9 +115,8 @@ def test_final_alignments_scores_match_reference(variant):
     assert seen == {"other word", "dead"}
 
 
-def _small_corpus(seed=1, n_sentences=6):
-    config = SynthConfig(vocab_size=5, n_sentences=n_sentences)
-    corpus, _ = synth_generate(config, seed=seed)
+def _small_corpus(seed=1, sentences=6):
+    corpus, _ = synth_generate(SynthConfig(seed=seed, vocab_size=5, sentences=sentences))
     pairs = tuple(
         SentencePair(p.utt_id, normalize_utterance(p.source), p.target_words, p.energy_track)
         for p in corpus
@@ -411,7 +408,7 @@ def test_distortion_built_once_per_word(monkeypatch):
 def test_variant_switch_matches_fresh_store():
     # Deficient rows cover a word's utterances and proper rows cover all of
     # them, so a store refreshed under the other variant must not keep any.
-    corpus, _ = synth_generate(SynthConfig(n_sentences=30, vocab_size=20, noise_std=0.1), seed=0)
+    corpus, _ = synth_generate(SynthConfig(sentences=30, vocab_size=20, noise_std=0.1, bounds=False))
     tables = build_tables(corpus, SegmentationConfig())
     state = train(corpus, TrainConfig(iterations=1), tables)
     proper = dataclasses.replace(state.params, variant="proper")
@@ -449,7 +446,7 @@ def test_train_zero_iterations_is_initialization_only():
 
 
 def test_train_writes_checkpoints(tmp_path):
-    corpus = _small_corpus(n_sentences=4)
+    corpus = _small_corpus(sentences=4)
     tables = build_tables(corpus, SegmentationConfig())
     state = train(corpus, TrainConfig(iterations=2), tables=tables, checkpoint_dir=tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
@@ -544,7 +541,7 @@ def _repeated_type_corpus():
     built here from its true prototypes: each word is followed by a loud,
     low-energy pause, and noise of the corpus's level is added on top.
     """
-    base, true_params = synth_generate(SynthConfig(vocab_size=6, n_sentences=12, noise_std=0.1), seed=0)
+    base, true_params = synth_generate(SynthConfig(vocab_size=6, sentences=12, noise_std=0.1, bounds=False))
     protos = {true_params.inventory.owner[f]: p.frames for f, p in enumerate(true_params.prototypes)}
     t = sorted(protos)
     rng = np.random.default_rng(5)
