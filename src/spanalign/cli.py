@@ -74,7 +74,8 @@ _RUN_OPTIONS = [
     Option("threshold_ratio", float, _SEG.threshold_ratio,
            "silence threshold as a ratio of the smoothed peak"),
     Option("min_silence_ms", float, _SEG.min_silence_ms, "minimum silence duration in milliseconds"),
-    Option("smooth_frames", int, _SEG.smooth_frames, "width of the centered median filter over energy"),
+    Option("smooth_frames", int, _SEG.smooth_frames,
+           "odd width of the centered median filter over energy"),
     Option("grid_stride", int, _SEG.grid_stride, "uniform boundary grid stride in frames (0 disables)"),
     Option("span_min_len", int, _SEG.span_min_len, "minimum candidate span length in frames"),
     Option("span_max_len", int, _SEG.span_max_len, "maximum candidate span length in frames"),
@@ -286,7 +287,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
         ["manifest", "features", "translations", "gold", "output", "dev_manifest", "test_manifest"],
         "grid",
     )
-    grid = tuple(float(v) for v in str(values["lambda_grid"]).split(",") if v.strip())
+    text = str(values["lambda_grid"])
+    try:
+        grid = tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ValueError(f"lambda_grid must be comma-separated numbers, got {text!r}") from None
     if not grid or any(v <= 0 for v in grid):
         raise ValueError("lambda_grid values must be positive")
     configs = [_config(TrainConfig, values, lam=lam) for lam in grid]

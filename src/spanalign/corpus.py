@@ -185,6 +185,8 @@ def read_feature_file(
         m, d = int(header[0]), int(header[1])
     except ValueError:
         raise CorpusError(f"{path}:1: header must be two integers, got {lines[0]!r}") from None
+    if m < 1 or d < 1:
+        raise CorpusError(f"{path}:1: header must declare m >= 1 and d >= 1, got {lines[0]!r}")
     if len(lines) - 1 != m:
         raise CorpusError(f"{path}: header declares {m} frames, file has {len(lines) - 1}")
     rows = np.empty((m, d), dtype=np.float64)
@@ -196,8 +198,9 @@ def read_feature_file(
             rows[i - 2] = [float(p) for p in parts]
         except ValueError:
             raise CorpusError(f"{path}:{i}: non-numeric value") from None
-    if not np.isfinite(rows).all():
-        raise CorpusError(f"{path}: non-finite feature value")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise CorpusError(f"{path}:{int(finite.argmin()) + 2}: non-finite feature value")
     return FeatureSequence(rows, frame_shift_ms)
 
 

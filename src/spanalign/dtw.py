@@ -37,14 +37,18 @@ def frame_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _accumulate(dist: np.ndarray) -> list[list[float]]:
-    """Full (n+1) x (m+1) accumulated cost table as Python lists.
+def dtw_distance(x: FeatureSequence, y: FeatureSequence) -> WarpResult:
+    """Align two sequences and return the normalized cost with one optimal path.
 
-    Plain float arithmetic keeps the inner loop fast enough at segment
-    scale without pulling in a compiled kernel.
+    The full (n+1) x (m+1) accumulated cost table is built as Python
+    lists: plain float arithmetic keeps the inner loop fast enough at
+    segment scale without pulling in a compiled kernel.  The backtrace
+    prefers the diagonal, then (i-1, j), then (i, j-1).
     """
-    n, m = dist.shape
-    rows = dist.tolist()
+    if x.dim != y.dim:
+        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    n, m = x.m, y.m
+    rows = frame_distances(x.frames, y.frames).tolist()
     w = [[_INF] * (m + 1) for _ in range(n + 1)]
     w[0][0] = 0.0
     for i in range(1, n + 1):
@@ -60,38 +64,20 @@ def _accumulate(dist: np.ndarray) -> list[list[float]]:
             if left < best:
                 best = left
             wi[j] = di[j - 1] + best
-    return w
 
-
-def _backtrace(w: list[list[float]]) -> tuple[tuple[int, int], ...]:
-    """Recover a warping path, preferring diagonal, then (i-1, j), then (i, j-1)."""
-    i = len(w) - 1
-    j = len(w[0]) - 1
+    i, j = n, m
     path = [(i, j)]
     while i > 1 or j > 1:
-        diag = w[i - 1][j - 1]
-        up = w[i - 1][j]
-        left = w[i][j - 1]
-        best = min(diag, up, left)
-        if diag == best:
-            i, j = i - 1, j - 1
-        elif up == best:
-            i = i - 1
-        else:
-            j = j - 1
+        pi, pj = i - 1, j - 1
+        best = w[pi][pj]
+        if w[pi][j] < best:
+            pj, best = j, w[pi][j]
+        if w[i][j - 1] < best:
+            pi, pj = i, j - 1
+        i, j = pi, pj
         path.append((i, j))
     path.reverse()
-    return tuple(path)
-
-
-def dtw_distance(x: FeatureSequence, y: FeatureSequence) -> WarpResult:
-    """Align two sequences and return the normalized cost with one optimal path."""
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    dist = frame_distances(x.frames, y.frames)
-    w = _accumulate(dist)
-    raw = w[x.m][y.m]
-    return WarpResult(raw / (x.m + y.m), _backtrace(w))
+    return WarpResult(w[n][m] / (n + m), tuple(path))
 
 
 _DIST_BLOCK_CELLS = 1 << 15  # bound on the (n, block, d) temporary of one distance block
@@ -157,8 +143,9 @@ def candidate_span_costs(
     every span (a, b), because column b - a + 1 only depends on the
     columns before it.  All lanes advance together, one anti-diagonal
     i + j = k per step over (rows, lanes) arrays, and each cell is the
-    same `d + min(diag, up, left)` as `_accumulate`, so the costs equal
-    `dtw_distance` on each span bit for bit (Sakoe & Chiba 1978).
+    same `d + min(diag, up, left)` as in the table of `dtw_distance`, so
+    the costs equal `dtw_distance` on each span bit for bit (Sakoe &
+    Chiba 1978).
     """
     if not (isinstance(spans, SpanLanes) and spans.frames is frames):
         spans = SpanLanes(frames, spans)

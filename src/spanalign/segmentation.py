@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,15 +46,9 @@ class SilenceSpans:
 
 @dataclass(frozen=True)
 class CandidateSpans:
-    """Sorted unique candidate spans (a, b), 1-indexed inclusive.
-
-    `starts` and `ends` hold the same spans as read-only int64 arrays,
-    for indexing per-frame score vectors.
-    """
+    """Sorted unique candidate spans (a, b), 1-indexed inclusive."""
 
     spans: tuple[tuple[int, int], ...]
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.spans:
@@ -66,13 +60,6 @@ class CandidateSpans:
             if prev is not None and not (prev < (a, b)):
                 raise ValueError("spans must be strictly sorted")
             prev = (a, b)
-        for name, column in zip(("starts", "ends"), zip(*self.spans)):
-            arr = np.array(column, dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __iter__(self):
-        return iter(self.spans)
 
     def __len__(self):
         return len(self.spans)
@@ -92,8 +79,8 @@ class SegmentationConfig:
             raise ValueError("threshold_ratio must lie in (0, 1)")
         if not (self.min_silence_ms > 0 and math.isfinite(self.min_silence_ms)):
             raise ValueError(f"min_silence_ms must be positive and finite, got {self.min_silence_ms}")
-        if self.smooth_frames < 1:
-            raise ValueError("smooth_frames must be >= 1")
+        if not (self.smooth_frames >= 1 and self.smooth_frames % 2 == 1):
+            raise ValueError(f"smooth_frames must be odd and >= 1, got {self.smooth_frames}")
         if self.grid_stride < 0:
             raise ValueError("grid_stride must be >= 0 (0 disables the grid)")
         if not (1 <= self.span_min_len <= self.span_max_len):

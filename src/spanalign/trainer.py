@@ -109,11 +109,12 @@ class SpanCostStore:
             cands = candidates_map[pair.utt_id]
             rows = np.zeros((pair.l, len(cands)))  # a single frame admits a single span
             if pair.m > 1:
+                starts, ends = np.array(cands.spans).T
                 for i, mu_i in enumerate(mu_map[pair.utt_id], start=1):
                     mu = effective_mu(mu_i, pair.l, pair.m)
                     la = log_delta_a(i, pair.l, pair.m, mu, distortion)
                     lb = log_delta_b(i, pair.l, pair.m, mu, distortion)
-                    rows[i - 1] = la[cands.starts] + lb[cands.ends]
+                    rows[i - 1] = la[starts] + lb[ends]
             self.delta[pair.utt_id] = rows
         self.live: dict[int, None] = {}  # live clusters in id order
         self._variant: str | None = None

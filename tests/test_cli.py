@@ -205,8 +205,13 @@ def test_alignment_rows_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "row, message",
-    [("u1\t0\taa\t4\t0\tx\t-1.5", "non-integer field"), ("u1\t-1\taa\t4\t0\t2\t-1.5", "negative word index")],
-    ids=["non_integer", "negative_word"],
+    [
+        ("u1\t0\taa\t4\t0\tx\t-1.5", "non-integer field"),
+        ("u1\t-1\taa\t4\t0\t2\t-1.5", "negative word index"),
+        ("u1\t0\taa\t4\t0\t2", "expected 7 tab-separated fields"),
+        ("u1\t0\taa\t4\t2\t2\t-1.5", "invalid interval [2, 2)"),
+    ],
+    ids=["non_integer", "negative_word", "field_count", "empty_interval"],
 )
 def test_eval_rejects_malformed_alignment_row(tmp_path, capsys, row, message):
     pred = tmp_path / "alignments.tsv"
@@ -265,9 +270,15 @@ def test_align_rejects_p0_of_one(tmp_path, capsys):
         ("grid", ["--min-silence-ms", "inf"], "min_silence_ms must be positive and finite, got inf"),
         ("align", ["--seed", "-1"], "seed must be >= 0, got -1"),
         ("grid", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("align", ["--smooth-frames", "4"], "smooth_frames must be odd and >= 1, got 4"),
+        ("grid", ["--smooth-frames", "0"], "smooth_frames must be odd and >= 1, got 0"),
+        ("align", ["--threshold-ratio", "1"], "threshold_ratio must lie in (0, 1)"),
+        ("grid", ["--grid-stride", "-1"], "grid_stride must be >= 0 (0 disables the grid)"),
     ],
     ids=["grid_p0", "align_span_len", "align_frame_shift_zero", "grid_frame_shift_nan",
-         "align_min_silence_nan", "grid_min_silence_inf", "align_seed", "grid_seed"],
+         "align_min_silence_nan", "grid_min_silence_inf", "align_seed", "grid_seed",
+         "align_smooth_frames_even", "grid_smooth_frames_zero", "align_threshold_ratio",
+         "grid_grid_stride"],
 )
 def test_bad_settings_rejected_before_reading_files(tmp_path, capsys, command, setting, message):
     _assert_rejected_before_reading(tmp_path, capsys, command, setting, message)
@@ -313,12 +324,12 @@ def test_grid_selects_lambda_on_dev(tmp_path, capsys):
     assert selected in (0.3, 0.5)
 
 
-def test_grid_rejects_blank_line_inside_split_manifest(tmp_path, capsys):
+def _grid_on_splits(tmp_path, capsys, dev_text, test_text):
+    """Run grid on a small corpus with the given split manifests; return (exit code, stderr)."""
     corpus_dir = _synth(tmp_path)
     ids = (corpus_dir / "manifest.txt").read_text().split()
-    (tmp_path / "dev.txt").write_text(f"{ids[0]}\n\n{ids[1]}\n")
-    (tmp_path / "test.txt").write_text("\n".join(ids[2:]) + "\n\n")  # trailing blank lines are fine
-    out = tmp_path / "grid"
+    (tmp_path / "dev.txt").write_text(dev_text.format(*ids))
+    (tmp_path / "test.txt").write_text(test_text.format(*ids))
     code = main(
         [
             "grid",
@@ -326,20 +337,38 @@ def test_grid_rejects_blank_line_inside_split_manifest(tmp_path, capsys):
             "--features", str(corpus_dir),
             "--translations", str(corpus_dir / "translations.txt"),
             "--gold", str(corpus_dir / "gold.tsv"),
-            "--output", str(out),
+            "--output", str(tmp_path / "grid"),
             "--dev-manifest", str(tmp_path / "dev.txt"),
             "--test-manifest", str(tmp_path / "test.txt"),
         ]
     )
+    return code, capsys.readouterr().err
+
+
+def test_grid_rejects_blank_line_inside_split_manifest(tmp_path, capsys):
+    # Trailing blank lines, as in the test split here, are fine.
+    code, err = _grid_on_splits(tmp_path, capsys, "{0}\n\n{1}\n", "{2}\n{3}\n{4}\n\n")
     assert code == 1
-    assert f"{tmp_path / 'dev.txt'}:2: blank utterance id" in capsys.readouterr().err
-    assert not out.exists()  # rejected before the corpus was loaded or trained on
+    assert f"{tmp_path / 'dev.txt'}:2: blank utterance id" in err
+    assert not (tmp_path / "grid").exists()  # rejected before the corpus was loaded or trained on
 
 
-@pytest.mark.parametrize("grid", [",", "0.5,0"], ids=["empty", "non_positive"])
-def test_grid_rejects_bad_lambda_grid(tmp_path, capsys, grid):
+def test_grid_rejects_split_id_missing_from_corpus(tmp_path, capsys):
+    code, err = _grid_on_splits(tmp_path, capsys, "{0}\n{1}\n", "{2}\nnope\n")
+    assert code == 1
+    assert "split utterance 'nope' not in the corpus" in err
+    assert not (tmp_path / "grid" / "grid_report.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [(",", "lambda_grid values must be positive"), ("0.5,0", "lambda_grid values must be positive"),
+     ("0.5,abc", "lambda_grid must be comma-separated numbers, got '0.5,abc'")],
+    ids=["empty", "non_positive", "non_numeric"],
+)
+def test_grid_rejects_bad_lambda_grid(tmp_path, capsys, grid, message):
     paths = ["--manifest", "m.txt", "--features", "f", "--translations", "t.txt", "--gold", "g.tsv"]
     splits = ["--dev-manifest", "dev.txt", "--test-manifest", "test.txt"]
     code = main(["grid", *paths, *splits, "--output", str(tmp_path), "--lambda-grid", grid])
     assert code == 1
-    assert "lambda_grid values must be positive" in capsys.readouterr().err
+    assert message in capsys.readouterr().err

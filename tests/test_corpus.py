@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import stat
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from spanalign.corpus import (
     links_to_intervals,
     load_corpus,
     normalize_utterance,
+    read_boundary_file,
     read_energy_file,
     read_feature_file,
     read_gold_file,
@@ -63,6 +65,28 @@ def test_feature_file_bad_row_reports_line(tmp_path):
         read_feature_file(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "bad.feat: empty feature file"),
+        ("2\n0 0\n0 0\n", "bad.feat:1: header must be 'm d', got '2'"),
+        ("2 x\n0 0\n0 0\n", "bad.feat:1: header must be two integers, got '2 x'"),
+        ("0 2\n", "bad.feat:1: header must declare m >= 1 and d >= 1, got '0 2'"),
+        ("1 0\n\n", "bad.feat:1: header must declare m >= 1 and d >= 1, got '1 0'"),
+        ("2 2\n0 0\n0\n", "bad.feat:3: expected 2 values, got 1"),
+        ("3 1\n0\nnan\ninf\n", "bad.feat:3: non-finite feature value"),
+        ("2 2\n0 0\n0 -inf\n", "bad.feat:3: non-finite feature value"),
+    ],
+    ids=["empty", "header_fields", "header_non_integer", "header_no_frames", "header_no_values",
+         "row_width", "nan_first_bad_row", "inf"],
+)
+def test_feature_file_rejection_names_line(tmp_path, text, message):
+    path = tmp_path / "bad.feat"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        read_feature_file(path)
+
+
 def test_feature_file_row_count_mismatch(tmp_path):
     path = tmp_path / "short.feat"
     path.write_text("3 1\n0\n1\n", encoding="utf-8")
@@ -91,6 +115,18 @@ def test_energy_file_bad_value_reports_line(tmp_path, value, message):
     path.write_text(f"0.5\n\n{value}\n", encoding="utf-8")
     with pytest.raises(CorpusError, match=rf"u\.energy:3: {message}"):
         read_energy_file(path, 2)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("x", "non-integer boundary"), ("2.5", "non-integer boundary"), ("5", "boundary 5 outside [1, 4]")],
+    ids=["non_integer", "fraction", "past_m"],
+)
+def test_boundary_file_bad_value_reports_line(tmp_path, value, message):
+    path = tmp_path / "u.bounds"
+    path.write_text(f"2\n\n{value}\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(f"u.bounds:3: {message}")):
+        read_boundary_file(path, 4)
 
 
 def test_atomic_write_replaces_content(tmp_path):
@@ -129,6 +165,19 @@ def test_gold_file_round_trip(tmp_path):
         assert back[k].links == gold[k].links
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("u1\t0\t3", "expected 4 tab-separated fields"), ("u1\t0\t3\t3", "invalid interval [3, 3)"),
+     ("u1\t0\t4\t3", "invalid interval [4, 3)"), ("u1\tx\t0\t3", "non-integer field")],
+    ids=["field_count", "empty_interval", "reversed_interval", "non_integer"],
+)
+def test_gold_file_bad_row_reports_line(tmp_path, row, message):
+    path = tmp_path / "gold.tsv"
+    path.write_text(f"u1\t0\t0\t2\n{row}\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(f"gold.tsv:2: {message}")):
+        read_gold_file(path)
+
+
 def test_duplicate_utterance_rejected():
     with pytest.raises(CorpusError, match="duplicate"):
         Corpus(pairs=(make_pair("x"), make_pair("x")))
@@ -139,6 +188,12 @@ def test_gold_out_of_range_rejected():
     gold = {"u1": GoldAlignment("u1", frozenset({(0, 9)}))}
     with pytest.raises(CorpusError, match="out of range"):
         Corpus(pairs=(pair,), gold=gold)
+
+
+def test_gold_for_unknown_utterance_rejected():
+    gold = {"zz": GoldAlignment("zz", frozenset({(0, 0)}))}
+    with pytest.raises(CorpusError, match="gold alignment for unknown utterance 'zz'"):
+        Corpus(pairs=(make_pair("u1"),), gold=gold)
 
 
 def test_empty_token_rejected():
@@ -294,4 +349,18 @@ def test_load_corpus_translation_count_mismatch(tmp_path):
     (tmp_path / "manifest.txt").write_text("u1\nu2\n", encoding="utf-8")
     (tmp_path / "translations.txt").write_text("only one line\n", encoding="utf-8")
     with pytest.raises(CorpusError):
+        load_corpus(tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")
+
+
+@pytest.mark.parametrize(
+    "manifest, translations, message",
+    [("\n\n", "a b\n", "manifest.txt: empty manifest"),
+     ("u1\nu2\n", "\na b\n", "translations.txt:1: empty sentence for u1")],
+    ids=["empty_manifest", "empty_translation"],
+)
+def test_load_corpus_rejects_empty_text_inputs(tmp_path, manifest, translations, message):
+    # No .feat file exists, so each rejection comes before any feature file is read.
+    (tmp_path / "manifest.txt").write_text(manifest, encoding="utf-8")
+    (tmp_path / "translations.txt").write_text(translations, encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(message)):
         load_corpus(tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")

@@ -1,13 +1,17 @@
-"""Every module-level import in the package is used by its module, and no
-function imports a package module: a deferred import hides an import cycle."""
+"""Every module-level import in the package is used by its module, every
+module-level function and class is referenced somewhere, and no function
+imports a package module: a deferred import hides an import cycle."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spanalign"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+ROOT = PACKAGE.parents[1]
+SEARCHED = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -20,6 +24,13 @@ def _unused_imports(source: str) -> list[str]:
             bound += [alias.asname or alias.name for alias in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in bound if name not in used]
+
+
+def _unreferenced_definitions(source: str, texts: list[str]) -> list[str]:
+    """Module-level functions and classes named in `texts` only once, at their definition."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = [node.name for node in ast.parse(source).body if isinstance(node, kinds)]
+    return [n for n in names if sum(len(re.findall(rf"\b{n}\b", text)) for text in texts) <= 1]
 
 
 def _deferred_package_imports(source: str) -> list[int]:
@@ -46,6 +57,14 @@ def test_module_imports_are_used(module):
 
 
 @pytest.mark.parametrize("module", MODULES)
+def test_module_definitions_are_referenced(module):
+    # A name counts as referenced if it appears anywhere else as a word, in code,
+    # a string (perfbench hooks name their targets) or a comment.
+    texts = [path.read_text(encoding="utf-8") for path in SEARCHED]
+    assert _unreferenced_definitions((PACKAGE / module).read_text(encoding="utf-8"), texts) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_no_deferred_package_imports(module):
     assert _deferred_package_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
@@ -53,6 +72,11 @@ def test_no_deferred_package_imports(module):
 def test_unused_import_is_reported():
     source = "from __future__ import annotations\nimport math\nimport os.path\nfrom x import y as z\nos.sep\n"
     assert _unused_imports(source) == ["math", "z"]
+
+
+def test_unreferenced_definition_is_reported():
+    source = "import os\ndef used():\n    pass\ndef unused():\n    used()\nclass Lonely:\n    used = 1\n"
+    assert _unreferenced_definitions(source, [source, "from m import used"]) == ["unused", "Lonely"]
 
 
 def test_deferred_package_import_is_reported():
