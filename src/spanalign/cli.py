@@ -299,11 +299,12 @@ def cmd_grid(args: argparse.Namespace) -> int:
     check_frame_shift(values["frame_shift_ms"])
     dev_ids = read_manifest(values["dev_manifest"])
     test_ids = read_manifest(values["test_manifest"])
+    known = set(read_manifest(values["manifest"]))
+    for utt_id in dev_ids + test_ids:
+        if utt_id not in known:
+            raise CorpusError(f"split utterance {utt_id!r} not in the corpus")
     corpus, out_dir, tables = _load_tables(values, seg_config)
     by_id = {p.utt_id: p for p in corpus.pairs}
-    for utt_id in dev_ids + test_ids:
-        if utt_id not in by_id:
-            raise CorpusError(f"split utterance {utt_id!r} not in the corpus")
     dev = Corpus(tuple(by_id[u] for u in dict.fromkeys(dev_ids)))
     test = Corpus(tuple(by_id[u] for u in dict.fromkeys(test_ids)))
 

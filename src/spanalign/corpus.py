@@ -379,9 +379,11 @@ def save_corpus(corpus: Corpus, out_dir: Path | str) -> None:
         write_feature_file(out_dir / f"{pair.utt_id}.feat", pair.source)
         if pair.energy_track is not None:
             write_energy_file(out_dir / f"{pair.utt_id}.energy", pair.energy_track)
+        bounds_path = out_dir / f"{pair.utt_id}.bounds"
         if pair.boundaries:
-            bounds = "\n".join(map(str, pair.boundaries)) + "\n"
-            atomic_write_text(out_dir / f"{pair.utt_id}.bounds", bounds)
+            atomic_write_text(bounds_path, "\n".join(map(str, pair.boundaries)) + "\n")
+        else:
+            bounds_path.unlink(missing_ok=True)  # a stale sidecar would be read back as this pair's
     if corpus.gold:
         write_gold_file(out_dir / "gold.tsv", corpus.gold)
 

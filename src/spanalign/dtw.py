@@ -149,8 +149,6 @@ def candidate_span_costs(
     """
     if not (isinstance(spans, SpanLanes) and spans.frames is frames):
         spans = SpanLanes(frames, spans)
-    if not spans:
-        return np.empty(0)
     n = proto.shape[0]
     packed, base = spans.packed, spans.base
 

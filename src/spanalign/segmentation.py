@@ -90,20 +90,19 @@ class SegmentationConfig:
 def detect_silence(
     energy: np.ndarray,
     frame_shift_ms: float = FeatureSequence.frame_shift_ms,
-    threshold_ratio: float = SegmentationConfig.threshold_ratio,
-    min_ms: float = SegmentationConfig.min_silence_ms,
-    smooth_frames: int = SegmentationConfig.smooth_frames,
+    config: SegmentationConfig = SegmentationConfig(),
 ) -> SilenceSpans:
     """Find low-energy runs: smooth, threshold at a ratio of the peak, keep long runs.
 
-    The track is smoothed with a centered running median (edges are
-    padded by replication).  A median keeps the edges of a quiet run
-    where a moving average would smear them: a window centered on the
-    first quiet frame already holds a majority of quiet values.  Frames
-    whose smoothed value falls below threshold_ratio * max(smoothed)
-    count as silent, and maximal silent runs of at least
-    ceil(min_ms / frame_shift_ms) frames are returned.  An all-zero
-    track has peak 0 and thus no silences.
+    The track is smoothed with a centered running median of
+    config.smooth_frames frames (edges are padded by replication).  A
+    median keeps the edges of a quiet run where a moving average would
+    smear them: a window centered on the first quiet frame already holds
+    a majority of quiet values.  Frames whose smoothed value falls below
+    config.threshold_ratio * max(smoothed) count as silent, and maximal
+    silent runs of at least ceil(config.min_silence_ms / frame_shift_ms)
+    frames are returned.  An all-zero track has peak 0 and thus no
+    silences.
     """
     e = np.asarray(energy, dtype=np.float64)
     if e.ndim != 1 or e.shape[0] < 1:
@@ -111,17 +110,14 @@ def detect_silence(
     if not np.isfinite(e).all() or (e < 0).any():
         raise ValueError("energy track must be finite and non-negative")
 
-    half = smooth_frames // 2
-    if half > 0:
-        padded = np.pad(e, half, mode="edge")
-        windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
-        smoothed = np.median(windows, axis=1)
-    else:
-        smoothed = e
+    half = config.smooth_frames // 2
+    padded = np.pad(e, half, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
+    smoothed = np.median(windows, axis=1)
 
-    threshold = threshold_ratio * smoothed.max()
+    threshold = config.threshold_ratio * smoothed.max()
     mask = smoothed < threshold
-    min_frames = math.ceil(min_ms / frame_shift_ms)
+    min_frames = math.ceil(config.min_silence_ms / frame_shift_ms)
 
     # The padded mask changes at the first frame of each run and just past
     # its last, so the changes pair up as [s, t) runs, here made 1-indexed.
@@ -189,13 +185,7 @@ def candidate_spans(
 ) -> tuple[CandidateSpans, SilenceSpans]:
     """Full per-utterance pipeline, with one fallback guaranteeing a non-empty set."""
     if pair.energy_track is not None:
-        silences = detect_silence(
-            pair.energy_track,
-            frame_shift_ms=pair.source.frame_shift_ms,
-            threshold_ratio=config.threshold_ratio,
-            min_ms=config.min_silence_ms,
-            smooth_frames=config.smooth_frames,
-        )
+        silences = detect_silence(pair.energy_track, pair.source.frame_shift_ms, config)
     else:
         silences = SilenceSpans(())
 

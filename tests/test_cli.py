@@ -143,6 +143,14 @@ def test_synth_no_bounds_flag(tmp_path):
     assert not list(out.glob("*.bounds"))
 
 
+def test_synth_no_bounds_removes_stale_sidecars(tmp_path):
+    # A .bounds left by the first run would be read back with the new features.
+    assert list(_synth(tmp_path).glob("*.bounds"))
+    out = _synth(tmp_path, "--no-bounds", "--seed", "3")
+    assert not list(out.glob("*.bounds"))
+    assert (_align(tmp_path, out) / "alignments.tsv").exists()
+
+
 def test_align_then_eval_end_to_end(tmp_path, capsys):
     corpus_dir = _synth(tmp_path)
     run_dir = _align(tmp_path, corpus_dir)
@@ -357,7 +365,7 @@ def test_grid_rejects_split_id_missing_from_corpus(tmp_path, capsys):
     code, err = _grid_on_splits(tmp_path, capsys, "{0}\n{1}\n", "{2}\nnope\n")
     assert code == 1
     assert "split utterance 'nope' not in the corpus" in err
-    assert not (tmp_path / "grid" / "grid_report.tsv").exists()
+    assert not (tmp_path / "grid").exists()
 
 
 @pytest.mark.parametrize(

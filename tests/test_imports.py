@@ -1,6 +1,8 @@
 """Every module-level import in the package is used by its module, every
-module-level function and class is referenced somewhere, and no function
-imports a package module: a deferred import hides an import cycle."""
+module-level function and class is referenced somewhere, no function
+imports a package module (a deferred import hides an import cycle), and
+no parameter defaults to a `*Config` attribute (the setting would get a
+second home that skips the config's validation)."""
 
 import ast
 import re
@@ -51,6 +53,27 @@ def _deferred_package_imports(source: str) -> list[int]:
     return sorted(lines)
 
 
+def _config_attribute_defaults(source: str) -> list[str]:
+    """`function.parameter` for each default that reads an attribute of a `*Config` class."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        params = args.posonlyargs + args.args
+        pairs = list(zip(params[len(params) - len(args.defaults):], args.defaults))
+        pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for arg, default in pairs:
+            if any(
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id.endswith("Config")
+                for node in ast.walk(default)
+            ):
+                found.append(f"{func.name}.{arg.arg}")
+    return found
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_are_used(module):
     assert _unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
@@ -67,6 +90,11 @@ def test_module_definitions_are_referenced(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_deferred_package_imports(module):
     assert _deferred_package_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_default_copies_a_config_setting(module):
+    assert _config_attribute_defaults((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def test_unused_import_is_reported():
@@ -86,3 +114,11 @@ def test_deferred_package_import_is_reported():
         "class C:\n    def g(self):\n        import spanalign.dtw\n        from spanalign import cli\n"
     )
     assert _deferred_package_imports(source) == [4, 7, 8]
+
+
+def test_config_attribute_default_is_reported():
+    source = (
+        "def f(x, ratio=SegmentationConfig.threshold_ratio, *, k=TrainConfig.k + 1, c=SegmentationConfig()):\n"
+        "    def g(shift=FeatureSequence.frame_shift_ms, n=SynthConfig.sentences):\n        pass\n"
+    )
+    assert _config_attribute_defaults(source) == ["f.ratio", "f.k", "g.n"]

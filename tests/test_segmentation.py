@@ -167,6 +167,23 @@ def test_candidate_spans_fallback_unrestricted_grid():
     assert (1, 10) in cands.spans and (11, 20) in cands.spans
 
 
+@pytest.mark.parametrize(
+    "settings, expected",
+    [({}, ()), ({"min_silence_ms": 40.0}, ((9, 13),)), ({"threshold_ratio": 0.3}, ((25, 32),))],
+    ids=["default", "min_silence_ms", "threshold_ratio"],
+)
+def test_candidate_spans_silence_follows_config(settings, expected):
+    # A 4-frame quiet run is shorter than the default 50 ms, and a 7-frame
+    # run at 0.2 of the peak is above the default threshold ratio.
+    energy = np.ones(40)
+    energy[8:12] = 0.01
+    energy[24:31] = 0.2
+    cands, silences = candidate_spans(make_pair(40, energy=energy), SegmentationConfig(**settings))
+    assert silences.spans == expected
+    for a, b in cands.spans:
+        assert not any(max(a, s) <= min(b, t - 1) for s, t in expected)
+
+
 def test_candidate_spans_no_energy_skips_silence():
     pair = make_pair(20)
     cands, silences = candidate_spans(pair, SegmentationConfig())
@@ -239,7 +256,8 @@ def test_detect_silence_runs_match_frame_loop():
         energy[rng.random(m) < rng.random()] = 0.0
         ratio = float(rng.uniform(0.05, 0.95))
         min_ms = float(rng.integers(1, 7) * 10)
-        got = detect_silence(energy, 10.0, ratio, min_ms, smooth_frames=1).spans
+        config = SegmentationConfig(threshold_ratio=ratio, min_silence_ms=min_ms, smooth_frames=1)
+        got = detect_silence(energy, 10.0, config).spans
         mask = energy < ratio * energy.max()
         assert got == tuple(silence_runs_reference(mask, math.ceil(min_ms / 10.0)))
         assert all(type(v) is int for span in got for v in span)
