@@ -7,6 +7,21 @@ The accumulated cost follows the three-way recurrence
 with w[0, 0] = 0 and +inf on the other borders, so every warping path
 runs from cell (1, 1) to cell (m, m').  Costs are reported normalized
 by (m + m').  Frame distance is the Euclidean norm of the difference.
+
+Every frame distance comes from `frame_distances`, which sums the
+squared feature differences in one fixed order: two lanes, where each
+block of 8 features starting at b adds b+6, b+4, b+2, b to lane 0 and
+b+7, b+5, b+3, b+1 to lane 1, leftover features alternate lane 0,
+lane 1 in ascending order, and the distance is sqrt(lane 0 + lane 1).
+Each term is a subtract then a multiply, with no fused multiply-add.
+This is the order in which numpy 2.4's x86-64 baseline build (two
+doubles per SSE vector, no FMA) reduces `einsum("ijk,ijk->ij", diff,
+diff)` over a contiguous feature axis, so it gives the same values.  Spelled out in
+code, the order no longer depends on numpy's SIMD dispatch or on array
+layout, a whole distance matrix takes a few ufunc calls per feature
+over (rows, columns) arrays instead of one reduction call per cell,
+and any sub-block of a distance matrix equals the matrix of that
+sub-block bit for bit.
 """
 
 from __future__ import annotations
@@ -31,24 +46,53 @@ class WarpResult:
     path: tuple[tuple[int, int], ...]
 
 
-def frame_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances between the rows of two (m, d) arrays."""
-    diff = x[:, None, :] - y[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+def frame_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise Euclidean distances between the rows of an (n, d) and an (m, d) array.
+
+    The squared differences add feature by feature in the two-lane
+    order of the module docstring, each step one ufunc call over the
+    whole (n, m) array.  The result is written to `out` when given (any
+    (n, m) float64 view, strided ones included).  A column-major `y`
+    is read without a copy.
+    """
+    d = x.shape[1]
+    if y.shape[1] != d:
+        raise ValueError(f"dimension mismatch: {d} vs {y.shape[1]}")
+    full = d - d % 8
+    order = [b + k for b in range(0, full, 8) for k in (6, 7, 4, 5, 2, 3, 0, 1)]
+    order += range(full, d)  # even positions go to lane 0, odd ones to lane 1
+    columns = np.ascontiguousarray(y.T)
+    lanes = np.empty((2, x.shape[0], y.shape[0]))
+    lanes[d:] = 0.0  # a lane with no feature
+    term = np.empty(lanes.shape[1:])
+    for pos, k in enumerate(order):
+        sq = lanes[pos] if pos < 2 else term
+        np.subtract(x[:, k, None], columns[k], out=sq)
+        np.multiply(sq, sq, out=sq)
+        if pos >= 2:
+            lanes[pos % 2] += sq
+    lanes[0] += lanes[1]
+    return np.sqrt(lanes[0], out=out)
 
 
-def dtw_distance(x: FeatureSequence, y: FeatureSequence) -> WarpResult:
+def dtw_distance(
+    x: FeatureSequence, y: FeatureSequence, distances: np.ndarray | None = None
+) -> WarpResult:
     """Align two sequences and return the normalized cost with one optimal path.
 
     The full (n+1) x (m+1) accumulated cost table is built as Python
     lists: plain float arithmetic keeps the inner loop fast enough at
     segment scale without pulling in a compiled kernel.  The backtrace
-    prefers the diagonal, then (i-1, j), then (i, j-1).
+    prefers the diagonal, then (i-1, j), then (i, j-1).  `distances`,
+    when given, is `frame_distances(x.frames, y.frames)` computed by the
+    caller, for instance as a slice of one larger block.
     """
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     n, m = x.m, y.m
-    rows = frame_distances(x.frames, y.frames).tolist()
+    if distances is None:
+        distances = frame_distances(x.frames, y.frames)
+    elif distances.shape != (n, m):
+        raise ValueError(f"distances must have shape {(n, m)}, got {distances.shape}")
+    rows = distances.tolist()
     w = [[_INF] * (m + 1) for _ in range(n + 1)]
     w[0][0] = 0.0
     for i in range(1, n + 1):
@@ -78,9 +122,6 @@ def dtw_distance(x: FeatureSequence, y: FeatureSequence) -> WarpResult:
         path.append((i, j))
     path.reverse()
     return WarpResult(w[n][m] / (n + m), tuple(path))
-
-
-_DIST_BLOCK_CELLS = 1 << 15  # bound on the (n, block, d) temporary of one distance block
 
 
 class SpanLanes(tuple):
@@ -126,7 +167,7 @@ class SpanLanes(tuple):
         np.add.at(cover, starts - 1, 1)
         np.add.at(cover, starts - 1 + widths, -1)
         used = np.cumsum(cover[:-1]) > 0
-        self.packed = frames[used]
+        self.packed = np.asfortranarray(frames[used])  # column-major for frame_distances
         self.base = (np.cumsum(used) - 1)[starts - 1]  # packed column of each lane's first frame
         return self
 
@@ -145,7 +186,12 @@ def candidate_span_costs(
     i + j = k per step over (rows, lanes) arrays, and each cell is the
     same `d + min(diag, up, left)` as in the table of `dtw_distance`, so
     the costs equal `dtw_distance` on each span bit for bit (Sakoe &
-    Chiba 1978).
+    Chiba 1978).  That also needs the same frame distances: one
+    `frame_distances` call fills the prototype against every covered
+    frame, and its fixed two-lane summation order (module docstring)
+    gives each cell the value `dtw_distance` computes for that frame
+    pair, whatever the shape of the block.  One call over the whole
+    matrix beat column blocks of 512 or 2048 frames.
     """
     if not (isinstance(spans, SpanLanes) and spans.frames is frames):
         spans = SpanLanes(frames, spans)
@@ -155,14 +201,12 @@ def candidate_span_costs(
     # skewed[i - 1, t] = d(proto[i - 1], packed[t - (i - 1)]): cell (i, j)
     # of lane l reads column base[l] + (i + j) - 2, so one anti-diagonal of
     # every lane is one column gather.  `diag` views the skewed cells as
-    # (n, packed frames), so each distance block lands in one copy.
+    # (n, packed frames), and one `frame_distances` call writes them all.
     ncols = packed.shape[0]
     skewed = np.full((n, ncols + n - 1), _INF)
     row, col = skewed.strides
     diag = np.lib.stride_tricks.as_strided(skewed, (n, ncols), (row + col, col), writeable=True)
-    step = max(1, _DIST_BLOCK_CELLS // (n * proto.shape[1]))
-    for c0 in range(0, ncols, step):
-        diag[:, c0 : c0 + step] = frame_distances(proto, packed[c0 : c0 + step])
+    frame_distances(proto, packed, out=diag)
 
     # Three diagonals of w, indexed [row i = 0..n, lane]; row 0 is the
     # border (w[0][0] = 0 on diagonal 0, +inf after).  Cells with j <= 0
@@ -207,6 +251,9 @@ def dba_centroid(
     to the lowest member index) and each iteration replaces every
     skeleton frame with the mean of the member frames warped onto it.
     The sums add member by member, each along its path, in one call.
+    Each pass computes the skeleton's frame distances to all members as
+    one block: it equals the per-member blocks bit for bit, and costs
+    far less than one small `frame_distances` call per member.
     Stops early once the sum of squared normalized costs improves by
     less than 1e-6 relative; an update that worsens that objective is
     discarded outright, since the mean update minimizes framewise error
@@ -226,15 +273,18 @@ def dba_centroid(
     target = lengths[len(lengths) // 2]
     skeleton = next(mem.frames.copy() for mem in members if mem.m == target)
     shift = members[0].frame_shift_ms
-    stacked = np.concatenate([mem.frames for mem in members])
+    stacked = np.asfortranarray(np.concatenate([mem.frames for mem in members]))
     firsts = np.cumsum([0, *(mem.m for mem in members[:-1])])  # row of each member in stacked
+    columns = [slice(first, first + mem.m) for first, mem in zip(firsts.tolist(), members)]
 
     def objective_and_paths(skel: np.ndarray):
         total = 0.0
         paths = []
         skel_fs = FeatureSequence(skel, shift)
-        for mem in members:
-            result = dtw_distance(skel_fs, mem)
+        # One distance block per pass; each member's DTW reads its own columns.
+        block = frame_distances(skel, stacked)
+        for mem, cols in zip(members, columns):
+            result = dtw_distance(skel_fs, mem, block[:, cols])
             total += result.normalized_cost * result.normalized_cost
             paths.append(result.path)
         return total, paths

@@ -155,7 +155,8 @@ def deficient_log_s_table(costs: np.ndarray) -> np.ndarray:
 
 def proper_log_s_rows(costs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """log s(f | a, b) per live cluster f from their cost rows: softmax of -DTW^2 over f."""
-    rows = np.stack([-(c * c) for c in costs.values()])
+    rows = np.stack(list(costs.values()))
+    rows = -(rows * rows)
     peak = rows.max(axis=0)
     lse = peak + np.log(np.exp(rows - peak).sum(axis=0))
     log_s = rows - lse

@@ -95,7 +95,8 @@ def detect_silence(
     """Find low-energy runs: smooth, threshold at a ratio of the peak, keep long runs.
 
     The track is smoothed with a centered running median of
-    config.smooth_frames frames (edges are padded by replication).  A
+    config.smooth_frames frames (edges are padded by replication), taken
+    as the middle of each sorted window since the width is odd.  A
     median keeps the edges of a quiet run where a moving average would
     smear them: a window centered on the first quiet frame already holds
     a majority of quiet values.  Frames whose smoothed value falls below
@@ -113,7 +114,7 @@ def detect_silence(
     half = config.smooth_frames // 2
     padded = np.pad(e, half, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
-    smoothed = np.median(windows, axis=1)
+    smoothed = np.sort(windows, axis=1)[:, half]
 
     threshold = config.threshold_ratio * smoothed.max()
     mask = smoothed < threshold

@@ -50,6 +50,33 @@ def exhaustive_dtw(x: np.ndarray, y: np.ndarray) -> float:
     return best[0] / (m + mp)
 
 
+def frame_distance_reference(u, v) -> float:
+    """Euclidean distance of two frames, summed in the documented two-lane order.
+
+    Python floats round every subtract, multiply and add to float64, one
+    at a time.  Each block of 8 features starting at b adds b+6, b+4,
+    b+2, b to lane 0 and b+7, b+5, b+3, b+1 to lane 1; leftover features
+    alternate lane 0, lane 1 in ascending order.
+    """
+    u = [float(value) for value in u]
+    v = [float(value) for value in v]
+    lanes = [0.0, 0.0]
+
+    def add(lane: int, k: int) -> None:
+        diff = u[k] - v[k]
+        lanes[lane] += diff * diff
+
+    full = len(u) - len(u) % 8
+    for b in range(0, full, 8):
+        for k in (6, 4, 2, 0):
+            add(0, b + k)
+        for k in (7, 5, 3, 1):
+            add(1, b + k)
+    for k in range(full, len(u)):
+        add((k - full) % 2, k)
+    return math.sqrt(lanes[0] + lanes[1])
+
+
 def path_cost(x: np.ndarray, y: np.ndarray, path) -> float:
     """Normalized cost of one explicit warping path (1-indexed pairs)."""
     x = np.asarray(x, dtype=np.float64)

@@ -11,7 +11,13 @@ from spanalign.dtw import (
     frame_distances,
 )
 
-from oracles import dba_centroid_reference, exhaustive_dtw, is_valid_warp_path, path_cost
+from oracles import (
+    dba_centroid_reference,
+    exhaustive_dtw,
+    frame_distance_reference,
+    is_valid_warp_path,
+    path_cost,
+)
 
 
 def fs(arr) -> FeatureSequence:
@@ -49,8 +55,19 @@ def test_single_frame_pair():
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch"):
         dtw_distance(fs(np.zeros((2, 2))), fs(np.zeros((2, 3))))
+    for proto_dim, frame_dim in ((2, 3), (3, 2)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            candidate_span_costs(np.zeros((2, proto_dim)), np.zeros((5, frame_dim)), [(1, 3)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        frame_distances(np.zeros((2, 9)), np.zeros((2, 8)))
+
+
+def test_precomputed_distances_must_fit():
+    x, y = fs(np.zeros((2, 2))), fs(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        dtw_distance(x, y, np.zeros((3, 2)))
 
 
 def test_cost_matches_returned_path():
@@ -85,8 +102,50 @@ def test_frame_distances_euclidean():
     y = np.asarray([[0.0, 0.0]])
     d = frame_distances(x, y)
     assert d.shape == (2, 1)
-    assert d[0, 0] == pytest.approx(0.0)
-    assert d[1, 0] == pytest.approx(5.0)
+    assert d[0, 0] == 0.0
+    assert d[1, 0] == 5.0
+
+
+def _reference_matrix(x, y):
+    return np.array([[frame_distance_reference(u, v) for v in y] for u in x])
+
+
+def test_frame_distances_match_lane_order_reference():
+    rng = np.random.default_rng(41)
+    for dim in range(1, 21):
+        for n, m in ((1, 1), (1, 6), (4, 1), (3, 5), (9, 17)):
+            # mixed magnitudes make the rounding depend on the summation order
+            x = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-4, 5, size=(n, dim))
+            y = rng.normal(size=(m, dim)) * 10.0 ** rng.integers(-4, 5, size=(m, dim))
+            want = _reference_matrix(x, y)
+            assert np.array_equal(frame_distances(x, y), want)
+            # a column-major y is read in place; the values must not change
+            assert np.array_equal(frame_distances(x, np.asfortranarray(y)), want)
+            # written through a skewed, strided view, as the span kernel does
+            skewed = np.full((n, m + n - 1), np.inf)
+            row, col = skewed.strides
+            diag = np.lib.stride_tricks.as_strided(skewed, (n, m), (row + col, col), writeable=True)
+            assert frame_distances(x, y, out=diag) is diag
+            assert np.array_equal(diag, want)
+            every_other = np.zeros((2 * n, 3 * m))
+            frame_distances(x, y, out=every_other[::2, 1::3])
+            assert np.array_equal(every_other[::2, 1::3], want)
+            assert not every_other[1::2].any() and not every_other[:, ::3].any()
+
+
+def test_block_slices_equal_per_pair_calls():
+    # dba_centroid computes one block per pass and hands each member its columns
+    rng = np.random.default_rng(43)
+    for dim in (1, 2, 12, 13):
+        skel = rng.normal(size=(int(rng.integers(1, 10)), dim))
+        members = [rng.normal(size=(int(rng.integers(1, 10)), dim)) for _ in range(6)]
+        block = frame_distances(skel, np.asfortranarray(np.concatenate(members)))
+        first = 0
+        for mem in members:
+            part = block[:, first : first + mem.shape[0]]
+            first += mem.shape[0]
+            assert np.array_equal(part, frame_distances(skel, mem))
+            assert dtw_distance(fs(skel), fs(mem), part) == dtw_distance(fs(skel), fs(mem))
 
 
 def _kernel_cases():

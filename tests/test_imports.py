@@ -1,14 +1,20 @@
 """Every module-level import in the package is used by its module, every
 module-level function and class is referenced somewhere, no function
-imports a package module (a deferred import hides an import cycle), and
-no parameter defaults to a `*Config` attribute (the setting would get a
-second home that skips the config's validation)."""
+imports a package module (a deferred import hides an import cycle), no
+parameter defaults to a `*Config` attribute (the setting would get a
+second home that skips the config's validation), and `align` runs without
+importing `numpy.ma`."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from spanalign.cli import main
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spanalign"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
@@ -95,6 +101,27 @@ def test_no_deferred_package_imports(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_default_copies_a_config_setting(module):
     assert _config_attribute_defaults((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_align_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma takes ~20 ms to import and align uses none of it; np.median
+    # is one call that would pull it in on every run.
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--output", str(corpus), "--sentences", "4", "--vocab-size", "3"]) == 0
+    script = (
+        "import sys\n"
+        "from spanalign.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('numpy.ma' in sys.modules, code)\n"
+    )
+    argv = [
+        "align", "--manifest", str(corpus / "manifest.txt"), "--features", str(corpus),
+        "--translations", str(corpus / "translations.txt"), "--output", str(tmp_path / "run"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False 0"
 
 
 def test_unused_import_is_reported():

@@ -12,6 +12,7 @@ from spanalign.model import (
     ModelParams,
     deficient_log_s_table,
     load_params,
+    proper_log_s_rows,
     save_params,
     span_cost_rows,
 )
@@ -150,6 +151,20 @@ def test_proper_rows_normalize_across_live_clusters():
     assert set(rows) == set(params.live_clusters())
     stacked = np.exp(np.stack([rows[f] for f in sorted(rows)]))
     np.testing.assert_allclose(stacked.sum(axis=0), 1.0, atol=1e-9)
+
+
+def test_proper_rows_equal_per_row_squares():
+    # squaring the stacked rows is elementwise, so it must equal squaring each row
+    rng = np.random.default_rng(47)
+    for n_clusters in (1, 2, 7):
+        costs = {int(f): rng.gamma(2.0, 0.5, size=11) for f in rng.permutation(20)[:n_clusters]}
+        rows = np.stack([-(c * c) for c in costs.values()])
+        peak = rows.max(axis=0)
+        want = rows - (peak + np.log(np.exp(rows - peak).sum(axis=0)))
+        got = proper_log_s_rows(costs)
+        assert list(got) == list(costs)
+        for idx, f in enumerate(costs):
+            assert np.array_equal(got[f], want[idx])
 
 
 def test_proper_rows_exclude_dead_clusters():

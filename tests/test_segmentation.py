@@ -261,3 +261,20 @@ def test_detect_silence_runs_match_frame_loop():
         mask = energy < ratio * energy.max()
         assert got == tuple(silence_runs_reference(mask, math.ceil(min_ms / 10.0)))
         assert all(type(v) is int for span in got for v in span)
+
+
+@pytest.mark.parametrize("width", [1, 3, 5, 7, 9])
+def test_detect_silence_smooths_with_running_median(width):
+    # the sorted-window middle must equal np.median over the same windows
+    rng = np.random.default_rng(width)
+    half = width // 2
+    for trial in range(300):
+        m = int(rng.integers(1, 40))
+        # every other track draws from three levels, so windows hold ties
+        energy = rng.integers(0, 3, m).astype(float) if trial % 2 else rng.random(m)
+        windows = np.lib.stride_tricks.sliding_window_view(np.pad(energy, half, mode="edge"), width)
+        smoothed = np.median(windows, axis=1)
+        ratio = float(rng.uniform(0.05, 0.95))
+        config = SegmentationConfig(threshold_ratio=ratio, min_silence_ms=10.0, smooth_frames=width)
+        mask = smoothed < ratio * smoothed.max()
+        assert detect_silence(energy, 10.0, config).spans == tuple(silence_runs_reference(mask, 1))
