@@ -342,7 +342,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_dtw(args: argparse.Namespace) -> int:
     x = read_feature_file(args.file_a)
     y = read_feature_file(args.file_b)
-    result = dtw_distance(x, y)
+    result = dtw_distance(x.frames, y.frames)
     print(repr(result.normalized_cost))
     return 0
 

@@ -75,12 +75,6 @@ class FeatureSequence:
     def dim(self) -> int:
         return self.frames.shape[1]
 
-    def segment(self, a: int, b: int) -> "FeatureSequence":
-        """Sub-sequence for the 1-indexed inclusive span (a, b)."""
-        if not (1 <= a <= b <= self.m):
-            raise ValueError(f"invalid span ({a}, {b}) for m={self.m}")
-        return FeatureSequence(self.frames[a - 1 : b], self.frame_shift_ms)
-
 
 @dataclass(frozen=True, eq=False)
 class SentencePair:

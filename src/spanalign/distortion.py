@@ -99,14 +99,3 @@ def log_delta_a(i: int, l: int, m: int, mu_i: int, params: DistortionParams) -> 
 def log_delta_b(i: int, l: int, m: int, mu_i: int, params: DistortionParams) -> np.ndarray:
     """Log probabilities over span ends j = 0..m, shifted right by mu_i."""
     return _log_delta(i, l, m, mu_i, params, shift=mu_i)
-
-
-def delta_a(i: int, l: int, m: int, mu_i: int, params: DistortionParams) -> np.ndarray:
-    """Probability vector over span starts, entry 0 being the null span."""
-    return np.exp(log_delta_a(i, l, m, mu_i, params))
-
-
-def delta_b(i: int, l: int, m: int, mu_i: int, params: DistortionParams) -> np.ndarray:
-    """Probability vector over span ends, entry 0 being the null span."""
-    return np.exp(log_delta_b(i, l, m, mu_i, params))
-

@@ -1,4 +1,8 @@
-"""Dynamic time warping and barycenter averaging for feature sequences.
+"""Dynamic time warping and barycenter averaging over frame arrays.
+
+Every sequence here is an (m, d) float64 array of frames, and the
+module imports nothing from the rest of the package: callers pass
+`FeatureSequence.frames`, or a row slice of it for a span.
 
 The accumulated cost follows the three-way recurrence
 
@@ -32,8 +36,6 @@ from itertools import chain
 from typing import Sequence
 
 import numpy as np
-
-from .corpus import FeatureSequence
 
 _INF = math.inf
 
@@ -75,21 +77,19 @@ def frame_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None)
     return np.sqrt(lanes[0], out=out)
 
 
-def dtw_distance(
-    x: FeatureSequence, y: FeatureSequence, distances: np.ndarray | None = None
-) -> WarpResult:
-    """Align two sequences and return the normalized cost with one optimal path.
+def dtw_distance(x: np.ndarray, y: np.ndarray, distances: np.ndarray | None = None) -> WarpResult:
+    """Align two (m, d) frame arrays and return the normalized cost with one optimal path.
 
     The full (n+1) x (m+1) accumulated cost table is built as Python
     lists: plain float arithmetic keeps the inner loop fast enough at
     segment scale without pulling in a compiled kernel.  The backtrace
     prefers the diagonal, then (i-1, j), then (i, j-1).  `distances`,
-    when given, is `frame_distances(x.frames, y.frames)` computed by the
-    caller, for instance as a slice of one larger block.
+    when given, is `frame_distances(x, y)` computed by the caller, for
+    instance as a slice of one larger block.
     """
-    n, m = x.m, y.m
+    n, m = x.shape[0], y.shape[0]
     if distances is None:
-        distances = frame_distances(x.frames, y.frames)
+        distances = frame_distances(x, y)
     elif distances.shape != (n, m):
         raise ValueError(f"distances must have shape {(n, m)}, got {distances.shape}")
     rows = distances.tolist()
@@ -241,11 +241,11 @@ def candidate_span_costs(
 
 
 def dba_centroid(
-    members: Sequence[FeatureSequence],
+    members: Sequence[np.ndarray],
     iterations: int = 3,
     return_history: bool = False,
 ):
-    """DTW barycenter averaging over a set of member sequences.
+    """DTW barycenter averaging over (m, d) member frame arrays; the centroid is one too.
 
     The skeleton starts as a median-length member (upper median; ties go
     to the lowest member index) and each iteration replaces every
@@ -264,27 +264,25 @@ def dba_centroid(
         raise ValueError("dba_centroid needs at least one member")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    dim = members[0].dim
+    dim = members[0].shape[1]
     for mem in members:
-        if mem.dim != dim:
+        if mem.shape[1] != dim:
             raise ValueError("members must share the feature dimension")
 
-    lengths = sorted(mem.m for mem in members)
-    target = lengths[len(lengths) // 2]
-    skeleton = next(mem.frames.copy() for mem in members if mem.m == target)
-    shift = members[0].frame_shift_ms
-    stacked = np.asfortranarray(np.concatenate([mem.frames for mem in members]))
-    firsts = np.cumsum([0, *(mem.m for mem in members[:-1])])  # row of each member in stacked
-    columns = [slice(first, first + mem.m) for first, mem in zip(firsts.tolist(), members)]
+    lengths = [mem.shape[0] for mem in members]
+    target = sorted(lengths)[len(lengths) // 2]
+    skeleton = members[lengths.index(target)].copy()
+    stacked = np.asfortranarray(np.concatenate(members))
+    firsts = np.cumsum([0, *lengths[:-1]])  # row of each member in stacked
+    columns = [slice(first, first + length) for first, length in zip(firsts.tolist(), lengths)]
 
     def objective_and_paths(skel: np.ndarray):
         total = 0.0
         paths = []
-        skel_fs = FeatureSequence(skel, shift)
         # One distance block per pass; each member's DTW reads its own columns.
         block = frame_distances(skel, stacked)
         for mem, cols in zip(members, columns):
-            result = dtw_distance(skel_fs, mem, block[:, cols])
+            result = dtw_distance(skel, mem, block[:, cols])
             total += result.normalized_cost * result.normalized_cost
             paths.append(result.path)
         return total, paths
@@ -308,7 +306,6 @@ def dba_centroid(
         if history[-2] - obj < 1e-6 * max(history[-2], 1e-300):
             break
 
-    centroid = FeatureSequence(skeleton, shift)
     if return_history:
-        return centroid, history
-    return centroid
+        return skeleton, history
+    return skeleton

@@ -349,12 +349,13 @@ def m_step(
         counts[f] = len(triples)
     u = counts / counts.sum()
 
-    segments = {pair.utt_id: pair.source.segment for pair in corpus}
+    sources = {pair.utt_id: pair.source for pair in corpus}
     prototypes = list(prev_params.prototypes)
     for f in sorted(members):
         if members[f] != prev_members.get(f):
-            frames = [segments[utt_id](a, b) for utt_id, a, b in members[f]]
-            prototypes[f] = dba_centroid(frames, iterations=config.dba_iterations)
+            spans = [sources[utt_id].frames[a - 1 : b] for utt_id, a, b in members[f]]
+            centroid = dba_centroid(spans, iterations=config.dba_iterations)
+            prototypes[f] = FeatureSequence(centroid, sources[members[f][0][0]].frame_shift_ms)
     return ModelParams(
         inventory=prev_params.inventory,
         u=u,

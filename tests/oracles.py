@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from spanalign.corpus import FeatureSequence
 from spanalign.distortion import log_delta_a, log_delta_b
 from spanalign.dtw import dtw_distance
 from spanalign.segmentation import NoCandidateSpansError
@@ -101,16 +100,15 @@ def dba_centroid_reference(members, iterations: int = 3, return_history: bool = 
     Same skeleton choice, objective, acceptance test and stopping rule;
     the member frames are added in member order, each along its path.
     """
-    lengths = sorted(mem.m for mem in members)
+    lengths = sorted(mem.shape[0] for mem in members)
     target = lengths[len(lengths) // 2]
-    skeleton = next(mem.frames.copy() for mem in members if mem.m == target)
-    shift = members[0].frame_shift_ms
+    skeleton = next(mem.copy() for mem in members if mem.shape[0] == target)
 
     def objective_and_paths(skel):
         total = 0.0
         paths = []
         for mem in members:
-            result = dtw_distance(FeatureSequence(skel, shift), mem)
+            result = dtw_distance(skel, mem)
             total += result.normalized_cost * result.normalized_cost
             paths.append(result.path)
         return total, paths
@@ -122,7 +120,7 @@ def dba_centroid_reference(members, iterations: int = 3, return_history: bool = 
         counts = np.zeros(skeleton.shape[0])
         for mem, path in zip(members, paths):
             for i, j in path:
-                sums[i - 1] += mem.frames[j - 1]
+                sums[i - 1] += mem[j - 1]
                 counts[i - 1] += 1
         candidate = sums / counts[:, None]
         cand_obj, cand_paths = objective_and_paths(candidate)
@@ -132,8 +130,7 @@ def dba_centroid_reference(members, iterations: int = 3, return_history: bool = 
         history.append(obj)
         if history[-2] - obj < 1e-6 * max(history[-2], 1e-300):
             break
-    centroid = FeatureSequence(skeleton, shift)
-    return (centroid, history) if return_history else centroid
+    return (skeleton, history) if return_history else skeleton
 
 
 def analytic_delta_argmax(i: int, l: int, m: int, mu_i: int, shifted: bool) -> int:
@@ -155,9 +152,8 @@ def analytic_delta_argmax(i: int, l: int, m: int, mu_i: int, shifted: bool) -> i
 
 def _span_costs(proto, pair, candidates) -> np.ndarray:
     """Normalized DTW cost of the prototype against each candidate span, one DP each."""
-    return np.array(
-        [dtw_distance(proto, pair.source.segment(a, b)).normalized_cost for a, b in candidates.spans]
-    )
+    frames = pair.source.frames
+    return np.array([dtw_distance(proto.frames, frames[a - 1 : b]).normalized_cost for a, b in candidates.spans])
 
 
 def log_s_deficient(f, a, b, pair, candidates, prototypes) -> float:

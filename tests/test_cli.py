@@ -241,7 +241,7 @@ def test_dtw_subcommand_prints_normalized_cost(tmp_path, capsys):
     code = main(["dtw", str(tmp_path / "x.feat"), str(tmp_path / "y.feat")])
     assert code == 0
     printed = capsys.readouterr().out.strip()
-    assert float(printed) == dtw_distance(x, y).normalized_cost
+    assert float(printed) == dtw_distance(x.frames, y.frames).normalized_cost
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):

