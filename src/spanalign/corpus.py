@@ -369,17 +369,23 @@ def save_corpus(corpus: Corpus, out_dir: Path | str) -> None:
         out_dir / "translations.txt",
         "\n".join(" ".join(p.target_words) for p in corpus.pairs) + "\n",
     )
+    # An optional file this corpus lacks is removed: a stale one would be read back as its own.
     for pair in corpus.pairs:
         write_feature_file(out_dir / f"{pair.utt_id}.feat", pair.source)
+        energy_path = out_dir / f"{pair.utt_id}.energy"
         if pair.energy_track is not None:
-            write_energy_file(out_dir / f"{pair.utt_id}.energy", pair.energy_track)
+            write_energy_file(energy_path, pair.energy_track)
+        else:
+            energy_path.unlink(missing_ok=True)
         bounds_path = out_dir / f"{pair.utt_id}.bounds"
         if pair.boundaries:
             atomic_write_text(bounds_path, "\n".join(map(str, pair.boundaries)) + "\n")
         else:
-            bounds_path.unlink(missing_ok=True)  # a stale sidecar would be read back as this pair's
+            bounds_path.unlink(missing_ok=True)
     if corpus.gold:
         write_gold_file(out_dir / "gold.tsv", corpus.gold)
+    else:
+        (out_dir / "gold.tsv").unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------

@@ -125,25 +125,28 @@ def span_cost_rows(
     prototypes: Sequence[FeatureSequence],
     pairs: Sequence[SentencePair],
     candidates: Sequence[CandidateSpans],
-) -> list[np.ndarray]:
+) -> list[dict[str, np.ndarray]]:
     """DTW costs from each prototype to every candidate span of every pair.
 
-    The utterances are laid end to end, so each prototype takes one
-    `candidate_span_costs` call, and all of them share one lane layout.
-    No span crosses an utterance, so item k holds exactly the
-    per-utterance costs of prototype k: those of pairs[0]'s candidates,
-    then pairs[1]'s, and so on.
+    Item k maps each pair's utt_id to prototype k's costs on that pair's
+    candidates, in their order.  Each prototype takes one
+    `candidate_span_costs` call over the pairs laid end to end, and all
+    of them share one lane layout; no span crosses an utterance, so each
+    row equals a call on its utterance alone.
     """
     if not pairs:
-        return [np.empty(0) for _ in prototypes]
+        return [{} for _ in prototypes]
     frames = np.concatenate([pair.source.frames for pair in pairs])
     spans = []
+    cuts = {}  # utt_id -> its candidates' positions in `spans`
     shift = 0
     for pair, cands in zip(pairs, candidates):
+        cuts[pair.utt_id] = slice(len(spans), len(spans) + len(cands))
         spans.extend((a + shift, b + shift) for a, b in cands.spans)
         shift += pair.m
     lanes = SpanLanes(frames, spans)
-    return [candidate_span_costs(proto.frames, frames, lanes) for proto in prototypes]
+    costs = (candidate_span_costs(proto.frames, frames, lanes) for proto in prototypes)
+    return [{utt_id: row[cut] for utt_id, cut in cuts.items()} for row in costs]
 
 
 def deficient_log_s_table(costs: np.ndarray) -> np.ndarray:

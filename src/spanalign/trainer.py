@@ -94,9 +94,7 @@ class SpanCostStore:
     over all live clusters.  `refresh` computes the rows of each cluster
     whose prototype object changed, one `span_cost_rows` call per group
     of clusters sharing an utterance list, drops clusters that are no
-    longer live, and drops every row when the variant changes.  Each
-    cluster holds one contiguous array; its rows are slices at offsets
-    shared by its group.
+    longer live, and drops every row when the variant changes.
     """
 
     def __init__(self, corpus: Corpus, candidates_map, mu_map, distortion: DistortionParams):
@@ -118,21 +116,14 @@ class SpanCostStore:
             self.delta[pair.utt_id] = rows
         self.live: dict[int, None] = {}  # live clusters in id order
         self._variant: str | None = None
-        # group key (word, or None for every utterance) -> (pairs, offsets)
-        self._groups: dict[str | None, tuple[tuple[SentencePair, ...], dict[str, slice]]] = {}
-        # cluster -> (prototype the costs belong to, costs, offsets)
-        self._entries: dict[int, tuple[FeatureSequence, np.ndarray, dict[str, slice]]] = {}
+        # group key (word, or None for every utterance) -> its pairs
+        self._groups: dict[str | None, tuple[SentencePair, ...]] = {}
+        # cluster -> (prototype the rows belong to, utt_id -> cost row)
+        self._entries: dict[int, tuple[FeatureSequence, dict[str, np.ndarray]]] = {}
 
-    def _group(self, key: str | None):
+    def _group(self, key: str | None) -> tuple[SentencePair, ...]:
         if key not in self._groups:
-            pairs = tuple(p for p in self._pairs if key is None or key in p.target_words)
-            offsets = {}
-            pos = 0
-            for pair in pairs:
-                size = len(self._candidates[pair.utt_id])
-                offsets[pair.utt_id] = slice(pos, pos + size)
-                pos += size
-            self._groups[key] = (pairs, offsets)
+            self._groups[key] = tuple(p for p in self._pairs if key is None or key in p.target_words)
         return self._groups[key]
 
     def refresh(self, params: ModelParams) -> None:
@@ -151,11 +142,11 @@ class SpanCostStore:
                 key = None if params.variant == "proper" else params.inventory.owner[f]
                 stale.setdefault(key, []).append(f)
         for key, fs in stale.items():
-            pairs, offsets = self._group(key)
+            pairs = self._group(key)
             protos = [params.prototypes[f] for f in fs]
             cands = [self._candidates[pair.utt_id] for pair in pairs]
-            for f, proto, costs in zip(fs, protos, span_cost_rows(protos, pairs, cands)):
-                self._entries[f] = (proto, costs, offsets)
+            for f, proto, rows in zip(fs, protos, span_cost_rows(protos, pairs, cands)):
+                self._entries[f] = (proto, rows)
 
     def serves(self, corpus: Corpus, candidates_map, mu_map, distortion: DistortionParams) -> bool:
         """Whether this store was built for exactly these utterances, tables and distortion."""
@@ -164,8 +155,7 @@ class SpanCostStore:
 
     def row(self, f: int, utt_id: str) -> np.ndarray:
         """Costs of cluster f on the candidate spans of one utterance."""
-        _, costs, offsets = self._entries[f]
-        return costs[offsets[utt_id]]
+        return self._entries[f][1][utt_id]
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ def make_pair(utt_id="u1", m=6, words=("ab", "cde")):
     )
 
 
-def test_feature_sequence_segment_is_1_indexed_inclusive():
+def test_span_frames_are_readonly_1_indexed_inclusive_view():
     # Span (a, b) is 1-indexed inclusive: its frames are frames[a - 1 : b], a
     # read-only view, so DBA reads the corpus frames without copying them.
     seq = FeatureSequence(np.arange(10, dtype=np.float64).reshape(5, 2))
@@ -263,6 +263,22 @@ def test_corpus_save_load_round_trip(tmp_path):
     assert back.pairs[0].boundaries == (2, 5)
     for utt_id, ga in corpus.gold.items():
         assert back.gold[utt_id].links == ga.links
+
+
+def test_corpus_save_removes_stale_optional_files(tmp_path):
+    old, _ = synth_generate(SynthConfig(seed=0, vocab_size=4, sentences=3))
+    save_corpus(old, tmp_path)
+    assert (tmp_path / "gold.tsv").exists()
+    new, _ = synth_generate(SynthConfig(seed=5, vocab_size=4, sentences=3, bounds=False))
+    assert [p.utt_id for p in new.pairs] == [p.utt_id for p in old.pairs]
+    new = Corpus(tuple(replace(p, energy_track=None) for p in new.pairs), None)
+    save_corpus(new, tmp_path)
+    assert sorted(tmp_path.glob("*.energy")) == sorted(tmp_path.glob("*.bounds")) == []
+    assert not (tmp_path / "gold.tsv").exists()
+    back = load_corpus(tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")
+    for a, b in zip(new.pairs, back.pairs):
+        np.testing.assert_array_equal(a.source.frames, b.source.frames)
+        assert b.energy_track is None and b.boundaries == ()
 
 
 def test_synth_same_seed_bit_identical():

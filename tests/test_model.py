@@ -6,7 +6,7 @@ import pytest
 from spanalign.corpus import Corpus, FeatureSequence, SentencePair
 from spanalign.distortion import DistortionParams, allocate_mu, log_delta_a, log_delta_b
 from spanalign.dtw import candidate_span_costs, dtw_distance
-from spanalign import model
+from spanalign import model, trainer
 from spanalign.model import (
     ClusterInventory,
     ModelParams,
@@ -100,7 +100,7 @@ def test_live_clusters_require_mass_and_prototype():
 def test_deficient_table_is_softmax_of_neg_squared_costs():
     pair, params, candidates = make_setup()
     proto = params.prototypes[0]
-    table = deficient_log_s_table(span_cost_rows([proto], [pair], [candidates])[0])
+    table = deficient_log_s_table(span_cost_rows([proto], [pair], [candidates])[0]["u1"])
     costs = np.asarray(
         [
             dtw_distance(proto.frames, pair.source.frames[a - 1 : b]).normalized_cost
@@ -124,7 +124,7 @@ def test_documented_two_span_softmax():
     candidates = CandidateSpans(((1, 2), (3, 4)))
     c2 = dtw_distance(proto.frames, pair.source.frames[2:4]).normalized_cost
     assert c2 == pytest.approx(1.0)  # |1-0| + |3-0| over (2+2) frames
-    table = np.exp(deficient_log_s_table(span_cost_rows([proto], [pair], [candidates])[0]))
+    table = np.exp(deficient_log_s_table(span_cost_rows([proto], [pair], [candidates])[0]["u"]))
     z = math.e**0 + math.e**-1
     assert table[0] == pytest.approx(1.0 / z, abs=1e-12)
     assert table[1] == pytest.approx(math.e**-1 / z, abs=1e-12)
@@ -195,14 +195,13 @@ def test_span_cost_rows_equal_per_utterance_calls():
         candidates.append(CandidateSpans(tuple(sorted(all_spans[int(j)] for j in picked))))
     protos = [fs(rng.normal(size=(n, 2))) for n in (1, 3, 8)]
     rows = span_cost_rows(protos, pairs, candidates)
+    assert len(rows) == len(protos)
     for proto, costs in zip(protos, rows):
-        pos = 0
+        assert list(costs) == [pair.utt_id for pair in pairs]
         for pair, cands in zip(pairs, candidates):
             want = candidate_span_costs(proto.frames, pair.source.frames, cands.spans)
             # bitwise: laying utterances end to end must not change any cost
-            assert np.array_equal(costs[pos : pos + len(cands)], want)
-            pos += len(cands)
-        assert pos == len(costs)
+            assert np.array_equal(costs[pair.utt_id], want)
 
 
 def test_span_cost_rows_share_one_layout(monkeypatch):
@@ -224,7 +223,33 @@ def test_span_cost_rows_share_one_layout(monkeypatch):
     assert tuple(seen[0][2]) == ((1, 2), (1, 5), (3, 4), (7, 13), (9, 11))
     frames, spans = seen[0][1], tuple(seen[0][2])
     for proto, costs in zip(protos, rows):
-        assert np.array_equal(costs, candidate_span_costs(proto.frames, frames, spans))
+        want = candidate_span_costs(proto.frames, frames, spans)
+        assert np.array_equal(costs["u0"], want[:3])
+        assert np.array_equal(costs["u1"], want[3:])
+
+
+def test_span_cost_rows_without_pairs_are_empty(monkeypatch):
+    pair, params, candidates = make_setup()
+    assert span_cost_rows(params.prototypes, [], []) == [{}, {}]
+    # A deficient E-step reaches this case when the inventory holds a word no utterance has.
+    inventory = ClusterInventory.build(["foo", "bar", "baz"], 1)
+    protos = params.prototypes + (fs(np.zeros((2, 2))),)
+    params = ModelParams(inventory, np.full(3, 1.0 / 3), protos, params.distortion)
+    calls = []
+
+    def spy(protos, pairs, cands):
+        rows = span_cost_rows(protos, pairs, cands)
+        calls.append((tuple(pairs), rows))
+        return rows
+
+    monkeypatch.setattr(trainer, "span_cost_rows", spy)
+    mu_map = {pair.utt_id: allocate_mu(pair.char_lengths, pair.m)}
+    costs = SpanCostStore(Corpus((pair,)), {pair.utt_id: candidates}, mu_map, params.distortion)
+    costs.refresh(params)
+    assert ((), [{}]) in calls
+    clusters, scores = _utterance_scores(pair, params, costs)
+    assert clusters == [(2,), (0,)]  # foo, bar; baz (cluster 1) is scored on no utterance
+    assert np.isfinite(scores).all()
 
 
 def test_effective_mu_clamps_only_single_word():
