@@ -206,7 +206,7 @@ def _load_tables(values: dict, seg_config: SegmentationConfig):
 
 def _run_training(corpus: Corpus, config: TrainConfig, tables, checkpoint_dir: Path | None = None):
     state = train(corpus, config, tables, checkpoint_dir=checkpoint_dir)
-    alignments = final_alignments(corpus, state, tables[0], tables[1])
+    alignments = final_alignments(corpus, state, tables)
     return state, alignments
 
 

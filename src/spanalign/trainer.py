@@ -6,16 +6,18 @@ candidate set, and runs one M-step.  Each EM iteration then alternates
 a per-word independent argmax (E) with relative-frequency priors and
 DBA prototypes (M).
 
-Words are scored on one path.  The distortion depends only on the
-sentence and the run's fixed parameters, so a `SpanCostStore` builds
-each utterance's (words x candidate spans) distortion matrix once per
-run, next to the DTW cost rows.  `_utterance_scores` adds both into one
+Words are scored on one path.  A corpus's `Tables` hold what does not
+depend on lambda: each utterance's candidate spans and mu, and the DTW
+cost rows of the live clusters.  Lambda enters only through the
+distortion (Dyer et al. 2013), so `distortion_rows` builds each
+utterance's (words x candidate spans) distortion matrix once per run,
+and it rides on `TrainState`.  `_utterance_scores` adds both into one
 (words x spans x clusters) array per utterance, which the E-step's
 argmax and final scoring read; the initializer reads the distortion.
 
 Work that cannot change is not redone: a cluster whose member list is
 unchanged keeps its prototype object (DBA is deterministic in its
-members), and the store keeps each cluster's DTW cost rows while its
+members), and the tables keep each cluster's DTW cost rows while its
 prototype object is the same.  Outputs are the same as recomputing
 everything.
 """
@@ -83,11 +85,11 @@ class IterationStats:
     seconds: float
 
 
-class SpanCostStore:
-    """One run's distortion matrices, and the DTW cost rows of its live clusters.
+class Tables:
+    """One corpus's candidate spans and mu, and the DTW cost rows of its live clusters.
 
-    `delta[utt_id][i - 1]` is log delta_a(a) + log delta_b(b) of word i
-    on the candidate spans (a, b), built once for `distortion`.
+    Nothing here depends on lambda, so every run on the corpus can share
+    one `Tables`; `distortion_rows` builds the per-lambda part.
 
     A deficient cluster is scored on the utterances that contain its
     word; a proper cluster on every utterance, since the normalizer runs
@@ -97,23 +99,10 @@ class SpanCostStore:
     longer live, and drops every row when the variant changes.
     """
 
-    def __init__(self, corpus: Corpus, candidates_map, mu_map, distortion: DistortionParams):
-        self._pairs = corpus.pairs
-        self._candidates = candidates_map
-        self._mu = mu_map
-        self.distortion = distortion
-        self.delta: dict[str, np.ndarray] = {}
-        for pair in corpus:
-            cands = candidates_map[pair.utt_id]
-            rows = np.zeros((pair.l, len(cands)))  # a single frame admits a single span
-            if pair.m > 1:
-                starts, ends = np.array(cands.spans).T
-                for i, mu_i in enumerate(mu_map[pair.utt_id], start=1):
-                    mu = effective_mu(mu_i, pair.l, pair.m)
-                    la = log_delta_a(i, pair.l, pair.m, mu, distortion)
-                    lb = log_delta_b(i, pair.l, pair.m, mu, distortion)
-                    rows[i - 1] = la[starts] + lb[ends]
-            self.delta[pair.utt_id] = rows
+    def __init__(self, corpus: Corpus, candidates: dict[str, CandidateSpans]):
+        self.corpus = corpus
+        self.candidates = candidates
+        self.mu = {pair.utt_id: allocate_mu(pair.char_lengths, pair.m) for pair in corpus}
         self.live: dict[int, None] = {}  # live clusters in id order
         self._variant: str | None = None
         # group key (word, or None for every utterance) -> its pairs
@@ -121,15 +110,18 @@ class SpanCostStore:
         # cluster -> (prototype the rows belong to, utt_id -> cost row)
         self._entries: dict[int, tuple[FeatureSequence, dict[str, np.ndarray]]] = {}
 
+    def check(self, corpus: Corpus) -> None:
+        """Refuse a corpus whose pairs are not the ones these tables were built for."""
+        if corpus.pairs is not self.corpus.pairs:
+            raise ValueError("tables were built for another corpus")
+
     def _group(self, key: str | None) -> tuple[SentencePair, ...]:
         if key not in self._groups:
-            self._groups[key] = tuple(p for p in self._pairs if key is None or key in p.target_words)
+            self._groups[key] = tuple(p for p in self.corpus if key is None or key in p.target_words)
         return self._groups[key]
 
     def refresh(self, params: ModelParams) -> None:
         """Make `row` and `live` answer for `params`, computing only what changed."""
-        if params.distortion != self.distortion:
-            raise ValueError("cost store was built for other distortion parameters")
         live = self.live = dict.fromkeys(params.live_clusters())
         entries = self._entries if params.variant == self._variant else {}
         self._variant = params.variant
@@ -144,14 +136,9 @@ class SpanCostStore:
         for key, fs in stale.items():
             pairs = self._group(key)
             protos = [params.prototypes[f] for f in fs]
-            cands = [self._candidates[pair.utt_id] for pair in pairs]
+            cands = [self.candidates[pair.utt_id] for pair in pairs]
             for f, proto, rows in zip(fs, protos, span_cost_rows(protos, pairs, cands)):
                 self._entries[f] = (proto, rows)
-
-    def serves(self, corpus: Corpus, candidates_map, mu_map, distortion: DistortionParams) -> bool:
-        """Whether this store was built for exactly these utterances, tables and distortion."""
-        same = self._pairs is corpus.pairs and self._candidates is candidates_map
-        return same and self._mu is mu_map and self.distortion == distortion
 
     def row(self, f: int, utt_id: str) -> np.ndarray:
         """Costs of cluster f on the candidate spans of one utterance."""
@@ -163,25 +150,40 @@ class TrainState:
     params: ModelParams
     assignments: dict[str, tuple[Assignment, ...]]
     iteration_log: tuple[IterationStats, ...]
-    # The run's SpanCostStore, when training left it behind.
-    costs: SpanCostStore | None = field(default=None, compare=False, repr=False)
+    # distortion_rows(tables, params.distortion), built once per run
+    delta: dict[str, np.ndarray] = field(compare=False, repr=False)
 
 
-def build_tables(
-    corpus: Corpus, seg_config: SegmentationConfig
-) -> tuple[dict[str, CandidateSpans], dict[str, tuple[int, ...]]]:
-    """Candidate spans and mu allocations per utterance."""
-    candidates_map = {}
-    mu_map = {}
+def build_tables(corpus: Corpus, seg_config: SegmentationConfig) -> Tables:
+    """The corpus's tables: candidate spans and mu allocations per utterance."""
+    candidates = {}
     for pair in corpus:
         if pair.m < pair.l:
             raise TrainError(
                 f"{pair.utt_id}: {pair.m} frames cannot cover {pair.l} words"
             )
-        spans, _ = candidate_spans(pair, seg_config)
-        candidates_map[pair.utt_id] = spans
-        mu_map[pair.utt_id] = allocate_mu(pair.char_lengths, pair.m)
-    return candidates_map, mu_map
+        candidates[pair.utt_id], _ = candidate_spans(pair, seg_config)
+    return Tables(corpus, candidates)
+
+
+def distortion_rows(tables: Tables, distortion: DistortionParams) -> dict[str, np.ndarray]:
+    """Each utterance's (words x candidate spans) log delta_a(a) + log delta_b(b).
+
+    This is the only part of a word's score that depends on lambda.
+    """
+    delta = {}
+    for pair in tables.corpus:
+        spans = tables.candidates[pair.utt_id].spans
+        rows = np.zeros((pair.l, len(spans)))  # a single frame admits a single span
+        if pair.m > 1:
+            starts, ends = np.array(spans).T
+            for i, mu_i in enumerate(tables.mu[pair.utt_id], start=1):
+                mu = effective_mu(mu_i, pair.l, pair.m)
+                la = log_delta_a(i, pair.l, pair.m, mu, distortion)
+                lb = log_delta_b(i, pair.l, pair.m, mu, distortion)
+                rows[i - 1] = la[starts] + lb[ends]
+        delta[pair.utt_id] = rows
+    return delta
 
 
 def effective_mu(mu_i: int, l: int, m: int) -> int:
@@ -191,7 +193,7 @@ def effective_mu(mu_i: int, l: int, m: int) -> int:
 
 
 def _utterance_scores(
-    pair: SentencePair, params: ModelParams, costs: SpanCostStore
+    pair: SentencePair, params: ModelParams, tables: Tables, delta: np.ndarray
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Each word's clusters, and its scores on every (candidate span, cluster).
 
@@ -201,20 +203,20 @@ def _utterance_scores(
     or log s(f | a, b) + log delta (proper, normalized over every live
     cluster on this utterance).  Dead clusters score -inf.  Spans are
     major and clusters minor, so a first argmax over word i's (s, j)
-    prefers the smaller start, then end, then cluster id.  `costs` must
-    be refreshed for `params`.
+    prefers the smaller start, then end, then cluster id.  `tables` must
+    be refreshed for `params`, and `delta` is this utterance's
+    distortion rows.
     """
     clusters = [params.inventory.clusters[word] for word in pair.target_words]
     if params.variant == "proper":
-        rows = proper_log_s_rows({f: costs.row(f, pair.utt_id) for f in costs.live}) if costs.live else {}
+        rows = proper_log_s_rows({f: tables.row(f, pair.utt_id) for f in tables.live}) if tables.live else {}
     else:
         rows = {
-            f: math.log(params.u[f]) + deficient_log_s_table(costs.row(f, pair.utt_id))
+            f: math.log(params.u[f]) + deficient_log_s_table(tables.row(f, pair.utt_id))
             for fs in dict.fromkeys(clusters)
             for f in fs
-            if f in costs.live
+            if f in tables.live
         }
-    delta = costs.delta[pair.utt_id]
     dead = np.full(delta.shape[1], -np.inf)
     table = np.stack([rows.get(f, dead) for fs in clusters for f in fs])  # (words * k, spans)
     return clusters, table.reshape(pair.l, -1, delta.shape[1]).transpose(0, 2, 1) + delta[:, :, None]
@@ -223,29 +225,30 @@ def _utterance_scores(
 def _align_pair(
     pair: SentencePair,
     params: ModelParams,
-    candidates: CandidateSpans,
+    tables: Tables,
+    delta: np.ndarray,
     prev: tuple[Assignment, ...] | None,
-    costs: SpanCostStore,
 ) -> tuple[tuple[Assignment, ...], float]:
     """Per-word independent argmax over (span, cluster), one argmax per utterance.
 
     A word without a live cluster keeps its previous assignment; with
     none to keep, it is an error.
     """
-    clusters, scores = _utterance_scores(pair, params, costs)
+    clusters, scores = _utterance_scores(pair, params, tables, delta)
+    spans = tables.candidates[pair.utt_id].spans
     flat = scores.reshape(pair.l, -1)
     best = flat.argmax(axis=1)
     maxima = flat[np.arange(pair.l), best].tolist()
     out = []
     total = 0.0
     for i, (fs, pick, score) in enumerate(zip(clusters, best.tolist(), maxima)):
-        if not any(f in costs.live for f in fs):
+        if not any(f in tables.live for f in fs):
             if prev is None:
                 raise TrainError(f"{pair.utt_id}: word {i + 1} has no live cluster")
             out.append(prev[i])
             continue
         ci, j = divmod(pick, len(fs))
-        out.append((fs[j], *candidates.spans[ci]))
+        out.append((fs[j], *spans[ci]))
         total += score
     return tuple(out), total
 
@@ -253,21 +256,22 @@ def _align_pair(
 def _score_assignments(
     corpus: Corpus,
     params: ModelParams,
-    candidates_map: dict[str, CandidateSpans],
+    tables: Tables,
+    delta: dict[str, np.ndarray],
     assignments: dict[str, tuple[Assignment, ...]],
-    costs: SpanCostStore,
 ) -> dict[str, Alignment]:
     """Score every utterance's fixed assignment under `params`, in corpus order.
 
     Another word's cluster, a dead cluster or a span outside the candidate
     set scores -inf.
     """
-    costs.refresh(params)
+    tables.check(corpus)
+    tables.refresh(params)
     out = {}
     for pair in corpus:
         assignment = assignments[pair.utt_id]
-        clusters, scores = _utterance_scores(pair, params, costs)
-        index = {span: s for s, span in enumerate(candidates_map[pair.utt_id].spans)}
+        clusters, scores = _utterance_scores(pair, params, tables, delta[pair.utt_id])
+        index = {span: s for s, span in enumerate(tables.candidates[pair.utt_id].spans)}
         spans = np.array([index.get((a, b), -1) for _, a, b in assignment])
         hit = np.array(clusters) == np.array([f for f, _, _ in assignment])[:, None]
         picked = scores[np.arange(pair.l), spans, hit.argmax(axis=1)]
@@ -280,26 +284,21 @@ def _score_assignments(
 def e_step(
     corpus: Corpus,
     params: ModelParams,
-    candidates_map: dict[str, CandidateSpans],
-    mu_map: dict[str, tuple[int, ...]],
+    tables: Tables,
+    delta: dict[str, np.ndarray],
     prev_assignments: dict[str, tuple[Assignment, ...]] | None = None,
-    *,
-    costs: SpanCostStore | None = None,
 ) -> tuple[dict[str, tuple[Assignment, ...]], float]:
     """Re-align every word; returns the new assignments and their total log score.
 
-    `costs` carries the run's store over from earlier passes.
+    `delta` is `distortion_rows(tables, params.distortion)`.
     """
-    if costs is None:
-        costs = SpanCostStore(corpus, candidates_map, mu_map, params.distortion)
-    costs.refresh(params)
+    tables.check(corpus)
+    tables.refresh(params)
     assignments = {}
     total = 0.0
     for pair in corpus:
         prev = prev_assignments.get(pair.utt_id) if prev_assignments else None
-        assignments[pair.utt_id], score = _align_pair(
-            pair, params, candidates_map[pair.utt_id], prev, costs
-        )
+        assignments[pair.utt_id], score = _align_pair(pair, params, tables, delta[pair.utt_id], prev)
         total += score
     return assignments, total
 
@@ -355,28 +354,25 @@ def m_step(
     )
 
 
-def initialize(
-    corpus: Corpus,
-    config: TrainConfig,
-    candidates_map: dict[str, CandidateSpans],
-    mu_map: dict[str, tuple[int, ...]],
-) -> TrainState:
+def initialize(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainState:
     """Random clusters, distortion-argmax spans, then one M-step.
 
-    The run's `SpanCostStore` serves the distortion argmax, then keeps
-    the cost rows of the iteration-0 score for the first E-step.
+    Builds the run's distortion rows, which serve the distortion argmax
+    here and every later pass; scoring iteration 0 leaves the cost rows
+    in `tables` for the first E-step.
     """
+    tables.check(corpus)
     started = time.perf_counter()
     word_types = sorted({w for pair in corpus for w in pair.target_words})
     inventory = ClusterInventory.build(word_types, config.k)
     dparams = DistortionParams(p0=config.p0, lam=config.lam)
     rng = np.random.default_rng(config.seed)
-    costs = SpanCostStore(corpus, candidates_map, mu_map, dparams)
+    delta = distortion_rows(tables, dparams)
 
     assignments = {}
     for pair in corpus:
-        spans = candidates_map[pair.utt_id].spans
-        best = costs.delta[pair.utt_id].argmax(axis=1).tolist()
+        spans = tables.candidates[pair.utt_id].spans
+        best = delta[pair.utt_id].argmax(axis=1).tolist()
         assignments[pair.utt_id] = tuple(  # one draw per word, in word order
             (inventory.clusters[word][int(rng.integers(0, config.k))], *spans[ci])
             for word, ci in zip(pair.target_words, best)
@@ -392,63 +388,43 @@ def initialize(
     params = m_step(corpus, assignments, config, blank)
 
     total = 0.0
-    for alignment in _score_assignments(corpus, params, candidates_map, assignments, costs).values():
+    for alignment in _score_assignments(corpus, params, tables, delta, assignments).values():
         total += sum(w.log_score for w in alignment.words)
     log = IterationStats(0, total, time.perf_counter() - started)
-    return TrainState(params=params, assignments=assignments, iteration_log=(log,), costs=costs)
+    return TrainState(params=params, assignments=assignments, iteration_log=(log,), delta=delta)
 
 
 def train(
     corpus: Corpus,
     config: TrainConfig,
-    tables: tuple[dict[str, CandidateSpans], dict[str, tuple[int, ...]]],
+    tables: Tables,
     checkpoint_dir: Path | str | None = None,
 ) -> TrainState:
-    """Initialization followed by `iterations` rounds of (E-step, M-step).
-
-    `tables` is the (candidate spans, mu) pair from `build_tables`.
-    """
-    candidates_map, mu_map = tables
-    state = initialize(corpus, config, candidates_map, mu_map)
+    """Initialization followed by `iterations` rounds of (E-step, M-step)."""
+    state = initialize(corpus, config, tables)
     if checkpoint_dir is not None:
         Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
         save_params(state.params, Path(checkpoint_dir) / "checkpoint_iter00.json")
 
     params = state.params
     assignments = state.assignments
-    costs = state.costs
     log = list(state.iteration_log)
     for it in range(1, config.iterations + 1):
         started = time.perf_counter()
         prev_assignments = assignments
-        assignments, total = e_step(
-            corpus,
-            params,
-            candidates_map,
-            mu_map,
-            prev_assignments=prev_assignments,
-            costs=costs,
-        )
+        # perfbench's e_step hook binds four positional arguments, then prev_assignments by name
+        assignments, total = e_step(corpus, params, tables, state.delta, prev_assignments=prev_assignments)
         params = m_step(corpus, assignments, config, params, prev_assignments=prev_assignments)
         log.append(IterationStats(it, total, time.perf_counter() - started))
         if checkpoint_dir is not None:
             save_params(params, Path(checkpoint_dir) / f"checkpoint_iter{it:02d}.json")
-    return TrainState(params=params, assignments=assignments, iteration_log=tuple(log), costs=costs)
+    return TrainState(params=params, assignments=assignments, iteration_log=tuple(log), delta=state.delta)
 
 
-def final_alignments(
-    corpus: Corpus,
-    state: TrainState,
-    candidates_map: dict[str, CandidateSpans],
-    mu_map: dict[str, tuple[int, ...]],
-) -> dict[str, Alignment]:
+def final_alignments(corpus: Corpus, state: TrainState, tables: Tables) -> dict[str, Alignment]:
     """Score the final assignments under the final parameters for reporting.
 
-    Reuses the store that training left in `state.costs` when it was
-    built for this corpus, these tables and this distortion.
+    Reads the run's distortion rows from `state` and the cost rows that
+    training left in `tables`.
     """
-    costs = state.costs
-    distortion = state.params.distortion
-    if costs is None or not costs.serves(corpus, candidates_map, mu_map, distortion):
-        costs = SpanCostStore(corpus, candidates_map, mu_map, distortion)
-    return _score_assignments(corpus, state.params, candidates_map, state.assignments, costs)
+    return _score_assignments(corpus, state.params, tables, state.delta, state.assignments)

@@ -21,9 +21,11 @@ from spanalign.dtw import dba_centroid, dtw_distance
 from spanalign.evalkit import evaluate, naive_baseline
 from spanalign.segmentation import SegmentationConfig
 from spanalign.trainer import (
+    Tables,
     TrainConfig,
     TrainState,
     build_tables,
+    distortion_rows,
     e_step,
     final_alignments,
     train,
@@ -79,7 +81,7 @@ def noisy_run(tmp_path_factory):
     corpus = _load_normalized(corpus_dir)
     tables = build_tables(corpus, SegmentationConfig())
     state = train(corpus, TrainConfig(), tables=tables)
-    alignments = final_alignments(corpus, state, *tables)
+    alignments = final_alignments(corpus, state, tables)
     seconds = time.perf_counter() - started
     return corpus, tables, state, alignments, seconds
 
@@ -139,8 +141,9 @@ def test_e_step_equals_exhaustive_argmax(variant):
         pair, params, candidates, mu = _tiny_instance(rng, variant)
         from spanalign.corpus import Corpus
 
+        tables = Tables(Corpus((pair,)), {"tiny": candidates})
         assignments, total = e_step(
-            Corpus((pair,)), params, {"tiny": candidates}, {"tiny": mu}
+            tables.corpus, params, tables, distortion_rows(tables, params.distortion)
         )
         expected = 0.0
         for i, word in enumerate(pair.target_words, start=1):
@@ -178,14 +181,13 @@ def test_noisy_recovery_beats_character_length_baseline(noisy_run):
 def test_deficient_variant_outscores_proper_with_shared_prototypes(noisy_run):
     started = time.perf_counter()
     corpus, tables, state, _, train_seconds = noisy_run
-    candidates_map, mu_map = tables
 
     def realign_f(params):
         assignments, _ = e_step(
-            corpus, params, candidates_map, mu_map, prev_assignments=state.assignments
+            corpus, params, tables, state.delta, prev_assignments=state.assignments
         )
-        probe = TrainState(params=params, assignments=assignments, iteration_log=())
-        alignments = final_alignments(corpus, probe, candidates_map, mu_map)
+        probe = TrainState(params=params, assignments=assignments, iteration_log=(), delta=state.delta)
+        alignments = final_alignments(corpus, probe, tables)
         return evaluate(alignments, corpus.gold, corpus).f_score
 
     deficient_f = realign_f(state.params)

@@ -1,7 +1,8 @@
 """The traced work counts of an align on the smoke corpora are pinned.
 
 perfbench counts DP cells, pairwise DTW calls, DBA members, span-cost
-calls and span tables from call arguments and results.  A change that
+calls and span tables from call arguments and results, and per EM
+iteration the assignments changed and the live clusters.  A change that
 only makes the same work faster must leave every one of these counts
 as it is; this test installs the benchmark's tracer in-process on the
 8-sentence seed-0 smoke corpora and compares them with recorded values.
@@ -34,6 +35,12 @@ EXPECTED = {
     },
 }
 
+# Per EM iteration: words whose (cluster, span) changed, and live clusters.
+PER_ITERATION = {
+    "smoke": {"assignments_changed": [31, 1, 0], "live_clusters": [12, 6, 6]},
+    "smoke-proper": {"assignments_changed": [37, 10, 3], "live_clusters": [12, 7, 7]},
+}
+
 
 @pytest.mark.parametrize("workload", sorted(EXPECTED))
 def test_traced_work_counts(tmp_path, workload):
@@ -61,3 +68,4 @@ def test_traced_work_counts(tmp_path, workload):
     counts["dtw.span_costs_calls"] = tracer.calls["model.candidate_span_costs"]
     counts["dtw.dba_calls"] = tracer.calls["trainer.dba_centroid"]
     assert counts == EXPECTED[workload]
+    assert tracer.per_iteration == PER_ITERATION[workload]

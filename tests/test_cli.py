@@ -20,6 +20,7 @@ from spanalign.dtw import dtw_distance
 from spanalign.evalkit import alignment_to_links
 from spanalign.model import Alignment, SynthConfig, WordAlignment
 from spanalign.segmentation import SegmentationConfig
+from spanalign import trainer
 from spanalign.trainer import TrainConfig
 
 SYNTH_SMALL = [
@@ -330,6 +331,47 @@ def test_grid_selects_lambda_on_dev(tmp_path, capsys):
     assert rows[4].startswith("test_f\t")
     selected = float(rows[3].split("\t")[1])
     assert selected in (0.3, 0.5)
+
+
+def test_grid_does_lambda_independent_work_once(tmp_path, monkeypatch):
+    # Candidate spans do not depend on lambda: grid builds them once per
+    # utterance for every lambda, and each lambda's distortion rows once per word.
+    corpus_dir = tmp_path / "corpus"
+    assert main(["synth", "--output", str(corpus_dir), "--seed", "0", "--sentences", "8"]) == 0
+    ids = (corpus_dir / "manifest.txt").read_text().split()
+    (tmp_path / "dev.txt").write_text("\n".join(ids[:4]) + "\n")
+    (tmp_path / "test.txt").write_text("\n".join(ids[4:]) + "\n")
+    spans_for, delta_lams = [], []
+    candidate_spans, log_delta_a = trainer.candidate_spans, trainer.log_delta_a
+
+    def counted_spans(pair, *args, **kwargs):
+        spans_for.append(pair.utt_id)
+        return candidate_spans(pair, *args, **kwargs)
+
+    def counted_delta(i, l, m, mu, distortion):
+        delta_lams.append(distortion.lam)
+        return log_delta_a(i, l, m, mu, distortion)
+
+    monkeypatch.setattr(trainer, "candidate_spans", counted_spans)
+    monkeypatch.setattr(trainer, "log_delta_a", counted_delta)
+    code = main(
+        [
+            "grid",
+            "--manifest", str(corpus_dir / "manifest.txt"),
+            "--features", str(corpus_dir),
+            "--translations", str(corpus_dir / "translations.txt"),
+            "--gold", str(corpus_dir / "gold.tsv"),
+            "--output", str(tmp_path / "grid"),
+            "--dev-manifest", str(tmp_path / "dev.txt"),
+            "--test-manifest", str(tmp_path / "test.txt"),
+            "--lambda-grid", "0.3,1.0,2.0",
+            "--iterations", "1",
+        ]
+    )
+    assert code == 0
+    assert spans_for == ids
+    words = len((corpus_dir / "translations.txt").read_text().split())
+    assert delta_lams == [0.3] * words + [1.0] * words + [2.0] * words
 
 
 def _grid_on_splits(tmp_path, capsys, dev_text, test_text):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spanalign.corpus import Corpus, FeatureSequence, SentencePair
-from spanalign.distortion import DistortionParams, allocate_mu, log_delta_a, log_delta_b
+from spanalign.distortion import DistortionParams, log_delta_a, log_delta_b
 from spanalign.dtw import candidate_span_costs, dtw_distance
 from spanalign import model, trainer
 from spanalign.model import (
@@ -17,7 +17,7 @@ from spanalign.model import (
     span_cost_rows,
 )
 from spanalign.segmentation import CandidateSpans
-from spanalign.trainer import SpanCostStore, _utterance_scores, effective_mu
+from spanalign.trainer import Tables, _utterance_scores, distortion_rows, effective_mu
 
 from oracles import span_log_delta, word_log_score
 
@@ -132,16 +132,15 @@ def test_documented_two_span_softmax():
 
 def _proper_rows(params, pair, candidates):
     """log s(f | a, b) per live cluster f, read from the trainer's word scores less distortion."""
-    mu_map = {pair.utt_id: allocate_mu(pair.char_lengths, pair.m)}
-    costs = SpanCostStore(Corpus((pair,)), {pair.utt_id: candidates}, mu_map, params.distortion)
-    costs.refresh(params)
-    clusters, scores = _utterance_scores(pair, params, costs)
-    delta = costs.delta[pair.utt_id]
+    tables = Tables(Corpus((pair,)), {pair.utt_id: candidates})
+    tables.refresh(params)
+    delta = distortion_rows(tables, params.distortion)[pair.utt_id]
+    clusters, scores = _utterance_scores(pair, params, tables, delta)
     return {
         f: scores[i, :, j] - delta[i]
         for i, fs in enumerate(clusters)
         for j, f in enumerate(fs)
-        if f in costs.live
+        if f in tables.live
     }
 
 
@@ -243,11 +242,11 @@ def test_span_cost_rows_without_pairs_are_empty(monkeypatch):
         return rows
 
     monkeypatch.setattr(trainer, "span_cost_rows", spy)
-    mu_map = {pair.utt_id: allocate_mu(pair.char_lengths, pair.m)}
-    costs = SpanCostStore(Corpus((pair,)), {pair.utt_id: candidates}, mu_map, params.distortion)
-    costs.refresh(params)
+    tables = Tables(Corpus((pair,)), {pair.utt_id: candidates})
+    tables.refresh(params)
     assert ((), [{}]) in calls
-    clusters, scores = _utterance_scores(pair, params, costs)
+    delta = distortion_rows(tables, params.distortion)[pair.utt_id]
+    clusters, scores = _utterance_scores(pair, params, tables, delta)
     assert clusters == [(2,), (0,)]  # foo, bar; baz (cluster 1) is scored on no utterance
     assert np.isfinite(scores).all()
 

@@ -17,11 +17,12 @@ from spanalign.evalkit import evaluate
 from spanalign.model import ClusterInventory, ModelParams, SynthConfig, load_params, synth_generate
 from spanalign.segmentation import CandidateSpans, SegmentationConfig
 from spanalign.trainer import (
-    SpanCostStore,
+    Tables,
     TrainConfig,
     TrainError,
     TrainState,
     build_tables,
+    distortion_rows,
     e_step,
     final_alignments,
     initialize,
@@ -71,13 +72,19 @@ def _tiny_instance(rng, variant):
     return pair, params, candidates, mu
 
 
+def _e_step(corpus, params, candidates, prev=None):
+    """One E-step through fresh tables for hand-made candidates."""
+    tables = Tables(corpus, candidates)
+    return e_step(corpus, params, tables, distortion_rows(tables, params.distortion), prev)
+
+
 @pytest.mark.parametrize("variant", ["deficient", "proper"])
 def test_e_step_matches_brute_force(variant):
     rng = np.random.default_rng(7 if variant == "deficient" else 8)
     for _ in range(25):
         pair, params, candidates, mu = _tiny_instance(rng, variant)
         corpus = Corpus((pair,))
-        assignments, total = e_step(corpus, params, {"tiny": candidates}, {"tiny": mu})
+        assignments, total = _e_step(corpus, params, {"tiny": candidates})
 
         expected_total = 0.0
         for i, word in enumerate(pair.target_words, start=1):
@@ -98,10 +105,12 @@ def test_final_alignments_scores_match_reference(variant):
     for _ in range(25):
         pair, params, candidates, mu = _tiny_instance(rng, variant)
         corpus = Corpus((pair,))
+        tables = Tables(corpus, {"tiny": candidates})
+        delta = distortion_rows(tables, params.distortion)
         for f in range(params.inventory.n_clusters):
             for a, b in candidates.spans:
-                state = TrainState(params, {"tiny": ((f, a, b),) * pair.l}, ())
-                alignment = final_alignments(corpus, state, {"tiny": candidates}, {"tiny": mu})["tiny"]
+                state = TrainState(params, {"tiny": ((f, a, b),) * pair.l}, (), delta)
+                alignment = final_alignments(corpus, state, tables)["tiny"]
                 for i, (word, entry) in enumerate(zip(pair.target_words, alignment.words), start=1):
                     want = word_log_score(i, word, f, a, b, pair, params, candidates, mu[i - 1])
                     if f not in params.inventory.clusters[word]:
@@ -126,10 +135,10 @@ def _small_corpus(seed=1, sentences=6):
 
 def test_build_tables_mu_covers_frames():
     corpus = _small_corpus()
-    candidates_map, mu_map = build_tables(corpus, SegmentationConfig())
-    assert set(candidates_map) == {p.utt_id for p in corpus}
+    tables = build_tables(corpus, SegmentationConfig())
+    assert set(tables.candidates) == {p.utt_id for p in corpus}
     for pair in corpus:
-        mu = mu_map[pair.utt_id]
+        mu = tables.mu[pair.utt_id]
         assert len(mu) == pair.l
         assert sum(mu) == pair.m
         assert all(v >= 1 for v in mu)
@@ -145,11 +154,11 @@ def test_build_tables_rejects_short_utterance():
 def test_initialize_spans_come_from_candidates():
     corpus = _small_corpus()
     tables = build_tables(corpus, SegmentationConfig())
-    state = initialize(corpus, TrainConfig(), *tables)
+    state = initialize(corpus, TrainConfig(), tables)
     assert len(state.iteration_log) == 1
     assert state.iteration_log[0].iteration == 0
     for pair in corpus:
-        spans = set(tables[0][pair.utt_id].spans)
+        spans = set(tables.candidates[pair.utt_id].spans)
         entry = state.assignments[pair.utt_id]
         assert len(entry) == pair.l
         for f, a, b in entry:
@@ -160,8 +169,8 @@ def test_initialize_spans_come_from_candidates():
 def test_initialize_is_deterministic():
     corpus = _small_corpus()
     tables = build_tables(corpus, SegmentationConfig())
-    s1 = initialize(corpus, TrainConfig(seed=3), *tables)
-    s2 = initialize(corpus, TrainConfig(seed=3), *tables)
+    s1 = initialize(corpus, TrainConfig(seed=3), tables)
+    s2 = initialize(corpus, TrainConfig(seed=3), tables)
     assert s1.assignments == s2.assignments
     assert np.array_equal(s1.params.u, s2.params.u)
     assert s1.iteration_log[0].total_log_score == s2.iteration_log[0].total_log_score
@@ -171,14 +180,14 @@ def test_e_step_never_decreases_word_scores():
     # Holding params fixed, the per-word argmax can only improve on the
     # previous choice, which is itself inside the searched set.
     corpus = _small_corpus()
-    candidates_map, mu_map = build_tables(corpus, SegmentationConfig())
-    state = initialize(corpus, TrainConfig(), candidates_map, mu_map)
+    tables = build_tables(corpus, SegmentationConfig())
+    state = initialize(corpus, TrainConfig(), tables)
     new_assignments, _ = e_step(
-        corpus, state.params, candidates_map, mu_map, prev_assignments=state.assignments
+        corpus, state.params, tables, state.delta, prev_assignments=state.assignments
     )
     for pair in corpus:
-        candidates = candidates_map[pair.utt_id]
-        mu = mu_map[pair.utt_id]
+        candidates = tables.candidates[pair.utt_id]
+        mu = tables.mu[pair.utt_id]
         for i, word in enumerate(pair.target_words, start=1):
             old = word_log_score(
                 i, word, *state.assignments[pair.utt_id][i - 1], pair, state.params, candidates, mu[i - 1]
@@ -208,7 +217,7 @@ def test_e_step_tie_order_matches_brute_force(variant):
     )
     candidates = CandidateSpans(tuple((a, b) for a in range(1, 13) for b in range(a, min(a + 5, 12) + 1)))
     mu = allocate_mu(pair.char_lengths, pair.m)
-    assignments, _ = e_step(Corpus((pair,)), params, {"t": candidates}, {"t": mu})
+    assignments, _ = _e_step(Corpus((pair,)), params, {"t": candidates})
 
     for i, word in enumerate(pair.target_words, start=1):
         score, triple = brute_force_word_argmax(i, word, pair, params, candidates, mu[i - 1], word_log_score)
@@ -234,11 +243,11 @@ def test_e_step_dead_word_keeps_previous_assignment():
     )
     candidates = CandidateSpans(((1, 2), (3, 4)))
     prev = {"t": ((0, 3, 4),)}
-    assignments, total = e_step(Corpus((pair,)), params, {"t": candidates}, {"t": (4,)}, prev)
+    assignments, total = _e_step(Corpus((pair,)), params, {"t": candidates}, prev)
     assert assignments["t"] == ((0, 3, 4),)
     assert total == 0.0
     with pytest.raises(TrainError, match="no live cluster"):
-        e_step(Corpus((pair,)), params, {"t": candidates}, {"t": (4,)})
+        _e_step(Corpus((pair,)), params, {"t": candidates})
 
 
 def test_m_step_relative_frequencies():
@@ -285,7 +294,7 @@ def _count_calls(monkeypatch, name):
 def test_m_step_keeps_prototype_of_unchanged_cluster(monkeypatch):
     corpus = _small_corpus()
     tables = build_tables(corpus, SegmentationConfig())
-    state = initialize(corpus, TrainConfig(), *tables)
+    state = initialize(corpus, TrainConfig(), tables)
     before = state.assignments
     # Move one word to the other cluster of its type: exactly two member lists change.
     pair = corpus.pairs[0]
@@ -320,7 +329,7 @@ def test_m_step_keeps_prototype_of_unchanged_cluster(monkeypatch):
 def test_cost_rows_follow_prototype_objects(monkeypatch, variant):
     corpus = _small_corpus()
     tables = build_tables(corpus, SegmentationConfig())
-    params = initialize(corpus, TrainConfig(variant=variant), *tables).params
+    params = initialize(corpus, TrainConfig(variant=variant), tables).params
     live = params.live_clusters()
     batches = _count_calls(monkeypatch, "span_cost_rows")
 
@@ -334,13 +343,13 @@ def test_cost_rows_follow_prototype_objects(monkeypatch, variant):
         protos[f] = proto
         return ModelParams(params.inventory, u, tuple(protos), params.distortion, variant)
 
-    store = SpanCostStore(corpus, *tables, params.distortion)
+    store = Tables(corpus, tables.candidates)
     store.refresh(params)
     assert sorted(map(id, computed())) == sorted(id(params.prototypes[f]) for f in live)
-    # The distortion matrices belong to one lambda; a store is never read under another.
+    # Cost rows do not depend on lambda: a refresh under another one computes none.
     other = ModelParams(params.inventory, params.u, params.prototypes, DistortionParams(lam=2.0), variant)
-    with pytest.raises(ValueError, match="distortion"):
-        store.refresh(other)
+    store.refresh(other)
+    assert computed() == []
     store.refresh(params)
     assert computed() == []
 
@@ -351,7 +360,7 @@ def test_cost_rows_follow_prototype_objects(monkeypatch, variant):
     store.refresh(changed)
     assert computed() == [copy]
     for pair in corpus:
-        spans = tables[0][pair.utt_id].spans
+        spans = tables.candidates[pair.utt_id].spans
         for g in live:
             if variant == "proper" or params.inventory.owner[g] in pair.target_words:
                 want = candidate_span_costs(changed.prototypes[g].frames, pair.source.frames, spans)
@@ -372,11 +381,14 @@ def test_train_reuse_matches_recomputing_everything(variant):
     config = TrainConfig(iterations=4, variant=variant)
     state = train(corpus, config, tables=tables)
 
-    ref = initialize(corpus, config, *tables)
+    def fresh_tables():
+        return Tables(corpus, tables.candidates)
+
+    ref = initialize(corpus, config, fresh_tables())
     params, assignments = ref.params, ref.assignments
     totals = [ref.iteration_log[0].total_log_score]
     for _ in range(config.iterations):
-        assignments, total = e_step(corpus, params, *tables, prev_assignments=assignments)
+        assignments, total = e_step(corpus, params, fresh_tables(), ref.delta, prev_assignments=assignments)
         params = m_step(corpus, assignments, config, params)
         totals.append(total)
     assert state.assignments == assignments
@@ -386,13 +398,28 @@ def test_train_reuse_matches_recomputing_everything(variant):
         assert (mine is None) == (theirs is None)
         if mine is not None:
             assert np.array_equal(mine.frames, theirs.frames)
-    fresh = TrainState(state.params, state.assignments, state.iteration_log)
-    assert final_alignments(corpus, state, *tables) == final_alignments(corpus, fresh, *tables)
-    # Rows built for other candidates are not reused.
-    narrow = {u: CandidateSpans(tuple(sorted({(a, b) for _, a, b in w}))) for u, w in assignments.items()}
-    assert final_alignments(corpus, state, narrow, tables[1]) == final_alignments(
-        corpus, fresh, narrow, tables[1]
+    assert final_alignments(corpus, state, tables) == final_alignments(corpus, state, fresh_tables())
+    # Another candidate set is scored through its own tables, on its own rows.
+    narrow = Tables(
+        corpus, {u: CandidateSpans(tuple(sorted({(a, b) for _, a, b in w}))) for u, w in assignments.items()}
     )
+    probe = TrainState(state.params, assignments, (), distortion_rows(narrow, state.params.distortion))
+    got = final_alignments(corpus, probe, narrow)
+    for pair in corpus:
+        candidates, mu = narrow.candidates[pair.utt_id], narrow.mu[pair.utt_id]
+        for i, (word, entry) in enumerate(zip(pair.target_words, got[pair.utt_id].words), start=1):
+            f, a, b = assignments[pair.utt_id][i - 1]
+            want = word_log_score(i, word, f, a, b, pair, state.params, candidates, mu[i - 1])
+            assert abs(entry.log_score - want) <= 1e-12
+    # Tables refuse a corpus whose pairs are not their own, even an equal one.
+    other = _small_corpus()
+    for call in (
+        lambda: initialize(other, config, tables),
+        lambda: e_step(other, state.params, tables, state.delta),
+        lambda: final_alignments(other, state, tables),
+    ):
+        with pytest.raises(ValueError, match="another corpus"):
+            call()
 
 
 def test_distortion_built_once_per_word(monkeypatch):
@@ -401,7 +428,7 @@ def test_distortion_built_once_per_word(monkeypatch):
     tables = build_tables(corpus, SegmentationConfig())
     calls = _count_calls(monkeypatch, "log_delta_a")
     state = train(corpus, TrainConfig(iterations=3), tables)
-    final_alignments(corpus, state, *tables)
+    final_alignments(corpus, state, tables)
     assert calls == [i for pair in corpus for i in range(1, pair.l + 1)]
 
 
@@ -411,14 +438,13 @@ def test_variant_switch_matches_fresh_store():
     corpus, _ = synth_generate(SynthConfig(sentences=30, vocab_size=20, noise_std=0.1, bounds=False))
     tables = build_tables(corpus, SegmentationConfig())
     state = train(corpus, TrainConfig(iterations=1), tables)
-    proper = dataclasses.replace(state.params, variant="proper")
-    fresh = TrainState(proper, state.assignments, state.iteration_log)
-    assert final_alignments(corpus, dataclasses.replace(state, params=proper), *tables) == (
-        final_alignments(corpus, fresh, *tables)
-    )
-    for params in (state.params, proper):
-        got = e_step(corpus, params, *tables, prev_assignments=state.assignments, costs=state.costs)
-        assert got == e_step(corpus, params, *tables, prev_assignments=state.assignments)
+    proper = dataclasses.replace(state, params=dataclasses.replace(state.params, variant="proper"))
+    fresh = Tables(corpus, tables.candidates)
+    assert final_alignments(corpus, proper, tables) == final_alignments(corpus, proper, fresh)
+    for params in (state.params, proper.params):
+        got = e_step(corpus, params, tables, state.delta, prev_assignments=state.assignments)
+        fresh = Tables(corpus, tables.candidates)
+        assert got == e_step(corpus, params, fresh, state.delta, prev_assignments=state.assignments)
 
 
 def test_train_iteration_log_and_determinism():
@@ -440,7 +466,7 @@ def test_train_zero_iterations_is_initialization_only():
     corpus = _small_corpus()
     tables = build_tables(corpus, SegmentationConfig())
     state = train(corpus, TrainConfig(iterations=0), tables=tables)
-    ref = initialize(corpus, TrainConfig(iterations=0), *tables)
+    ref = initialize(corpus, TrainConfig(iterations=0), tables)
     assert len(state.iteration_log) == 1
     assert state.assignments == ref.assignments
 
@@ -459,7 +485,7 @@ def test_final_alignments_scores_are_finite():
     corpus = _small_corpus()
     tables = build_tables(corpus, SegmentationConfig())
     state = train(corpus, TrainConfig(iterations=2), tables=tables)
-    alignments = final_alignments(corpus, state, *tables)
+    alignments = final_alignments(corpus, state, tables)
     assert set(alignments) == {p.utt_id for p in corpus}
     for pair in corpus:
         alignment = alignments[pair.utt_id]
@@ -514,11 +540,11 @@ def test_degenerate_utterances_end_to_end(variant):
     def run():
         tables = build_tables(corpus, SegmentationConfig())
         state = train(corpus, config, tables)
-        return tables, state, final_alignments(corpus, state, *tables)
+        return tables, state, final_alignments(corpus, state, tables)
 
     tables, state, alignments = run()
     for pair in corpus:
-        spans = set(tables[0][pair.utt_id].spans)
+        spans = set(tables.candidates[pair.utt_id].spans)
         words = alignments[pair.utt_id].words
         assert len(words) == pair.l
         for word, entry in zip(pair.target_words, words):
@@ -568,12 +594,12 @@ def test_repeated_word_types_in_noisy_corpus(lam):
     runs = []
     for _ in range(2):
         state = train(corpus, config, tables)
-        runs.append((state.assignments, final_alignments(corpus, state, *tables)))
+        runs.append((state.assignments, final_alignments(corpus, state, tables)))
     assert runs[0] == runs[1]
 
     assignments, alignments = runs[0]
     for pair in corpus:
-        spans = set(tables[0][pair.utt_id].spans)
+        spans = set(tables.candidates[pair.utt_id].spans)
         for entry in alignments[pair.utt_id].words:
             assert (entry.a, entry.b) in spans
             assert np.isfinite(entry.log_score)
