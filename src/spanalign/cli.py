@@ -22,7 +22,6 @@ from pathlib import Path
 from .corpus import (
     Corpus,
     CorpusError,
-    FeatureSequence,
     atomic_write_text,
     check_frame_shift,
     load_corpus,
@@ -60,17 +59,17 @@ class Option:
 # Defaults are read from the config dataclasses, so each lives in one place.
 _TRAIN, _SEG, _SYNTH = TrainConfig(), SegmentationConfig(), SynthConfig()
 
+# Settings that align and grid both read.
 _RUN_OPTIONS = [
     Option("manifest", str, None, "utterance manifest, one utt_id per line"),
     Option("features", str, None, "directory holding <utt_id>.feat files and sidecars"),
     Option("translations", str, None, "translation sentences, one per manifest line"),
     Option("gold", str, None, "gold alignment file (optional)"),
     Option("output", str, None, "output directory"),
-    Option("frame_shift_ms", float, FeatureSequence.frame_shift_ms,
+    Option("frame_shift_ms", float, Corpus.frame_shift_ms,
            "frame shift of the features in milliseconds"),
     Option("normalize", bool, True, "normalize each utterance to zero mean, unit variance"),
     Option("p0", float, _TRAIN.p0, "distortion probability mass on the null span"),
-    Option("lambda", float, _TRAIN.lam, "distortion sharpness"),
     Option("threshold_ratio", float, _SEG.threshold_ratio,
            "silence threshold as a ratio of the smoothed peak"),
     Option("min_silence_ms", float, _SEG.min_silence_ms, "minimum silence duration in milliseconds"),
@@ -84,10 +83,16 @@ _RUN_OPTIONS = [
     Option("k", int, _TRAIN.k, "clusters per word type"),
     Option("dba_iterations", int, _TRAIN.dba_iterations, "barycenter averaging iterations per M-step"),
     Option("variant", str, _TRAIN.variant, "span likelihood variant: deficient or proper"),
-    Option("lambda_grid", str, "0.1,0.3,0.5,1.0,2.0", "comma-separated lambda grid (grid only)"),
-    Option("dev_manifest", str, None, "manifest naming the dev split (grid only)"),
-    Option("test_manifest", str, None, "manifest naming the test split (grid only)"),
     Option("threads", int, 1, "has no effect: training runs on one thread (accepted so old command lines run)"),
+]
+
+_ALIGN_OPTIONS = [*_RUN_OPTIONS, Option("lambda", float, _TRAIN.lam, "distortion sharpness")]
+
+_GRID_OPTIONS = [
+    *_RUN_OPTIONS,
+    Option("lambda_grid", str, "0.1,0.3,0.5,1.0,2.0", "comma-separated lambda grid"),
+    Option("dev_manifest", str, None, "manifest naming the dev split"),
+    Option("test_manifest", str, None, "manifest naming the test split"),
 ]
 
 _SYNTH_OPTIONS = [
@@ -165,8 +170,7 @@ def _require(values: dict, names: list[str], command: str) -> None:
 
 
 def _normalized(corpus: Corpus) -> Corpus:
-    pairs = tuple(replace(p, source=normalize_utterance(p.source)) for p in corpus)
-    return Corpus(pairs, corpus.gold)
+    return replace(corpus, pairs=tuple(replace(p, frames=normalize_utterance(p.frames)) for p in corpus))
 
 
 def _config(cls, values: dict, **renamed):
@@ -211,7 +215,7 @@ def _run_training(corpus: Corpus, config: TrainConfig, tables, checkpoint_dir: P
 
 
 def cmd_align(args: argparse.Namespace) -> int:
-    values = _resolve(args, _RUN_OPTIONS)
+    values = _resolve(args, _ALIGN_OPTIONS)
     _require(values, ["manifest", "features", "translations", "output"], "align")
     config = _config(TrainConfig, values, lam=values["lambda"])
     seg_config = _config(SegmentationConfig, values)
@@ -219,7 +223,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     corpus, out_dir, tables = _load_tables(values, seg_config)
     state, alignments = _run_training(corpus, config, tables, out_dir)
     atomic_write_text(out_dir / "alignments.tsv", _alignment_rows(corpus, alignments))
-    save_params(state.params, out_dir / "checkpoint.json")
+    save_params(state.params, out_dir / "checkpoint.json", corpus.frame_shift_ms)
 
     log_lines = [
         f"# variant = {state.params.variant}",
@@ -237,7 +241,9 @@ def cmd_align(args: argparse.Namespace) -> int:
 def _read_alignment_file(path: str):
     links = set()
     names = {}
-    for parts, w_idx, start, end in read_interval_rows(path, 7, (1, 4, 5)):
+    for lineno, parts, w_idx, start, end in read_interval_rows(path, 7, (1, 4, 5)):
+        if (parts[0], w_idx) in names:
+            raise CorpusError(f"{path}:{lineno}: second row for word {w_idx} of {parts[0]!r}")
         names[(parts[0], w_idx)] = parts[2]
         links.update((parts[0], w_idx, j) for j in range(start, end))
     return links, names
@@ -281,7 +287,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    values = _resolve(args, _RUN_OPTIONS)
+    values = _resolve(args, _GRID_OPTIONS)
     _require(
         values,
         ["manifest", "features", "translations", "gold", "output", "dev_manifest", "test_manifest"],
@@ -334,15 +340,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     corpus, true_params = synth_generate(_config(SynthConfig, values))
     out_dir = Path(values["output"])
     save_corpus(corpus, out_dir)
-    save_params(true_params, out_dir / "true_params.json")
+    save_params(true_params, out_dir / "true_params.json", corpus.frame_shift_ms)
     print(f"wrote {len(corpus)} utterances to {out_dir}")
     return 0
 
 
 def cmd_dtw(args: argparse.Namespace) -> int:
-    x = read_feature_file(args.file_a)
-    y = read_feature_file(args.file_b)
-    result = dtw_distance(x.frames, y.frames)
+    result = dtw_distance(read_feature_file(args.file_a), read_feature_file(args.file_b))
     print(repr(result.normalized_cost))
     return 0
 
@@ -352,30 +356,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spanalign",
         description="Unsupervised alignment of speech feature spans to translation words.",
     )
+    # Flags are spelled out in full: as a prefix, grid's `--lambda` would read as `--lambda-grid`.
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_align = sub.add_parser("align", help="train on a corpus and write alignments")
+    p_align = sub.add_parser("align", allow_abbrev=False, help="train on a corpus and write alignments")
     p_align.add_argument("--config", help="flat key-value config file; flags override it")
-    _add_options(p_align, _RUN_OPTIONS)
+    _add_options(p_align, _ALIGN_OPTIONS)
     p_align.set_defaults(func=cmd_align)
 
-    p_eval = sub.add_parser("eval", help="score an alignment file against gold links")
+    p_eval = sub.add_parser("eval", allow_abbrev=False, help="score an alignment file against gold links")
     p_eval.add_argument("predicted", help="alignment TSV written by the align command")
     p_eval.add_argument("gold", help="gold alignment file")
     p_eval.add_argument("--output", default=None, help="directory for report files")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_grid = sub.add_parser("grid", help="sweep lambda, select on dev, report test")
+    p_grid = sub.add_parser("grid", allow_abbrev=False, help="sweep lambda, select on dev, report test")
     p_grid.add_argument("--config", help="flat key-value config file; flags override it")
-    _add_options(p_grid, _RUN_OPTIONS)
+    _add_options(p_grid, _GRID_OPTIONS)
     p_grid.set_defaults(func=cmd_grid)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic corpus with gold links")
+    p_synth = sub.add_parser("synth", allow_abbrev=False, help="generate a synthetic corpus with gold links")
     p_synth.add_argument("--config", help="flat key-value config file; flags override it")
     _add_options(p_synth, _SYNTH_OPTIONS)
     p_synth.set_defaults(func=cmd_synth)
 
-    p_dtw = sub.add_parser("dtw", help="print the normalized DTW cost of two feature files")
+    p_dtw = sub.add_parser("dtw", allow_abbrev=False, help="print the normalized DTW cost of two feature files")
     p_dtw.add_argument("file_a")
     p_dtw.add_argument("file_b")
     p_dtw.set_defaults(func=cmd_dtw)

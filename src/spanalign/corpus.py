@@ -49,39 +49,23 @@ def check_frame_shift(frame_shift_ms: float) -> None:
         raise CorpusError(f"frame_shift_ms must be positive and finite, got {frame_shift_ms}")
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureSequence:
-    """One utterance's feature frames as an (m, d) float64 array."""
-
-    frames: np.ndarray
-    frame_shift_ms: float = 10.0
-
-    def __post_init__(self):
-        arr = np.asarray(self.frames, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise CorpusError(f"feature matrix must have shape (m>=1, d>=1), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise CorpusError("feature matrix contains non-finite values")
-        check_frame_shift(self.frame_shift_ms)
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "frames", arr)
-
-    @property
-    def m(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
+def frame_array(frames: np.ndarray) -> np.ndarray:
+    """`frames` as a read-only (m >= 1, d >= 1) array of finite values; contiguous float64 is not copied."""
+    arr = np.ascontiguousarray(frames, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise CorpusError(f"feature matrix must have shape (m>=1, d>=1), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise CorpusError("feature matrix contains non-finite values")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class SentencePair:
-    """A feature sequence paired with its translation sentence."""
+    """An utterance's (m, d) feature frames paired with its translation sentence."""
 
     utt_id: str
-    source: FeatureSequence
+    frames: np.ndarray
     target_words: tuple[str, ...]
     energy_track: np.ndarray | None = None
     boundaries: tuple[int, ...] = ()  # known word-edge frames, 1-indexed; kept sorted and unique
@@ -89,13 +73,14 @@ class SentencePair:
     def __post_init__(self):
         if not self.utt_id:
             raise CorpusError("empty utterance id")
+        object.__setattr__(self, "frames", frame_array(self.frames))
         if len(self.target_words) < 1:
             raise CorpusError(f"{self.utt_id}: empty target sentence")
         if not all(self.target_words):
             raise CorpusError(f"{self.utt_id}: empty token")
         if self.energy_track is not None:
             e = np.asarray(self.energy_track, dtype=np.float64)
-            if e.ndim != 1 or e.shape[0] != self.source.m:
+            if e.ndim != 1 or e.shape[0] != self.m:
                 raise CorpusError(f"{self.utt_id}: energy track length does not match frame count")
             if not np.isfinite(e).all() or (e < 0).any():
                 raise CorpusError(f"{self.utt_id}: energy track must be finite and non-negative")
@@ -116,7 +101,7 @@ class SentencePair:
 
     @property
     def m(self) -> int:
-        return self.source.m
+        return self.frames.shape[0]
 
 
 @dataclass(frozen=True)
@@ -129,12 +114,14 @@ class GoldAlignment:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """An ordered collection of sentence pairs plus optional gold links."""
+    """An ordered collection of sentence pairs, optional gold links, and their one frame shift."""
 
     pairs: tuple[SentencePair, ...]
     gold: dict[str, GoldAlignment] | None = None
+    frame_shift_ms: float = 10.0
 
     def __post_init__(self):
+        check_frame_shift(self.frame_shift_ms)
         seen = set()
         for pair in self.pairs:
             if pair.utt_id in seen:
@@ -164,12 +151,16 @@ class Corpus:
 # file readers / writers
 # ---------------------------------------------------------------------------
 
-def read_feature_file(
-    path: Path | str, frame_shift_ms: float = FeatureSequence.frame_shift_ms
-) -> FeatureSequence:
-    path = Path(path)
+def _read_lines(path: Path | str) -> list[str]:
+    """The file's lines, split at newlines only (`str.splitlines` also splits at U+0085 and kin)."""
     with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+        text = handle.read()
+    return text.removesuffix("\n").split("\n") if text else []
+
+
+def read_feature_file(path: Path | str) -> np.ndarray:
+    path = Path(path)
+    lines = _read_lines(path)
     if not lines:
         raise CorpusError(f"{path}: empty feature file")
     header = lines[0].split()
@@ -195,12 +186,12 @@ def read_feature_file(
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise CorpusError(f"{path}:{int(finite.argmin()) + 2}: non-finite feature value")
-    return FeatureSequence(rows, frame_shift_ms)
+    return rows
 
 
-def write_feature_file(path: Path | str, features: FeatureSequence) -> None:
-    lines = [f"{features.m} {features.dim}"]
-    for row in features.frames.tolist():
+def write_feature_file(path: Path | str, frames: np.ndarray) -> None:
+    lines = [f"{frames.shape[0]} {frames.shape[1]}"]
+    for row in frames.tolist():
         lines.append(" ".join(repr(v) for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -249,8 +240,9 @@ def read_boundary_file(path: Path | str, m: int) -> tuple[int, ...]:
 
 def read_manifest(path: Path | str) -> list[str]:
     """Utterance ids, one per line; trailing blank lines are ignored, inner ones rejected."""
-    with open(path, encoding="utf-8") as handle:
-        utt_ids = [ln.strip() for ln in handle.read().rstrip().splitlines()]
+    utt_ids = [ln.strip() for ln in _read_lines(path)]
+    while utt_ids and not utt_ids[-1]:
+        utt_ids.pop()
     for lineno, utt_id in enumerate(utt_ids, start=1):
         if not utt_id:
             raise CorpusError(f"{path}:{lineno}: blank utterance id")
@@ -279,8 +271,8 @@ def links_to_intervals(links: Iterable[tuple[int, int]]) -> list[tuple[int, int,
 
 def read_interval_rows(
     path: Path | str, n_fields: int, columns: tuple[int, int, int]
-) -> Iterator[tuple[list[str], int, int, int]]:
-    """(fields, word, start, end) per non-blank row; `columns` locates word, start and end."""
+) -> Iterator[tuple[int, list[str], int, int, int]]:
+    """(lineno, fields, word, start, end) per non-blank row; `columns` locates word, start and end."""
     word_col, start_col, end_col = columns
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -298,12 +290,12 @@ def read_interval_rows(
                 raise CorpusError(f"{path}:{lineno}: negative word index {word}")
             if start < 0 or end <= start:
                 raise CorpusError(f"{path}:{lineno}: invalid interval [{start}, {end})")
-            yield parts, word, start, end
+            yield lineno, parts, word, start, end
 
 
 def read_gold_file(path: Path | str) -> dict[str, GoldAlignment]:
     links: dict[str, set[tuple[int, int]]] = {}
-    for parts, word, start, end in read_interval_rows(path, 4, (1, 2, 3)):
+    for _, parts, word, start, end in read_interval_rows(path, 4, (1, 2, 3)):
         links.setdefault(parts[0], set()).update((word, f) for f in range(start, end))
     return {u: GoldAlignment(u, frozenset(s)) for u, s in links.items()}
 
@@ -321,14 +313,13 @@ def load_corpus(
     feature_dir: Path | str,
     translations_path: Path | str,
     gold_path: Path | str | None = None,
-    frame_shift_ms: float = FeatureSequence.frame_shift_ms,
+    frame_shift_ms: float = Corpus.frame_shift_ms,
 ) -> Corpus:
     """Load a corpus from the external file layout, validating as it goes."""
     feature_dir = Path(feature_dir)
     utt_ids = read_manifest(manifest_path)
 
-    with open(translations_path, encoding="utf-8") as handle:
-        sentences = handle.read().splitlines()
+    sentences = _read_lines(translations_path)
     while len(sentences) > len(utt_ids) and not sentences[-1].strip():
         sentences.pop()
     if len(sentences) != len(utt_ids):
@@ -341,15 +332,15 @@ def load_corpus(
         words = tuple(sentence.split())
         if not words:
             raise CorpusError(f"{translations_path}:{lineno}: empty sentence for {utt_id}")
-        features = read_feature_file(feature_dir / f"{utt_id}.feat", frame_shift_ms)
+        frames = read_feature_file(feature_dir / f"{utt_id}.feat")
         energy_path = feature_dir / f"{utt_id}.energy"
-        energy = read_energy_file(energy_path, features.m) if energy_path.exists() else None
+        energy = read_energy_file(energy_path, len(frames)) if energy_path.exists() else None
         bounds_path = feature_dir / f"{utt_id}.bounds"
-        bounds = read_boundary_file(bounds_path, features.m) if bounds_path.exists() else ()
+        bounds = read_boundary_file(bounds_path, len(frames)) if bounds_path.exists() else ()
         pairs.append(
             SentencePair(
                 utt_id=utt_id,
-                source=features,
+                frames=frames,
                 target_words=words,
                 energy_track=energy,
                 boundaries=bounds,
@@ -357,7 +348,7 @@ def load_corpus(
         )
 
     gold = read_gold_file(gold_path) if gold_path is not None else None
-    return Corpus(tuple(pairs), gold)
+    return Corpus(tuple(pairs), gold, frame_shift_ms)
 
 
 def save_corpus(corpus: Corpus, out_dir: Path | str) -> None:
@@ -371,7 +362,7 @@ def save_corpus(corpus: Corpus, out_dir: Path | str) -> None:
     )
     # An optional file this corpus lacks is removed: a stale one would be read back as its own.
     for pair in corpus.pairs:
-        write_feature_file(out_dir / f"{pair.utt_id}.feat", pair.source)
+        write_feature_file(out_dir / f"{pair.utt_id}.feat", pair.frames)
         energy_path = out_dir / f"{pair.utt_id}.energy"
         if pair.energy_track is not None:
             write_energy_file(energy_path, pair.energy_track)
@@ -392,14 +383,13 @@ def save_corpus(corpus: Corpus, out_dir: Path | str) -> None:
 # normalization
 # ---------------------------------------------------------------------------
 
-def normalize_utterance(features: FeatureSequence) -> FeatureSequence:
+def normalize_utterance(frames: np.ndarray) -> np.ndarray:
     """Scale each dimension to zero mean and unit population variance.
 
     Dimensions with zero variance are shifted to zero and left unscaled.
     """
-    frames = features.frames
     mean = frames.mean(axis=0)
     var = frames.var(axis=0)
     centered = frames - mean
     scale = np.where(var > 0.0, np.sqrt(var), 1.0)
-    return FeatureSequence(centered / scale, features.frame_shift_ms)
+    return centered / scale

@@ -1,8 +1,9 @@
 """Dynamic time warping and barycenter averaging over frame arrays.
 
 Every sequence here is an (m, d) float64 array of frames, and the
-module imports nothing from the rest of the package: callers pass
-`FeatureSequence.frames`, or a row slice of it for a span.
+module imports nothing from the rest of the package: callers pass an
+utterance's `SentencePair.frames` or a prototype array, or a row slice
+of one for a span.
 
 The accumulated cost follows the three-way recurrence
 

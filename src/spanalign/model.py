@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, FeatureSequence, GoldAlignment, SentencePair, atomic_write_text, check_frame_shift
+from .corpus import Corpus, GoldAlignment, SentencePair, atomic_write_text, check_frame_shift, frame_array
 from .distortion import DistortionParams
 from .dtw import SpanLanes, candidate_span_costs
 from .segmentation import CandidateSpans
@@ -71,7 +71,7 @@ class ModelParams:
 
     inventory: ClusterInventory
     u: np.ndarray
-    prototypes: tuple[FeatureSequence | None, ...]
+    prototypes: tuple[np.ndarray | None, ...]  # read-only (m, d) frame arrays
     distortion: DistortionParams
     variant: str = "deficient"
 
@@ -91,7 +91,8 @@ class ModelParams:
         u = u.copy()
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "prototypes", tuple(self.prototypes))
+        protos = tuple(p if p is None else frame_array(p) for p in self.prototypes)
+        object.__setattr__(self, "prototypes", protos)
 
     def live_clusters(self) -> tuple[int, ...]:
         return tuple(
@@ -122,7 +123,7 @@ class Alignment:
 # ---------------------------------------------------------------------------
 
 def span_cost_rows(
-    prototypes: Sequence[FeatureSequence],
+    prototypes: Sequence[np.ndarray],
     pairs: Sequence[SentencePair],
     candidates: Sequence[CandidateSpans],
 ) -> list[dict[str, np.ndarray]]:
@@ -136,7 +137,7 @@ def span_cost_rows(
     """
     if not pairs:
         return [{} for _ in prototypes]
-    frames = np.concatenate([pair.source.frames for pair in pairs])
+    frames = np.concatenate([pair.frames for pair in pairs])
     spans = []
     cuts = {}  # utt_id -> its candidates' positions in `spans`
     shift = 0
@@ -145,7 +146,7 @@ def span_cost_rows(
         spans.extend((a + shift, b + shift) for a, b in cands.spans)
         shift += pair.m
     lanes = SpanLanes(frames, spans)
-    costs = (candidate_span_costs(proto.frames, frames, lanes) for proto in prototypes)
+    costs = (candidate_span_costs(proto, frames, lanes) for proto in prototypes)
     return [{utt_id: row[cut] for utt_id, cut in cuts.items()} for row in costs]
 
 
@@ -170,8 +171,11 @@ def proper_log_s_rows(costs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
 # checkpointing
 # ---------------------------------------------------------------------------
 
-def save_params(params: ModelParams, path: Path | str) -> None:
-    """Dump parameters as versioned JSON; floats round-trip via repr."""
+def save_params(params: ModelParams, path: Path | str, frame_shift_ms: float) -> None:
+    """Dump parameters as versioned JSON; floats round-trip via repr.
+
+    Every prototype records `frame_shift_ms`, the frame shift of the corpus.
+    """
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "variant": params.variant,
@@ -181,7 +185,7 @@ def save_params(params: ModelParams, path: Path | str) -> None:
         "prototypes": [
             None
             if proto is None
-            else {"frame_shift_ms": proto.frame_shift_ms, "frames": proto.frames.tolist()}
+            else {"frame_shift_ms": frame_shift_ms, "frames": proto.tolist()}
             for proto in params.prototypes
         ],
     }
@@ -195,12 +199,12 @@ def load_params(path: Path | str) -> ModelParams:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
     inventory = ClusterInventory({w: tuple(fs) for w, fs in payload["clusters"].items()})
-    prototypes = tuple(
-        None
-        if entry is None
-        else FeatureSequence(np.array(entry["frames"], dtype=np.float64), entry["frame_shift_ms"])
-        for entry in payload["prototypes"]
-    )
+    prototypes = []
+    for entry in payload["prototypes"]:
+        if entry is not None:
+            check_frame_shift(entry["frame_shift_ms"])
+            entry = entry["frames"]
+        prototypes.append(entry)
     return ModelParams(
         inventory=inventory,
         u=np.array(payload["u"], dtype=np.float64),
@@ -240,7 +244,7 @@ class SynthConfig:
     silence_prob: float = 1.0
     silence_len_min: int = 9
     silence_len_max: int = 14
-    frame_shift_ms: float = FeatureSequence.frame_shift_ms
+    frame_shift_ms: float = Corpus.frame_shift_ms
     bounds: bool = True
 
     def __post_init__(self):
@@ -349,7 +353,7 @@ def synth_generate(config: SynthConfig) -> tuple[Corpus, ModelParams]:
         pairs.append(
             SentencePair(
                 utt_id=utt_id,
-                source=FeatureSequence(frames, config.frame_shift_ms),
+                frames=frames,
                 target_words=words,
                 energy_track=energy,
                 boundaries=edges,
@@ -360,18 +364,14 @@ def synth_generate(config: SynthConfig) -> tuple[Corpus, ModelParams]:
         )
         gold[utt_id] = GoldAlignment(utt_id, links)
 
-    corpus = Corpus(tuple(pairs), gold)
+    corpus = Corpus(tuple(pairs), gold, config.frame_shift_ms)
 
     inventory = ClusterInventory.build(tokens, k=1)
     u = np.full(config.vocab_size, 1.0 / config.vocab_size)
-    protos = tuple(
-        FeatureSequence(prototypes[inventory.owner[f]], config.frame_shift_ms)
-        for f in range(config.vocab_size)
-    )
     true_params = ModelParams(
         inventory=inventory,
         u=u,
-        prototypes=protos,
+        prototypes=tuple(prototypes[inventory.owner[f]] for f in range(config.vocab_size)),
         distortion=DistortionParams(),
         variant="deficient",
     )

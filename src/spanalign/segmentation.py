@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import FeatureSequence, SentencePair
+from .corpus import SentencePair
 
 
 class NoCandidateSpansError(Exception):
@@ -89,7 +89,7 @@ class SegmentationConfig:
 
 def detect_silence(
     energy: np.ndarray,
-    frame_shift_ms: float = FeatureSequence.frame_shift_ms,
+    frame_shift_ms: float,
     config: SegmentationConfig = SegmentationConfig(),
 ) -> SilenceSpans:
     """Find low-energy runs: smooth, threshold at a ratio of the peak, keep long runs.
@@ -182,11 +182,11 @@ def enumerate_spans(boundaries, silences: SilenceSpans, min_len: int, max_len: i
 
 
 def candidate_spans(
-    pair: SentencePair, config: SegmentationConfig
+    pair: SentencePair, config: SegmentationConfig, frame_shift_ms: float
 ) -> tuple[CandidateSpans, SilenceSpans]:
     """Full per-utterance pipeline, with one fallback guaranteeing a non-empty set."""
     if pair.energy_track is not None:
-        silences = detect_silence(pair.energy_track, pair.source.frame_shift_ms, config)
+        silences = detect_silence(pair.energy_track, frame_shift_ms, config)
     else:
         silences = SilenceSpans(())
 

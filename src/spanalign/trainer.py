@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, FeatureSequence, SentencePair
+from .corpus import Corpus, SentencePair
 from .distortion import DistortionParams, allocate_mu, log_delta_a, log_delta_b
 from .dtw import dba_centroid
 from .model import (
@@ -108,7 +108,7 @@ class Tables:
         # group key (word, or None for every utterance) -> its pairs
         self._groups: dict[str | None, tuple[SentencePair, ...]] = {}
         # cluster -> (prototype the rows belong to, utt_id -> cost row)
-        self._entries: dict[int, tuple[FeatureSequence, dict[str, np.ndarray]]] = {}
+        self._entries: dict[int, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
 
     def check(self, corpus: Corpus) -> None:
         """Refuse a corpus whose pairs are not the ones these tables were built for."""
@@ -162,7 +162,7 @@ def build_tables(corpus: Corpus, seg_config: SegmentationConfig) -> Tables:
             raise TrainError(
                 f"{pair.utt_id}: {pair.m} frames cannot cover {pair.l} words"
             )
-        candidates[pair.utt_id], _ = candidate_spans(pair, seg_config)
+        candidates[pair.utt_id], _ = candidate_spans(pair, seg_config, corpus.frame_shift_ms)
     return Tables(corpus, candidates)
 
 
@@ -338,13 +338,12 @@ def m_step(
         counts[f] = len(triples)
     u = counts / counts.sum()
 
-    sources = {pair.utt_id: pair.source for pair in corpus}
+    frames = {pair.utt_id: pair.frames for pair in corpus}
     prototypes = list(prev_params.prototypes)
     for f in sorted(members):
         if members[f] != prev_members.get(f):
-            spans = [sources[utt_id].frames[a - 1 : b] for utt_id, a, b in members[f]]
-            centroid = dba_centroid(spans, iterations=config.dba_iterations)
-            prototypes[f] = FeatureSequence(centroid, sources[members[f][0][0]].frame_shift_ms)
+            spans = [frames[utt_id][a - 1 : b] for utt_id, a, b in members[f]]
+            prototypes[f] = dba_centroid(spans, iterations=config.dba_iterations)
     return ModelParams(
         inventory=prev_params.inventory,
         u=u,
@@ -404,7 +403,7 @@ def train(
     state = initialize(corpus, config, tables)
     if checkpoint_dir is not None:
         Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-        save_params(state.params, Path(checkpoint_dir) / "checkpoint_iter00.json")
+        save_params(state.params, Path(checkpoint_dir) / "checkpoint_iter00.json", corpus.frame_shift_ms)
 
     params = state.params
     assignments = state.assignments
@@ -417,7 +416,7 @@ def train(
         params = m_step(corpus, assignments, config, params, prev_assignments=prev_assignments)
         log.append(IterationStats(it, total, time.perf_counter() - started))
         if checkpoint_dir is not None:
-            save_params(params, Path(checkpoint_dir) / f"checkpoint_iter{it:02d}.json")
+            save_params(params, Path(checkpoint_dir) / f"checkpoint_iter{it:02d}.json", corpus.frame_shift_ms)
     return TrainState(params=params, assignments=assignments, iteration_log=tuple(log), delta=state.delta)
 
 

@@ -152,8 +152,8 @@ def analytic_delta_argmax(i: int, l: int, m: int, mu_i: int, shifted: bool) -> i
 
 def _span_costs(proto, pair, candidates) -> np.ndarray:
     """Normalized DTW cost of the prototype against each candidate span, one DP each."""
-    frames = pair.source.frames
-    return np.array([dtw_distance(proto.frames, frames[a - 1 : b]).normalized_cost for a, b in candidates.spans])
+    frames = pair.frames
+    return np.array([dtw_distance(proto, frames[a - 1 : b]).normalized_cost for a, b in candidates.spans])
 
 
 def log_s_deficient(f, a, b, pair, candidates, prototypes) -> float:

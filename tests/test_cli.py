@@ -1,10 +1,11 @@
+import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from spanalign.cli import (
-    _RUN_OPTIONS,
+    _ALIGN_OPTIONS,
     _SYNTH_OPTIONS,
     _alignment_rows,
     _config,
@@ -15,7 +16,7 @@ from spanalign.cli import (
     build_parser,
     main,
 )
-from spanalign.corpus import Corpus, FeatureSequence, SentencePair, write_feature_file
+from spanalign.corpus import Corpus, SentencePair, write_feature_file
 from spanalign.dtw import dtw_distance
 from spanalign.evalkit import alignment_to_links
 from spanalign.model import Alignment, SynthConfig, WordAlignment
@@ -117,7 +118,7 @@ def test_flags_override_config_file(tmp_path):
 
 
 def test_bare_commands_use_config_defaults():
-    values = _resolve(build_parser().parse_args(["align"]), _RUN_OPTIONS)
+    values = _resolve(build_parser().parse_args(["align"]), _ALIGN_OPTIONS)
     assert _config(TrainConfig, values, lam=values["lambda"]) == TrainConfig()
     assert _config(SegmentationConfig, values) == SegmentationConfig()
     values = _resolve(build_parser().parse_args(["synth"]), _SYNTH_OPTIONS)
@@ -188,7 +189,7 @@ def test_alignment_rows_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     pair = SentencePair(
         "u1",
-        FeatureSequence(rng.standard_normal((3, 2))),
+        rng.standard_normal((3, 2)),
         ("aa", "b"),
     )
     corpus = Corpus((pair,))
@@ -219,8 +220,9 @@ def test_alignment_rows_round_trip(tmp_path):
         ("u1\t-1\taa\t4\t0\t2\t-1.5", "negative word index"),
         ("u1\t0\taa\t4\t0\t2", "expected 7 tab-separated fields"),
         ("u1\t0\taa\t4\t2\t2\t-1.5", "invalid interval [2, 2)"),
+        ("u1\t1\tb\t-\t0\t1\t0.0", "second row for word 1 of 'u1'"),
     ],
-    ids=["non_integer", "negative_word", "field_count", "empty_interval"],
+    ids=["non_integer", "negative_word", "field_count", "empty_interval", "duplicate_word"],
 )
 def test_eval_rejects_malformed_alignment_row(tmp_path, capsys, row, message):
     pred = tmp_path / "alignments.tsv"
@@ -235,14 +237,14 @@ def test_eval_rejects_malformed_alignment_row(tmp_path, capsys, row, message):
 
 def test_dtw_subcommand_prints_normalized_cost(tmp_path, capsys):
     rng = np.random.default_rng(1)
-    x = FeatureSequence(rng.standard_normal((4, 3)))
-    y = FeatureSequence(rng.standard_normal((6, 3)))
+    x = rng.standard_normal((4, 3))
+    y = rng.standard_normal((6, 3))
     write_feature_file(tmp_path / "x.feat", x)
     write_feature_file(tmp_path / "y.feat", y)
     code = main(["dtw", str(tmp_path / "x.feat"), str(tmp_path / "y.feat")])
     assert code == 0
     printed = capsys.readouterr().out.strip()
-    assert float(printed) == dtw_distance(x.frames, y.frames).normalized_cost
+    assert float(printed) == dtw_distance(x, y).normalized_cost
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):
@@ -291,6 +293,40 @@ def test_align_rejects_p0_of_one(tmp_path, capsys):
 )
 def test_bad_settings_rejected_before_reading_files(tmp_path, capsys, command, setting, message):
     _assert_rejected_before_reading(tmp_path, capsys, command, setting, message)
+
+
+@pytest.mark.parametrize(
+    "command, name, value",
+    [("align", "lambda_grid", "abc"), ("align", "dev_manifest", "nope"),
+     ("align", "test_manifest", "nope"), ("grid", "lambda", "0.5")],
+)
+def test_command_rejects_settings_it_does_not_read(tmp_path, capsys, command, name, value):
+    flag = "--" + name.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    path = tmp_path / "run.conf"
+    path.write_text(f"{name} = {value}\n")
+    assert main([command, "--config", str(path)]) == 1
+    assert f"{path}:1: unknown config key {name!r}" in capsys.readouterr().err
+
+
+def test_non_default_frame_shift_is_stamped_on_every_prototype(tmp_path):
+    corpus_dir = _synth(tmp_path, "--frame-shift-ms", "25")
+    run = _align(tmp_path, corpus_dir, "--frame-shift-ms", "25")
+    for path in (corpus_dir / "true_params.json", run / "checkpoint.json", *run.glob("checkpoint_iter*.json")):
+        shifts = {p["frame_shift_ms"] for p in json.loads(path.read_text())["prototypes"] if p is not None}
+        assert shifts == {25.0}, path
+
+
+def test_align_reads_translation_with_unicode_line_separator(tmp_path):
+    corpus_dir = _synth(tmp_path, "--sentences", "3")
+    translations = corpus_dir / "translations.txt"
+    lines = translations.read_text(encoding="utf-8").split("\n")
+    lines[1] = lines[1].replace(" ", "\u0085", 1)
+    translations.write_text("\n".join(lines), encoding="utf-8")
+    _align(tmp_path, corpus_dir)
 
 
 def test_align_requires_output(tmp_path, capsys):

@@ -10,7 +10,6 @@ import pytest
 from spanalign.corpus import (
     Corpus,
     CorpusError,
-    FeatureSequence,
     GoldAlignment,
     SentencePair,
     atomic_write_text,
@@ -21,6 +20,7 @@ from spanalign.corpus import (
     read_energy_file,
     read_feature_file,
     read_gold_file,
+    read_manifest,
     save_corpus,
     write_energy_file,
     write_feature_file,
@@ -33,7 +33,7 @@ def make_pair(utt_id="u1", m=6, words=("ab", "cde")):
     frames = np.arange(m * 2, dtype=np.float64).reshape(m, 2)
     return SentencePair(
         utt_id=utt_id,
-        source=FeatureSequence(frames),
+        frames=frames,
         target_words=tuple(words),
     )
 
@@ -41,25 +41,65 @@ def make_pair(utt_id="u1", m=6, words=("ab", "cde")):
 def test_span_frames_are_readonly_1_indexed_inclusive_view():
     # Span (a, b) is 1-indexed inclusive: its frames are frames[a - 1 : b], a
     # read-only view, so DBA reads the corpus frames without copying them.
-    seq = FeatureSequence(np.arange(10, dtype=np.float64).reshape(5, 2))
+    pair = make_pair(m=5)
     a, b = 2, 4
-    seg = seq.frames[a - 1 : b]
-    np.testing.assert_array_equal(seg, seq.frames[1:4])
-    assert np.shares_memory(seg, seq.frames) and not seg.flags.writeable
+    seg = pair.frames[a - 1 : b]
+    np.testing.assert_array_equal(seg, pair.frames[1:4])
+    assert np.shares_memory(seg, pair.frames) and not seg.flags.writeable
 
 
-def test_feature_sequence_readonly():
-    seq = FeatureSequence(np.zeros((3, 2)))
+def test_sentence_pair_frames_readonly():
+    pair = make_pair()
     with pytest.raises(ValueError):
-        seq.frames[0, 0] = 1.0
+        pair.frames[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "frames, message",
+    [(np.zeros(4), r"shape \(m>=1, d>=1\), got \(4,\)"),
+     (np.zeros((0, 2)), r"shape \(m>=1, d>=1\), got \(0, 2\)"),
+     (np.zeros((3, 0)), r"shape \(m>=1, d>=1\), got \(3, 0\)"),
+     (np.array([[0.0, np.nan]]), "non-finite values"),
+     (np.array([[np.inf], [0.0]]), "non-finite values")],
+    ids=["one_dim", "no_frames", "no_dims", "nan", "inf"],
+)
+def test_sentence_pair_rejects_bad_frames(frames, message):
+    with pytest.raises(CorpusError, match=message):
+        SentencePair("u", frames, ("ab",))
+
+
+def test_sentence_pair_keeps_contiguous_float64_frames_without_copy():
+    # Cost rows are reused by prototype identity, so validation must not copy.
+    frames = np.zeros((4, 2))
+    pair = SentencePair("u", frames, ("ab",))
+    assert pair.frames is frames and not frames.flags.writeable
+    converted = SentencePair("u", np.asfortranarray(np.arange(8).reshape(4, 2)), ("ab",)).frames
+    assert converted.dtype == np.float64 and converted.flags.c_contiguous and not converted.flags.writeable
+
+
+@pytest.mark.parametrize("shift", [0.0, -10.0, math.nan, math.inf])
+def test_corpus_rejects_bad_frame_shift(shift):
+    with pytest.raises(CorpusError, match="frame_shift_ms must be positive and finite"):
+        Corpus((make_pair(),), frame_shift_ms=shift)
+
+
+def test_load_corpus_sets_frame_shift(tmp_path):
+    corpus, _ = synth_generate(SynthConfig(seed=1, vocab_size=4, sentences=3, frame_shift_ms=25.0))
+    assert corpus.frame_shift_ms == 25.0
+    save_corpus(corpus, tmp_path)
+    paths = (tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")
+    assert load_corpus(*paths).frame_shift_ms == 10.0
+    assert load_corpus(*paths, frame_shift_ms=12.5).frame_shift_ms == 12.5
+    with pytest.raises(CorpusError, match="frame_shift_ms must be positive and finite, got 0.0"):
+        load_corpus(*paths, frame_shift_ms=0.0)
 
 
 def test_feature_file_round_trip(tmp_path):
     path = tmp_path / "a.feat"
-    seq = FeatureSequence(np.random.default_rng(0).normal(size=(4, 3)))
+    seq = np.random.default_rng(0).normal(size=(4, 3))
     write_feature_file(path, seq)
     back = read_feature_file(path)
-    np.testing.assert_array_equal(back.frames, seq.frames)
+    np.testing.assert_array_equal(back, seq)
 
 
 def test_feature_file_bad_row_reports_line(tmp_path):
@@ -202,7 +242,7 @@ def test_gold_for_unknown_utterance_rejected():
 
 def test_empty_token_rejected():
     with pytest.raises(CorpusError, match="u: empty token"):
-        SentencePair("u", FeatureSequence(np.zeros((2, 1))), ("ab", ""))
+        SentencePair("u", np.zeros((2, 1)), ("ab", ""))
 
 
 def test_char_lengths_follow_tokens():
@@ -213,7 +253,7 @@ def test_energy_track_length_checked():
     with pytest.raises(CorpusError):
         SentencePair(
             utt_id="u",
-            source=FeatureSequence(np.zeros((2, 1))),
+            frames=np.zeros((2, 1)),
             target_words=("ab",),
             energy_track=np.ones(5),
         )
@@ -222,23 +262,23 @@ def test_energy_track_length_checked():
 @pytest.mark.parametrize("boundaries", [(0, 3), (3, 7)], ids=["zero", "past_m"])
 def test_boundaries_must_lie_inside_utterance(boundaries):
     with pytest.raises(CorpusError, match=r"u: boundaries must lie in \[1, 6\]"):
-        SentencePair("u", FeatureSequence(np.zeros((6, 1))), ("ab",), boundaries=boundaries)
+        SentencePair("u", np.zeros((6, 1)), ("ab",), boundaries=boundaries)
 
 
 def test_normalize_utterance_zero_mean_unit_variance():
-    seq = FeatureSequence(np.random.default_rng(1).normal(3.0, 2.5, size=(40, 4)))
+    seq = np.random.default_rng(1).normal(3.0, 2.5, size=(40, 4))
     norm = normalize_utterance(seq)
-    assert np.abs(norm.frames.mean(axis=0)).max() < 1e-9
-    assert np.abs(norm.frames.var(axis=0) - 1.0).max() < 1e-6
+    assert np.abs(norm.mean(axis=0)).max() < 1e-9
+    assert np.abs(norm.var(axis=0) - 1.0).max() < 1e-6
 
 
 def test_normalize_constant_dimension_centered_only():
     frames = np.zeros((5, 2))
     frames[:, 0] = 7.0
     frames[:, 1] = np.arange(5)
-    norm = normalize_utterance(FeatureSequence(frames))
-    np.testing.assert_allclose(norm.frames[:, 0], 0.0)
-    assert norm.frames[:, 1].var() == pytest.approx(1.0)
+    norm = normalize_utterance(frames)
+    np.testing.assert_allclose(norm[:, 0], 0.0)
+    assert norm[:, 1].var() == pytest.approx(1.0)
 
 
 def test_corpus_save_load_round_trip(tmp_path):
@@ -257,7 +297,7 @@ def test_corpus_save_load_round_trip(tmp_path):
     for a, b in zip(corpus.pairs, back.pairs):
         assert a.utt_id == b.utt_id
         assert a.target_words == b.target_words
-        np.testing.assert_array_equal(a.source.frames, b.source.frames)
+        np.testing.assert_array_equal(a.frames, b.frames)
         np.testing.assert_array_equal(a.energy_track, b.energy_track)
         assert a.boundaries == b.boundaries
     assert back.pairs[0].boundaries == (2, 5)
@@ -277,7 +317,7 @@ def test_corpus_save_removes_stale_optional_files(tmp_path):
     assert not (tmp_path / "gold.tsv").exists()
     back = load_corpus(tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")
     for a, b in zip(new.pairs, back.pairs):
-        np.testing.assert_array_equal(a.source.frames, b.source.frames)
+        np.testing.assert_array_equal(a.frames, b.frames)
         assert b.energy_track is None and b.boundaries == ()
 
 
@@ -286,10 +326,10 @@ def test_synth_same_seed_bit_identical():
     c1, p1 = synth_generate(cfg)
     c2, p2 = synth_generate(cfg)
     for a, b in zip(c1.pairs, c2.pairs):
-        np.testing.assert_array_equal(a.source.frames, b.source.frames)
+        np.testing.assert_array_equal(a.frames, b.frames)
         assert a.target_words == b.target_words
     for f in range(len(p1.prototypes)):
-        np.testing.assert_array_equal(p1.prototypes[f].frames, p2.prototypes[f].frames)
+        np.testing.assert_array_equal(p1.prototypes[f], p2.prototypes[f])
 
 
 def test_synth_gold_tiles_frames_without_silence():
@@ -324,10 +364,10 @@ def test_synth_true_params_reference_all_words():
 def test_synth_prototype_lengths_cover_range():
     config = SynthConfig(vocab_size=20, sentences=10, proto_len_min=5, proto_len_max=8)
     corpus, params = synth_generate(config)
-    lengths = {proto.m for proto in params.prototypes}
+    lengths = {proto.shape[0] for proto in params.prototypes}
     assert lengths == {5, 6, 7, 8}
     # Each word's gold span is exactly its prototype.
-    proto_len = {params.inventory.owner[f]: proto.m for f, proto in enumerate(params.prototypes)}
+    proto_len = {params.inventory.owner[f]: proto.shape[0] for f, proto in enumerate(params.prototypes)}
     for pair in corpus.pairs:
         counts = {}
         for w, _ in corpus.gold[pair.utt_id].links:
@@ -384,3 +424,22 @@ def test_load_corpus_rejects_empty_text_inputs(tmp_path, manifest, translations,
     (tmp_path / "translations.txt").write_text(translations, encoding="utf-8")
     with pytest.raises(CorpusError, match=re.escape(message)):
         load_corpus(tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")
+
+
+# Characters that `str.splitlines` treats as line breaks besides "\n" and "\r".
+OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", OTHER_BREAKS)
+def test_text_inputs_break_only_at_newlines(tmp_path, char):
+    (tmp_path / "manifest.txt").write_text(f"u{char}1\nu2\n", encoding="utf-8")
+    assert read_manifest(tmp_path / "manifest.txt") == [f"u{char}1", "u2"]
+    (tmp_path / "a.feat").write_text(f"2 2\n0{char}1\n2 3\n", encoding="utf-8")
+    np.testing.assert_array_equal(read_feature_file(tmp_path / "a.feat"), [[0.0, 1.0], [2.0, 3.0]])
+    # A break character inside a sentence separates tokens, not sentences.
+    (tmp_path / "manifest.txt").write_text("u1\nu2\n", encoding="utf-8")
+    (tmp_path / "translations.txt").write_text(f"ab{char}cd\nef\n", encoding="utf-8")
+    for utt_id in ("u1", "u2"):
+        write_feature_file(tmp_path / f"{utt_id}.feat", np.zeros((4, 1)))
+    corpus = load_corpus(tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")
+    assert [p.target_words for p in corpus.pairs] == [("ab", "cd"), ("ef",)]

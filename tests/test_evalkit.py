@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spanalign.corpus import Corpus, FeatureSequence, GoldAlignment, SentencePair
+from spanalign.corpus import Corpus, GoldAlignment, SentencePair
 from spanalign.evalkit import (
     EvalReport,
     Scores,
@@ -19,7 +19,7 @@ def _pair(utt_id, words, m):
     rng = np.random.default_rng(abs(hash(utt_id)) % 2**32)
     return SentencePair(
         utt_id,
-        FeatureSequence(rng.standard_normal((m, 2))),
+        rng.standard_normal((m, 2)),
         tuple(words),
     )
 

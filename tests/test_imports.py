@@ -4,8 +4,9 @@ imports a package module (a deferred import hides an import cycle), the
 leaf modules `corpus`, `distortion` and `dtw` import no package module at
 all (`dtw` and `distortion` work on arrays and integers, below the corpus
 types), no parameter defaults to a `*Config` attribute (the setting would
-get a second home that skips the config's validation), and `align` runs
-without importing `numpy.ma`."""
+get a second home that skips the config's validation), every function
+parameter is read in its body, and `align` runs without importing
+`numpy.ma`."""
 
 import ast
 import os
@@ -94,6 +95,24 @@ def _config_attribute_defaults(source: str) -> list[str]:
     return found
 
 
+def _unread_parameters(source: str) -> list[str]:
+    """`function.parameter` for each parameter that its function's body never reads."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+        read = {
+            node.id
+            for stmt in func.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found += [f"{func.name}.{arg.arg}" for arg in params if arg.arg not in read]
+    return found
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_are_used(module):
     assert _unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
@@ -120,6 +139,11 @@ def test_leaf_module_imports_no_package_module(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_default_copies_a_config_setting(module):
     assert _config_attribute_defaults((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_parameter_is_read(module):
+    assert _unread_parameters((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def test_align_does_not_import_numpy_ma(tmp_path):
@@ -177,3 +201,12 @@ def test_config_attribute_default_is_reported():
         "    def g(shift=FeatureSequence.frame_shift_ms, n=SynthConfig.sentences):\n        pass\n"
     )
     assert _config_attribute_defaults(source) == ["f.ratio", "f.k", "g.n"]
+
+
+def test_unread_parameter_is_reported():
+    source = (
+        "def f(a, b, /, c, *rest, d=1, **extra):\n    return a + extra['x']\n"
+        "def g(shift):\n    def h(n=shift):\n        return n\n    return h\n"
+        "class C:\n    def m(self, x):\n        x = 1\n        return self\n"
+    )
+    assert _unread_parameters(source) == ["f.b", "f.c", "f.d", "f.rest", "m.x"]

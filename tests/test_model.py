@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from spanalign.corpus import Corpus, FeatureSequence, SentencePair
+from spanalign.corpus import Corpus, CorpusError, SentencePair
 from spanalign.distortion import DistortionParams, log_delta_a, log_delta_b
 from spanalign.dtw import candidate_span_costs, dtw_distance
 from spanalign import model, trainer
@@ -23,14 +24,14 @@ from oracles import span_log_delta, word_log_score
 
 
 def fs(arr):
-    return FeatureSequence(np.asarray(arr, dtype=np.float64))
+    return np.asarray(arr, dtype=np.float64)
 
 
 def make_setup(k=1, variant="deficient"):
     rng = np.random.default_rng(0)
     pair = SentencePair(
         utt_id="u1",
-        source=FeatureSequence(rng.normal(size=(10, 2))),
+        frames=rng.normal(size=(10, 2)),
         target_words=("foo", "bar"),
     )
     inventory = ClusterInventory.build(["foo", "bar"], k)
@@ -103,7 +104,7 @@ def test_deficient_table_is_softmax_of_neg_squared_costs():
     table = deficient_log_s_table(span_cost_rows([proto], [pair], [candidates])[0]["u1"])
     costs = np.asarray(
         [
-            dtw_distance(proto.frames, pair.source.frames[a - 1 : b]).normalized_cost
+            dtw_distance(proto, pair.frames[a - 1 : b]).normalized_cost
             for a, b in candidates.spans
         ]
     )
@@ -117,12 +118,12 @@ def test_documented_two_span_softmax():
     # DTW^2 values {0, 1} -> probabilities {e^0, e^-1} / (e^0 + e^-1).
     pair = SentencePair(
         utt_id="u",
-        source=FeatureSequence(np.asarray([[0.0], [0.0], [1.0], [3.0]])),
+        frames=np.asarray([[0.0], [0.0], [1.0], [3.0]]),
         target_words=("w",),
     )
     proto = fs([[0.0], [0.0]])
     candidates = CandidateSpans(((1, 2), (3, 4)))
-    c2 = dtw_distance(proto.frames, pair.source.frames[2:4]).normalized_cost
+    c2 = dtw_distance(proto, pair.frames[2:4]).normalized_cost
     assert c2 == pytest.approx(1.0)  # |1-0| + |3-0| over (2+2) frames
     table = np.exp(deficient_log_s_table(span_cost_rows([proto], [pair], [candidates])[0]["u"]))
     z = math.e**0 + math.e**-1
@@ -198,7 +199,7 @@ def test_span_cost_rows_equal_per_utterance_calls():
     for proto, costs in zip(protos, rows):
         assert list(costs) == [pair.utt_id for pair in pairs]
         for pair, cands in zip(pairs, candidates):
-            want = candidate_span_costs(proto.frames, pair.source.frames, cands.spans)
+            want = candidate_span_costs(proto, pair.frames, cands.spans)
             # bitwise: laying utterances end to end must not change any cost
             assert np.array_equal(costs[pair.utt_id], want)
 
@@ -217,12 +218,12 @@ def test_span_cost_rows_share_one_layout(monkeypatch):
     monkeypatch.setattr(model, "candidate_span_costs", spy)
     rows = span_cost_rows(protos, pairs, candidates)
     assert len(seen) == len(protos)
-    assert all(called is proto.frames for (called, _, _), proto in zip(seen, protos))
+    assert all(called is proto for (called, _, _), proto in zip(seen, protos))
     assert all(frames is seen[0][1] and spans is seen[0][2] for _, frames, spans in seen)
     assert tuple(seen[0][2]) == ((1, 2), (1, 5), (3, 4), (7, 13), (9, 11))
     frames, spans = seen[0][1], tuple(seen[0][2])
     for proto, costs in zip(protos, rows):
-        want = candidate_span_costs(proto.frames, frames, spans)
+        want = candidate_span_costs(proto, frames, spans)
         assert np.array_equal(costs["u0"], want[:3])
         assert np.array_equal(costs["u1"], want[3:])
 
@@ -260,7 +261,7 @@ def test_effective_mu_clamps_only_single_word():
 def test_span_log_delta_single_frame_sentence():
     pair = SentencePair(
         utt_id="u",
-        source=FeatureSequence(np.zeros((1, 1))),
+        frames=np.zeros((1, 1)),
         target_words=("w",),
     )
     assert span_log_delta(1, 1, 1, pair, 1, DistortionParams()) == 0.0
@@ -300,7 +301,7 @@ def test_word_log_score_dead_cluster_is_neg_inf():
 def test_params_round_trip(tmp_path):
     _, params, _ = make_setup(k=2)
     path = tmp_path / "params.json"
-    save_params(params, path)
+    save_params(params, path, 10.0)
     back = load_params(path)
     assert back.variant == params.variant
     assert back.inventory.clusters == params.inventory.clusters
@@ -308,7 +309,7 @@ def test_params_round_trip(tmp_path):
     np.testing.assert_array_equal(back.u, params.u)
     assert back.distortion == params.distortion
     for p, q in zip(back.prototypes, params.prototypes):
-        np.testing.assert_array_equal(p.frames, q.frames)
+        np.testing.assert_array_equal(p, q)
 
 
 def test_params_round_trip_with_dead_prototype(tmp_path):
@@ -320,8 +321,30 @@ def test_params_round_trip_with_dead_prototype(tmp_path):
         distortion=DistortionParams(p0=0.1, lam=2.0),
     )
     path = tmp_path / "params.json"
-    save_params(params, path)
+    save_params(params, path, 10.0)
     back = load_params(path)
     assert back.prototypes[1] is None
     assert back.u[1] == 0.0
     assert back.distortion.p0 == 0.1
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [({"frames": [[0.0, float("nan")]]}, "feature matrix contains non-finite values"),
+     ({"frames": [1.0, 2.0]}, r"shape \(m>=1, d>=1\), got \(2,\)"),
+     ({"frames": [[]]}, r"shape \(m>=1, d>=1\), got \(1, 0\)"),
+     ({"frame_shift_ms": 0}, "frame_shift_ms must be positive and finite, got 0"),
+     ({"frame_shift_ms": float("inf")}, "frame_shift_ms must be positive and finite, got inf")],
+    ids=["nan_frame", "one_dim", "no_dims", "zero_shift", "inf_shift"],
+)
+def test_load_params_rejects_bad_prototype(tmp_path, entry, message):
+    _, params, _ = make_setup(k=2)
+    path = tmp_path / "params.json"
+    save_params(params, path, 10.0)
+    payload = json.loads(path.read_text())
+    assert [p["frame_shift_ms"] for p in payload["prototypes"]] == [10.0] * 4
+    assert not load_params(path).prototypes[1].flags.writeable
+    payload["prototypes"][1].update(entry)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorpusError, match=message):
+        load_params(path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import enumerate_spans_reference, silence_runs_reference
 
-from spanalign.corpus import FeatureSequence, SentencePair, read_boundary_file
+from spanalign.corpus import SentencePair, read_boundary_file
 from spanalign.segmentation import (
     CandidateSpans,
     NoCandidateSpansError,
@@ -21,7 +21,7 @@ from spanalign.segmentation import (
 def make_pair(m, energy=None, utt_id="u1", boundaries=()):
     return SentencePair(
         utt_id=utt_id,
-        source=FeatureSequence(np.zeros((m, 2))),
+        frames=np.zeros((m, 2)),
         target_words=("word",),
         energy_track=energy,
         boundaries=boundaries,
@@ -31,24 +31,24 @@ def make_pair(m, energy=None, utt_id="u1", boundaries=()):
 def test_detect_silence_seven_frame_run():
     e = np.ones(30)
     e[10:17] = 0.01
-    assert detect_silence(e).spans == ((11, 18),)
+    assert detect_silence(e, 10.0).spans == ((11, 18),)
 
 
 def test_detect_silence_four_frames_too_short():
     e = np.ones(30)
     e[10:14] = 0.01
-    assert detect_silence(e).spans == ()
+    assert detect_silence(e, 10.0).spans == ()
 
 
 def test_detect_silence_all_zero_track():
-    assert detect_silence(np.zeros(25)).spans == ()
+    assert detect_silence(np.zeros(25), 10.0).spans == ()
 
 
 def test_detect_silence_multiple_runs():
     e = np.ones(60)
     e[5:12] = 0.0
     e[30:40] = 0.0
-    assert detect_silence(e).spans == ((6, 13), (31, 41))
+    assert detect_silence(e, 10.0).spans == ((6, 13), (31, 41))
 
 
 def test_detect_silence_min_ms_scales_with_shift():
@@ -60,9 +60,9 @@ def test_detect_silence_min_ms_scales_with_shift():
 
 def test_detect_silence_rejects_bad_track():
     with pytest.raises(ValueError):
-        detect_silence(np.asarray([1.0, -0.5, 0.2]))
+        detect_silence(np.asarray([1.0, -0.5, 0.2]), 10.0)
     with pytest.raises(ValueError):
-        detect_silence(np.ones((3, 2)))
+        detect_silence(np.ones((3, 2)), 10.0)
 
 
 def test_silence_spans_validation():
@@ -140,7 +140,7 @@ def test_candidate_spans_full_pipeline_snaps_to_word():
     # be among the candidates once silences are detected exactly.
     energy = np.concatenate([np.full(10, 0.01), np.ones(8), np.full(10, 0.01)])
     pair = make_pair(28, energy=energy)
-    cands, silences = candidate_spans(pair, SegmentationConfig())
+    cands, silences = candidate_spans(pair, SegmentationConfig(), 10.0)
     assert silences.spans == ((1, 11), (19, 29))
     assert (11, 18) in cands.spans
     for a, b in cands.spans:
@@ -152,7 +152,7 @@ def test_candidate_spans_fallback_whole_utterance():
     # passes fail and the terminal fallback is the whole utterance.
     pair = make_pair(4)
     cfg = SegmentationConfig(span_min_len=10, span_max_len=20)
-    cands, _ = candidate_spans(pair, cfg)
+    cands, _ = candidate_spans(pair, cfg, 10.0)
     assert cands.spans == ((1, 4),)
 
 
@@ -162,7 +162,7 @@ def test_candidate_spans_fallback_unrestricted_grid():
     # every in-range span.
     pair = make_pair(20)
     cfg = SegmentationConfig(grid_stride=0, span_min_len=3, span_max_len=10)
-    cands, _ = candidate_spans(pair, cfg)
+    cands, _ = candidate_spans(pair, cfg, 10.0)
     assert all(3 <= b - a + 1 <= 10 for a, b in cands.spans)
     assert (1, 10) in cands.spans and (11, 20) in cands.spans
 
@@ -178,7 +178,7 @@ def test_candidate_spans_silence_follows_config(settings, expected):
     energy = np.ones(40)
     energy[8:12] = 0.01
     energy[24:31] = 0.2
-    cands, silences = candidate_spans(make_pair(40, energy=energy), SegmentationConfig(**settings))
+    cands, silences = candidate_spans(make_pair(40, energy=energy), SegmentationConfig(**settings), 10.0)
     assert silences.spans == expected
     for a, b in cands.spans:
         assert not any(max(a, s) <= min(b, t - 1) for s, t in expected)
@@ -186,7 +186,7 @@ def test_candidate_spans_silence_follows_config(settings, expected):
 
 def test_candidate_spans_no_energy_skips_silence():
     pair = make_pair(20)
-    cands, silences = candidate_spans(pair, SegmentationConfig())
+    cands, silences = candidate_spans(pair, SegmentationConfig(), 10.0)
     assert silences.spans == ()
     assert (1, 20) in cands.spans
 

@@ -5,7 +5,6 @@ import pytest
 
 from spanalign.corpus import (
     Corpus,
-    FeatureSequence,
     GoldAlignment,
     SentencePair,
     normalize_utterance,
@@ -35,7 +34,7 @@ from oracles import brute_force_word_argmax, word_log_score
 
 def _pair(rng, utt_id, words, m, dim=2):
     frames = rng.standard_normal((m, dim))
-    return SentencePair(utt_id, FeatureSequence(frames), tuple(words))
+    return SentencePair(utt_id, frames, tuple(words))
 
 
 def _tiny_instance(rng, variant):
@@ -54,7 +53,7 @@ def _tiny_instance(rng, variant):
     inventory = ClusterInventory.build(sorted(set(vocab)), k=2)
     n = inventory.n_clusters
     u = rng.random(n) + 0.05
-    prototypes = [FeatureSequence(rng.standard_normal((int(rng.integers(1, 5)), 2))) for _ in range(n)]
+    prototypes = [rng.standard_normal((int(rng.integers(1, 5)), 2)) for _ in range(n)]
     if n > 2 and rng.random() < 0.5:
         # Kill one cluster; k=2 leaves every word at least one live choice.
         dead = int(rng.integers(0, n))
@@ -127,7 +126,7 @@ def test_final_alignments_scores_match_reference(variant):
 def _small_corpus(seed=1, sentences=6):
     corpus, _ = synth_generate(SynthConfig(seed=seed, vocab_size=5, sentences=sentences))
     pairs = tuple(
-        SentencePair(p.utt_id, normalize_utterance(p.source), p.target_words, p.energy_track)
+        SentencePair(p.utt_id, normalize_utterance(p.frames), p.target_words, p.energy_track)
         for p in corpus
     )
     return Corpus(pairs, corpus.gold)
@@ -205,9 +204,9 @@ def test_e_step_tie_order_matches_brute_force(variant):
     # clusters share one prototype object and one u.  Every tie must resolve
     # as the oracle's scan does: smaller start, then end, then cluster id.
     period = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
-    pair = SentencePair("t", FeatureSequence(np.tile(period, (4, 1))), ("aa", "bb"))
+    pair = SentencePair("t", np.tile(period, (4, 1)), ("aa", "bb"))
     inventory = ClusterInventory.build(["aa", "bb"], 2)
-    p, q = FeatureSequence(period), FeatureSequence(period[1:])
+    p, q = period, period[1:]
     params = ModelParams(
         inventory=inventory,
         u=np.full(4, 0.25),
@@ -232,7 +231,7 @@ def test_e_step_dead_word_keeps_previous_assignment():
     rng = np.random.default_rng(2)
     pair = _pair(rng, "t", ["aa"], m=4)
     inventory = ClusterInventory.build(["aa", "bb"], 2)
-    proto = FeatureSequence(rng.standard_normal((2, 2)))
+    proto = rng.standard_normal((2, 2))
     # Both of "aa"'s clusters are dead, so only a carried-over previous
     # assignment can stand in for the argmax.
     params = ModelParams(
@@ -256,7 +255,7 @@ def test_m_step_relative_frequencies():
     p2 = _pair(rng, "u2", ["aa", "aa"], m=5)
     corpus = Corpus((p1, p2))
     inventory = ClusterInventory.build(["aa", "bb"], 2)  # aa -> (0, 1), bb -> (2, 3)
-    sentinel = FeatureSequence(rng.standard_normal((2, 2)))
+    sentinel = rng.standard_normal((2, 2))
     blank = ModelParams(
         inventory=inventory,
         u=np.full(4, 0.25),
@@ -272,10 +271,10 @@ def test_m_step_relative_frequencies():
     assert np.allclose(params.u, [0.75, 0.0, 0.25, 0.0])
     # Cluster 2 has one member, and the centroid of a singleton is the
     # member itself; dead clusters keep whatever prototype they had.
-    assert np.array_equal(params.prototypes[2].frames, p1.source.frames[3:6])
+    assert np.array_equal(params.prototypes[2], p1.frames[3:6])
     assert params.prototypes[1] is sentinel
     assert params.prototypes[3] is None
-    assert params.prototypes[0] is not None and params.prototypes[0].dim == 2
+    assert params.prototypes[0] is not None and params.prototypes[0].shape[1] == 2
 
 
 def _count_calls(monkeypatch, name):
@@ -315,7 +314,7 @@ def test_m_step_keeps_prototype_of_unchanged_cluster(monkeypatch):
         else:
             assert reused.prototypes[h] is state.params.prototypes[h]
         if reused.prototypes[h] is not None:
-            assert np.array_equal(reused.prototypes[h].frames, rebuilt.prototypes[h].frames)
+            assert np.array_equal(reused.prototypes[h], rebuilt.prototypes[h])
     assert np.array_equal(reused.u, rebuilt.u)
 
     # Nothing changed: no DBA at all, and every prototype object survives.
@@ -355,7 +354,7 @@ def test_cost_rows_follow_prototype_objects(monkeypatch, variant):
 
     # A new prototype object, even with equal frames, is recomputed; the rest are reused.
     f = live[0]
-    copy = FeatureSequence(params.prototypes[f].frames.copy())
+    copy = params.prototypes[f].copy()
     changed = with_prototype(f, copy)
     store.refresh(changed)
     assert computed() == [copy]
@@ -363,7 +362,7 @@ def test_cost_rows_follow_prototype_objects(monkeypatch, variant):
         spans = tables.candidates[pair.utt_id].spans
         for g in live:
             if variant == "proper" or params.inventory.owner[g] in pair.target_words:
-                want = candidate_span_costs(changed.prototypes[g].frames, pair.source.frames, spans)
+                want = candidate_span_costs(changed.prototypes[g], pair.frames, spans)
                 assert np.array_equal(store.row(g, pair.utt_id), want)
 
     # A cluster that dies is dropped, so its rows are recomputed if it lives again.
@@ -397,7 +396,7 @@ def test_train_reuse_matches_recomputing_everything(variant):
     for mine, theirs in zip(state.params.prototypes, params.prototypes):
         assert (mine is None) == (theirs is None)
         if mine is not None:
-            assert np.array_equal(mine.frames, theirs.frames)
+            assert np.array_equal(mine, theirs)
     assert final_alignments(corpus, state, tables) == final_alignments(corpus, state, fresh_tables())
     # Another candidate set is scored through its own tables, on its own rows.
     narrow = Tables(
@@ -521,13 +520,13 @@ def _degenerate_corpus():
     pairs = [
         _pair(rng, "one_frame", ["aa"], 1),
         _pair(rng, "two_frames", ["aa", "bbb"], 2),
-        SentencePair("repeat", FeatureSequence(rng.standard_normal((30, 2))), ("aa", "c", "aa"), energy),
+        SentencePair("repeat", rng.standard_normal((30, 2)), ("aa", "c", "aa"), energy),
         _pair(rng, "single_word", ["bbb"], 12),
         _pair(rng, "plain_1", ["aa", "bbb", "c"], 24),
         _pair(rng, "plain_2", ["c", "aa"], 16),
     ]
     return Corpus(tuple(
-        SentencePair(p.utt_id, normalize_utterance(p.source), p.target_words, p.energy_track)
+        SentencePair(p.utt_id, normalize_utterance(p.frames), p.target_words, p.energy_track)
         for p in pairs
     ))
 
@@ -568,7 +567,7 @@ def _repeated_type_corpus():
     low-energy pause, and noise of the corpus's level is added on top.
     """
     base, true_params = synth_generate(SynthConfig(vocab_size=6, sentences=12, noise_std=0.1, bounds=False))
-    protos = {true_params.inventory.owner[f]: p.frames for f, p in enumerate(true_params.prototypes)}
+    protos = {true_params.inventory.owner[f]: p for f, p in enumerate(true_params.prototypes)}
     t = sorted(protos)
     rng = np.random.default_rng(5)
     pairs, gold = list(base.pairs), dict(base.gold)
@@ -581,7 +580,7 @@ def _repeated_type_corpus():
             cursor += len(protos[word]) + 10
         frames = np.concatenate(chunks) + rng.normal(0.0, 0.1, size=(cursor, chunks[0].shape[1]))
         utt_id = f"repeat{n}"
-        pairs.append(SentencePair(utt_id, FeatureSequence(frames), words, np.concatenate(energy)))
+        pairs.append(SentencePair(utt_id, frames, words, np.concatenate(energy)))
         gold[utt_id] = GoldAlignment(utt_id, frozenset(links))
     return Corpus(tuple(pairs), gold)
 
