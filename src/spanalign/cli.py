@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import (
@@ -25,7 +25,6 @@ from .corpus import (
     atomic_write_text,
     check_frame_shift,
     load_corpus,
-    normalize_utterance,
     read_feature_file,
     read_gold_file,
     read_interval_rows,
@@ -169,10 +168,6 @@ def _require(values: dict, names: list[str], command: str) -> None:
         raise ValueError(f"{command}: missing required settings: {', '.join(missing)}")
 
 
-def _normalized(corpus: Corpus) -> Corpus:
-    return replace(corpus, pairs=tuple(replace(p, frames=normalize_utterance(p.frames)) for p in corpus))
-
-
 def _config(cls, values: dict, **renamed):
     """A config dataclass filled from the settings of the same name; `renamed` gives the rest."""
     same = {f.name: values[f.name] for f in fields(cls) if f.name not in renamed}
@@ -182,11 +177,9 @@ def _config(cls, values: dict, **renamed):
 def _alignment_rows(corpus: Corpus, alignments: dict) -> str:
     lines = []
     for pair in corpus:
-        alignment = alignments[pair.utt_id]
-        for w_idx, entry in enumerate(alignment.words):
-            cluster = "-" if entry.cluster_id is None else str(entry.cluster_id)
+        for w_idx, entry in enumerate(alignments[pair.utt_id]):
             lines.append(
-                f"{pair.utt_id}\t{w_idx}\t{pair.target_words[w_idx]}\t{cluster}"
+                f"{pair.utt_id}\t{w_idx}\t{pair.target_words[w_idx]}\t{entry.cluster_id}"
                 f"\t{entry.a - 1}\t{entry.b}\t{entry.log_score!r}"
             )
     return "\n".join(lines) + "\n"
@@ -200,9 +193,8 @@ def _load_tables(values: dict, seg_config: SegmentationConfig):
         values["translations"],
         values["gold"],
         frame_shift_ms=values["frame_shift_ms"],
+        normalize=values["normalize"],
     )
-    if values["normalize"]:
-        corpus = _normalized(corpus)
     out_dir = Path(values["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
     return corpus, out_dir, build_tables(corpus, seg_config)
@@ -257,7 +249,7 @@ def _file_report(pred_path: str, gold_path: str) -> EvalReport:
     """
     pred_links, names = _read_alignment_file(pred_path)
     gold = read_gold_file(gold_path)
-    gold_links = {(u, w, j) for u, ga in gold.items() for w, j in ga.links}
+    gold_links = {(u, w, j) for u, links in gold.items() for w, j in links}
 
     # (predicted, gold) link sets per utterance and per word type
     by_utt = defaultdict(lambda: (set(), set()))
@@ -311,8 +303,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
             raise CorpusError(f"split utterance {utt_id!r} not in the corpus")
     corpus, out_dir, tables = _load_tables(values, seg_config)
     by_id = {p.utt_id: p for p in corpus.pairs}
-    dev = Corpus(tuple(by_id[u] for u in dict.fromkeys(dev_ids)))
-    test = Corpus(tuple(by_id[u] for u in dict.fromkeys(test_ids)))
+    dev = Corpus(tuple(by_id[u] for u in dev_ids))
+    test = Corpus(tuple(by_id[u] for u in test_ids))
 
     rows = ["lambda\tdev_f"]
     best = None

@@ -1,7 +1,8 @@
 """Corpus types, file I/O and feature normalization.
 
 On-disk layout:
-  manifest           one utterance id per line, no blank line before the last
+  manifest           one utterance id per line, each once, no blank line
+                     before the last
   <utt_id>.feat      header line "m d", then m lines of d floats
   translations       one whitespace-tokenized sentence per manifest line
   gold file          utt_id<TAB>word_index<TAB>start_frame<TAB>end_frame,
@@ -104,20 +105,12 @@ class SentencePair:
         return self.frames.shape[0]
 
 
-@dataclass(frozen=True)
-class GoldAlignment:
-    """Reference word-to-frame links, both sides 0-indexed."""
-
-    utt_id: str
-    links: frozenset[tuple[int, int]]
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """An ordered collection of sentence pairs, optional gold links, and their one frame shift."""
 
     pairs: tuple[SentencePair, ...]
-    gold: dict[str, GoldAlignment] | None = None
+    gold: dict[str, frozenset[tuple[int, int]]] | None = None  # utt_id -> 0-indexed (word, frame) links
     frame_shift_ms: float = 10.0
 
     def __post_init__(self):
@@ -129,11 +122,11 @@ class Corpus:
             seen.add(pair.utt_id)
         if self.gold is not None:
             by_id = {p.utt_id: p for p in self.pairs}
-            for utt_id, ga in self.gold.items():
+            for utt_id, links in self.gold.items():
                 if utt_id not in by_id:
                     raise CorpusError(f"gold alignment for unknown utterance {utt_id!r}")
                 pair = by_id[utt_id]
-                for word, frame in ga.links:
+                for word, frame in links:
                     if not (0 <= word < pair.l) or not (0 <= frame < pair.m):
                         raise CorpusError(
                             f"{utt_id}: gold link ({word}, {frame}) out of range "
@@ -239,13 +232,16 @@ def read_boundary_file(path: Path | str, m: int) -> tuple[int, ...]:
 
 
 def read_manifest(path: Path | str) -> list[str]:
-    """Utterance ids, one per line; trailing blank lines are ignored, inner ones rejected."""
+    """Unique utterance ids, one per line; trailing blank lines are ignored, inner ones rejected."""
     utt_ids = [ln.strip() for ln in _read_lines(path)]
     while utt_ids and not utt_ids[-1]:
         utt_ids.pop()
+    first: dict[str, int] = {}
     for lineno, utt_id in enumerate(utt_ids, start=1):
         if not utt_id:
             raise CorpusError(f"{path}:{lineno}: blank utterance id")
+        if first.setdefault(utt_id, lineno) != lineno:
+            raise CorpusError(f"{path}:{lineno}: utterance id {utt_id!r} repeats line {first[utt_id]}")
     if not utt_ids:
         raise CorpusError(f"{path}: empty manifest")
     return utt_ids
@@ -293,17 +289,17 @@ def read_interval_rows(
             yield lineno, parts, word, start, end
 
 
-def read_gold_file(path: Path | str) -> dict[str, GoldAlignment]:
+def read_gold_file(path: Path | str) -> dict[str, frozenset[tuple[int, int]]]:
     links: dict[str, set[tuple[int, int]]] = {}
     for _, parts, word, start, end in read_interval_rows(path, 4, (1, 2, 3)):
         links.setdefault(parts[0], set()).update((word, f) for f in range(start, end))
-    return {u: GoldAlignment(u, frozenset(s)) for u, s in links.items()}
+    return {u: frozenset(s) for u, s in links.items()}
 
 
-def write_gold_file(path: Path | str, gold: dict[str, GoldAlignment]) -> None:
+def write_gold_file(path: Path | str, gold: dict[str, frozenset[tuple[int, int]]]) -> None:
     lines = []
     for utt_id in sorted(gold):
-        for word, start, end in links_to_intervals(gold[utt_id].links):
+        for word, start, end in links_to_intervals(gold[utt_id]):
             lines.append(f"{utt_id}\t{word}\t{start}\t{end}")
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
@@ -314,8 +310,12 @@ def load_corpus(
     translations_path: Path | str,
     gold_path: Path | str | None = None,
     frame_shift_ms: float = Corpus.frame_shift_ms,
+    normalize: bool = False,
 ) -> Corpus:
-    """Load a corpus from the external file layout, validating as it goes."""
+    """Load a corpus from the external file layout, validating as it goes.
+
+    With `normalize`, each pair is built on `normalize_utterance` of its frames.
+    """
     feature_dir = Path(feature_dir)
     utt_ids = read_manifest(manifest_path)
 
@@ -340,7 +340,7 @@ def load_corpus(
         pairs.append(
             SentencePair(
                 utt_id=utt_id,
-                frames=frames,
+                frames=normalize_utterance(frames) if normalize else frames,
                 target_words=words,
                 energy_track=energy,
                 boundaries=bounds,

@@ -9,11 +9,12 @@ utterances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
-from .corpus import Corpus, GoldAlignment, SentencePair
+from .corpus import Corpus, SentencePair
 from .distortion import allocate_mu
-from .model import Alignment, WordAlignment
+from .model import WordAlignment
 
 Link = tuple[int, int]
 
@@ -33,13 +34,13 @@ class EvalReport:
     per_word_type: dict[str, Scores]
 
 
-def alignment_to_links(alignment: Alignment, pair: SentencePair) -> set[Link]:
-    """Expand inclusive 1-indexed spans into 0-indexed (word, frame) links."""
+def alignment_to_links(words: tuple[WordAlignment, ...], pair: SentencePair) -> set[Link]:
+    """Expand the words' inclusive 1-indexed spans on `pair` into 0-indexed (word, frame) links."""
     links = set()
-    for w_idx, entry in enumerate(alignment.words):
+    for w_idx, entry in enumerate(words):
         if not (1 <= entry.a <= entry.b <= pair.m):
             raise ValueError(
-                f"{alignment.utt_id}: span ({entry.a}, {entry.b}) outside [1, {pair.m}]"
+                f"{pair.utt_id}: span ({entry.a}, {entry.b}) outside [1, {pair.m}]"
             )
         links.update((w_idx, j - 1) for j in range(entry.a, entry.b + 1))
     return links
@@ -65,8 +66,8 @@ def score_links(predicted: set, gold: set) -> Scores:
 
 
 def evaluate(
-    alignments: dict[str, Alignment],
-    gold: dict[str, GoldAlignment],
+    alignments: dict[str, tuple[WordAlignment, ...]],
+    gold: dict[str, frozenset[Link]],
     corpus: Corpus,
 ) -> Scores:
     """Micro-averaged scores over the links of `corpus`; a missing side counts as empty."""
@@ -77,19 +78,14 @@ def evaluate(
             links = alignment_to_links(alignments[pair.utt_id], pair)
             pooled_pred.update((pair.utt_id, w, j) for w, j in links)
         if pair.utt_id in gold:
-            pooled_gold.update((pair.utt_id, w, j) for w, j in gold[pair.utt_id].links)
+            pooled_gold.update((pair.utt_id, w, j) for w, j in gold[pair.utt_id])
     return score_links(pooled_pred, pooled_gold)
 
 
-def naive_baseline(pair: SentencePair) -> Alignment:
-    """Monotone partition of the utterance into mu-proportional spans."""
+def naive_baseline(pair: SentencePair) -> tuple[WordAlignment, ...]:
+    """Monotone partition of the utterance into mu-proportional spans, with no cluster."""
     mu = allocate_mu(pair.char_lengths, pair.m)
-    words = []
-    start = 1
-    for width in mu:
-        words.append(WordAlignment(cluster_id=None, a=start, b=start + width - 1, log_score=0.0))
-        start += width
-    return Alignment(pair.utt_id, tuple(words))
+    return tuple(WordAlignment(None, end - width + 1, end) for width, end in zip(mu, accumulate(mu)))
 
 
 def format_report(report: EvalReport) -> str:

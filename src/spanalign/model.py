@@ -22,16 +22,16 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, GoldAlignment, SentencePair, atomic_write_text, check_frame_shift, frame_array
+from .corpus import Corpus, SentencePair, atomic_write_text, check_frame_shift, frame_array
 from .distortion import DistortionParams
 from .dtw import SpanLanes, candidate_span_costs
-from .segmentation import CandidateSpans
 
 VARIANTS = ("deficient", "proper")
 CHECKPOINT_VERSION = 1
@@ -112,12 +112,6 @@ class WordAlignment:
     log_score: float = 0.0
 
 
-@dataclass(frozen=True)
-class Alignment:
-    utt_id: str
-    words: tuple[WordAlignment, ...]
-
-
 # ---------------------------------------------------------------------------
 # span tables
 # ---------------------------------------------------------------------------
@@ -125,7 +119,7 @@ class Alignment:
 def span_cost_rows(
     prototypes: Sequence[np.ndarray],
     pairs: Sequence[SentencePair],
-    candidates: Sequence[CandidateSpans],
+    candidates: Sequence[Sequence[tuple[int, int]]],
 ) -> list[dict[str, np.ndarray]]:
     """DTW costs from each prototype to every candidate span of every pair.
 
@@ -143,7 +137,7 @@ def span_cost_rows(
     shift = 0
     for pair, cands in zip(pairs, candidates):
         cuts[pair.utt_id] = slice(len(spans), len(spans) + len(cands))
-        spans.extend((a + shift, b + shift) for a, b in cands.spans)
+        spans.extend((a + shift, b + shift) for a, b in cands)
         shift += pair.m
     lanes = SpanLanes(frames, spans)
     costs = (candidate_span_costs(proto, frames, lanes) for proto in prototypes)
@@ -192,25 +186,62 @@ def save_params(params: ModelParams, path: Path | str, frame_shift_ms: float) ->
     atomic_write_text(path, json.dumps(payload))
 
 
+_NUMBER = (int, float)
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", _NUMBER: "a number"}
+
+
+def _checked(value, name: str, kind):
+    """`value` if it has the JSON type `kind` (a boolean is not a number); else ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"checkpoint field {name} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
+    return value
+
+
+def _field(obj: dict, key: str, kind, name: str | None = None):
+    """`obj[key]`, checked to have the JSON type `kind`; the message names the field as `name`."""
+    name = name or key
+    if key not in obj:
+        raise ValueError(f"checkpoint field {name} is missing")
+    return _checked(obj[key], name, kind)
+
+
+def _numbers(values: list, name: str) -> list:
+    """`values` once every item is a JSON number or a list of them; shapes are checked where used."""
+    for value in values:
+        if isinstance(value, list):
+            _numbers(value, name)
+        else:
+            _checked(value, name, _NUMBER)
+    return values
+
+
 def load_params(path: Path | str) -> ModelParams:
+    """Parameters from a `save_params` file; a missing or mistyped field is a ValueError naming it."""
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    version = payload.get("format_version")
+        payload = _checked(json.load(handle), "(top level)", dict)
+    version = _field(payload, "format_version", int)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    inventory = ClusterInventory({w: tuple(fs) for w, fs in payload["clusters"].items()})
+    clusters = {}
+    for word, ids in _field(payload, "clusters", dict).items():
+        name = f"clusters.{word}"
+        clusters[word] = tuple(_checked(f, name, int) for f in _checked(ids, name, list))
     prototypes = []
-    for entry in payload["prototypes"]:
+    for n, entry in enumerate(_field(payload, "prototypes", list)):
         if entry is not None:
-            check_frame_shift(entry["frame_shift_ms"])
-            entry = entry["frames"]
+            name = f"prototypes[{n}]"
+            entry = _checked(entry, name, dict)
+            check_frame_shift(_field(entry, "frame_shift_ms", _NUMBER, f"{name}.frame_shift_ms"))
+            entry = _numbers(_field(entry, "frames", list, f"{name}.frames"), f"{name}.frames")
         prototypes.append(entry)
+    distortion = _field(payload, "distortion", dict)
+    p0, lam = (_field(distortion, key, _NUMBER, f"distortion.{key}") for key in ("p0", "lambda"))
     return ModelParams(
-        inventory=inventory,
-        u=np.array(payload["u"], dtype=np.float64),
+        inventory=ClusterInventory(clusters),
+        u=np.array(_numbers(_field(payload, "u", list), "u"), dtype=np.float64),
         prototypes=prototypes,
-        distortion=DistortionParams(p0=payload["distortion"]["p0"], lam=payload["distortion"]["lambda"]),
-        variant=payload["variant"],
+        distortion=DistortionParams(p0=p0, lam=lam),
+        variant=_field(payload, "variant", str),
     )
 
 
@@ -302,7 +333,7 @@ def synth_generate(config: SynthConfig) -> tuple[Corpus, ModelParams]:
     }
 
     pairs = []
-    gold: dict[str, GoldAlignment] = {}
+    gold: dict[str, frozenset[tuple[int, int]]] = {}
     for n in range(config.sentences):
         utt_id = f"synth{n:04d}"
         l = int(rng.integers(config.sentence_len_min, config.sentence_len_max + 1))
@@ -359,10 +390,9 @@ def synth_generate(config: SynthConfig) -> tuple[Corpus, ModelParams]:
                 boundaries=edges,
             )
         )
-        links = frozenset(
+        gold[utt_id] = frozenset(
             (word, frame) for word, (s, e) in spans.items() for frame in range(s, e)
         )
-        gold[utt_id] = GoldAlignment(utt_id, links)
 
     corpus = Corpus(tuple(pairs), gold, config.frame_shift_ms)
 

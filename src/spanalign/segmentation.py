@@ -45,27 +45,6 @@ class SilenceSpans:
 
 
 @dataclass(frozen=True)
-class CandidateSpans:
-    """Sorted unique candidate spans (a, b), 1-indexed inclusive."""
-
-    spans: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.spans:
-            raise ValueError("candidate span set must be non-empty")
-        prev = None
-        for a, b in self.spans:
-            if not (1 <= a <= b):
-                raise ValueError(f"bad span ({a}, {b})")
-            if prev is not None and not (prev < (a, b)):
-                raise ValueError("spans must be strictly sorted")
-            prev = (a, b)
-
-    def __len__(self):
-        return len(self.spans)
-
-
-@dataclass(frozen=True)
 class SegmentationConfig:
     threshold_ratio: float = 0.05
     min_silence_ms: float = 50.0
@@ -151,8 +130,10 @@ def _snap(j: int, silences: SilenceSpans, is_start: bool) -> int:
     return j
 
 
-def enumerate_spans(boundaries, silences: SilenceSpans, min_len: int, max_len: int) -> CandidateSpans:
-    """All boundary-point pairs, snapped off silences, filtered by length.
+def enumerate_spans(
+    boundaries, silences: SilenceSpans, min_len: int, max_len: int
+) -> tuple[tuple[int, int], ...]:
+    """All boundary-point pairs, snapped off silences, filtered by length, sorted and unique.
 
     Raises NoCandidateSpansError when nothing survives, signalling the
     caller to retry on the unrestricted grid.
@@ -178,12 +159,12 @@ def enumerate_spans(boundaries, silences: SilenceSpans, min_len: int, max_len: i
             spans.append((a, b))
     if not spans:
         raise NoCandidateSpansError("no candidate span survived filtering")
-    return CandidateSpans(tuple(spans))
+    return tuple(spans)
 
 
 def candidate_spans(
     pair: SentencePair, config: SegmentationConfig, frame_shift_ms: float
-) -> tuple[CandidateSpans, SilenceSpans]:
+) -> tuple[tuple[tuple[int, int], ...], SilenceSpans]:
     """Full per-utterance pipeline, with one fallback guaranteeing a non-empty set."""
     if pair.energy_track is not None:
         silences = detect_silence(pair.energy_track, frame_shift_ms, config)

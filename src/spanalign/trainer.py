@@ -36,7 +36,6 @@ from .distortion import DistortionParams, allocate_mu, log_delta_a, log_delta_b
 from .dtw import dba_centroid
 from .model import (
     VARIANTS,
-    Alignment,
     ClusterInventory,
     ModelParams,
     WordAlignment,
@@ -45,7 +44,7 @@ from .model import (
     save_params,
     span_cost_rows,
 )
-from .segmentation import CandidateSpans, SegmentationConfig, candidate_spans
+from .segmentation import SegmentationConfig, candidate_spans
 
 Assignment = tuple[int, int, int]  # (cluster id, span start, span end)
 
@@ -99,7 +98,7 @@ class Tables:
     longer live, and drops every row when the variant changes.
     """
 
-    def __init__(self, corpus: Corpus, candidates: dict[str, CandidateSpans]):
+    def __init__(self, corpus: Corpus, candidates: dict[str, tuple[tuple[int, int], ...]]):
         self.corpus = corpus
         self.candidates = candidates
         self.mu = {pair.utt_id: allocate_mu(pair.char_lengths, pair.m) for pair in corpus}
@@ -173,7 +172,7 @@ def distortion_rows(tables: Tables, distortion: DistortionParams) -> dict[str, n
     """
     delta = {}
     for pair in tables.corpus:
-        spans = tables.candidates[pair.utt_id].spans
+        spans = tables.candidates[pair.utt_id]
         rows = np.zeros((pair.l, len(spans)))  # a single frame admits a single span
         if pair.m > 1:
             starts, ends = np.array(spans).T
@@ -235,7 +234,7 @@ def _align_pair(
     none to keep, it is an error.
     """
     clusters, scores = _utterance_scores(pair, params, tables, delta)
-    spans = tables.candidates[pair.utt_id].spans
+    spans = tables.candidates[pair.utt_id]
     flat = scores.reshape(pair.l, -1)
     best = flat.argmax(axis=1)
     maxima = flat[np.arange(pair.l), best].tolist()
@@ -259,7 +258,7 @@ def _score_assignments(
     tables: Tables,
     delta: dict[str, np.ndarray],
     assignments: dict[str, tuple[Assignment, ...]],
-) -> dict[str, Alignment]:
+) -> dict[str, tuple[WordAlignment, ...]]:
     """Score every utterance's fixed assignment under `params`, in corpus order.
 
     Another word's cluster, a dead cluster or a span outside the candidate
@@ -271,13 +270,12 @@ def _score_assignments(
     for pair in corpus:
         assignment = assignments[pair.utt_id]
         clusters, scores = _utterance_scores(pair, params, tables, delta[pair.utt_id])
-        index = {span: s for s, span in enumerate(tables.candidates[pair.utt_id].spans)}
+        index = {span: s for s, span in enumerate(tables.candidates[pair.utt_id])}
         spans = np.array([index.get((a, b), -1) for _, a, b in assignment])
         hit = np.array(clusters) == np.array([f for f, _, _ in assignment])[:, None]
         picked = scores[np.arange(pair.l), spans, hit.argmax(axis=1)]
         picked = np.where(hit.any(axis=1) & (spans >= 0), picked, -np.inf).tolist()
-        words = (WordAlignment(f, a, b, score) for (f, a, b), score in zip(assignment, picked))
-        out[pair.utt_id] = Alignment(pair.utt_id, tuple(words))
+        out[pair.utt_id] = tuple(WordAlignment(f, a, b, score) for (f, a, b), score in zip(assignment, picked))
     return out
 
 
@@ -370,7 +368,7 @@ def initialize(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainStat
 
     assignments = {}
     for pair in corpus:
-        spans = tables.candidates[pair.utt_id].spans
+        spans = tables.candidates[pair.utt_id]
         best = delta[pair.utt_id].argmax(axis=1).tolist()
         assignments[pair.utt_id] = tuple(  # one draw per word, in word order
             (inventory.clusters[word][int(rng.integers(0, config.k))], *spans[ci])
@@ -387,8 +385,8 @@ def initialize(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainStat
     params = m_step(corpus, assignments, config, blank)
 
     total = 0.0
-    for alignment in _score_assignments(corpus, params, tables, delta, assignments).values():
-        total += sum(w.log_score for w in alignment.words)
+    for words in _score_assignments(corpus, params, tables, delta, assignments).values():
+        total += sum(w.log_score for w in words)
     log = IterationStats(0, total, time.perf_counter() - started)
     return TrainState(params=params, assignments=assignments, iteration_log=(log,), delta=delta)
 
@@ -420,7 +418,7 @@ def train(
     return TrainState(params=params, assignments=assignments, iteration_log=tuple(log), delta=state.delta)
 
 
-def final_alignments(corpus: Corpus, state: TrainState, tables: Tables) -> dict[str, Alignment]:
+def final_alignments(corpus: Corpus, state: TrainState, tables: Tables) -> dict[str, tuple[WordAlignment, ...]]:
     """Score the final assignments under the final parameters for reporting.
 
     Reads the run's distortion rows from `state` and the cost rows that

@@ -153,7 +153,7 @@ def analytic_delta_argmax(i: int, l: int, m: int, mu_i: int, shifted: bool) -> i
 def _span_costs(proto, pair, candidates) -> np.ndarray:
     """Normalized DTW cost of the prototype against each candidate span, one DP each."""
     frames = pair.frames
-    return np.array([dtw_distance(proto, frames[a - 1 : b]).normalized_cost for a, b in candidates.spans])
+    return np.array([dtw_distance(proto, frames[a - 1 : b]).normalized_cost for a, b in candidates])
 
 
 def log_s_deficient(f, a, b, pair, candidates, prototypes) -> float:
@@ -165,7 +165,7 @@ def log_s_deficient(f, a, b, pair, candidates, prototypes) -> float:
     neg = -(costs * costs)
     peak = neg.max()
     table = neg - (peak + math.log(np.exp(neg - peak).sum()))
-    return float(table[candidates.spans.index((a, b))])
+    return float(table[candidates.index((a, b))])
 
 
 def log_s_proper(f, a, b, pair, params, candidates) -> float:
@@ -177,7 +177,7 @@ def log_s_proper(f, a, b, pair, params, candidates) -> float:
     neg = -(costs * costs)
     peak = neg.max(axis=0)
     rows = neg - (peak + np.log(np.exp(neg - peak).sum(axis=0)))
-    return float(rows[live.index(f)][candidates.spans.index((a, b))])
+    return float(rows[live.index(f)][candidates.index((a, b))])
 
 
 def span_log_delta(i, a, b, pair, mu_i, params) -> float:
@@ -222,7 +222,7 @@ def brute_force_word_argmax(i, word, pair, params, candidates, mu_i, word_log_sc
         if params.u[f] > 0.0 and params.prototypes[f] is not None
     ]
     best = (-math.inf, None)
-    for a, b in candidates.spans:
+    for a, b in candidates:
         for f in sorted(live):
             score = word_log_score(i, word, f, a, b, pair, params, candidates, mu_i)
             if score > best[0]:

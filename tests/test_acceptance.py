@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from spanalign.cli import _file_report, _normalized, main
+from spanalign.cli import _file_report, main
 from spanalign.corpus import load_corpus
 from spanalign.distortion import DistortionParams, log_delta_a, log_delta_b
 from spanalign.dtw import dba_centroid, dtw_distance
@@ -56,13 +56,13 @@ def _align(corpus_dir, out_dir, *extra):
 
 
 def _load_normalized(corpus_dir):
-    corpus = load_corpus(
+    return load_corpus(
         corpus_dir / "manifest.txt",
         corpus_dir,
         corpus_dir / "translations.txt",
         corpus_dir / "gold.tsv",
+        normalize=True,
     )
-    return _normalized(corpus)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,7 @@ def test_reference_figures_substituted_by_synthetic_gold(clean_corpus_dir):
     corpus = _load_normalized(clean_corpus_dir)
     assert corpus.gold is not None and len(corpus.gold) == len(corpus)
     for pair in corpus:
-        words = {w for w, _ in corpus.gold[pair.utt_id].links}
+        words = {w for w, _ in corpus.gold[pair.utt_id]}
         assert words == set(range(pair.l))
 
 

@@ -19,7 +19,7 @@ from spanalign.cli import (
 from spanalign.corpus import Corpus, SentencePair, write_feature_file
 from spanalign.dtw import dtw_distance
 from spanalign.evalkit import alignment_to_links
-from spanalign.model import Alignment, SynthConfig, WordAlignment
+from spanalign.model import SynthConfig, WordAlignment
 from spanalign.segmentation import SegmentationConfig
 from spanalign import trainer
 from spanalign.trainer import TrainConfig
@@ -193,22 +193,19 @@ def test_alignment_rows_round_trip(tmp_path):
         ("aa", "b"),
     )
     corpus = Corpus((pair,))
-    alignment = Alignment(
-        "u1",
-        (
-            WordAlignment(cluster_id=4, a=1, b=2, log_score=-1.5),
-            WordAlignment(cluster_id=None, a=3, b=3, log_score=0.0),
-        ),
+    words = (
+        WordAlignment(cluster_id=4, a=1, b=2, log_score=-1.5),
+        WordAlignment(cluster_id=7, a=3, b=3, log_score=0.0),
     )
-    text = _alignment_rows(corpus, {"u1": alignment})
+    text = _alignment_rows(corpus, {"u1": words})
     # spans are stored 0-indexed end-exclusive
     assert text.splitlines()[0] == "u1\t0\taa\t4\t0\t2\t-1.5"
-    assert text.splitlines()[1] == "u1\t1\tb\t-\t2\t3\t0.0"
+    assert text.splitlines()[1] == "u1\t1\tb\t7\t2\t3\t0.0"
 
     path = tmp_path / "alignments.tsv"
     path.write_text(text)
     links, names = _read_alignment_file(str(path))
-    expected = {("u1", w, j) for w, j in alignment_to_links(alignment, pair)}
+    expected = {("u1", w, j) for w, j in alignment_to_links(words, pair)}
     assert links == expected
     assert names == {("u1", 0): "aa", ("u1", 1): "b"}
 
@@ -437,6 +434,13 @@ def test_grid_rejects_blank_line_inside_split_manifest(tmp_path, capsys):
     assert code == 1
     assert f"{tmp_path / 'dev.txt'}:2: blank utterance id" in err
     assert not (tmp_path / "grid").exists()  # rejected before the corpus was loaded or trained on
+
+
+def test_grid_rejects_repeated_id_in_split_manifest(tmp_path, capsys):
+    code, err = _grid_on_splits(tmp_path, capsys, "{0}\n{1}\n", "{2}\n{3}\n{2}\n")
+    assert code == 1
+    assert f"{tmp_path / 'test.txt'}:3: utterance id 'synth0002' repeats line 1" in err
+    assert not (tmp_path / "grid").exists()
 
 
 def test_grid_rejects_split_id_missing_from_corpus(tmp_path, capsys):

@@ -10,7 +10,6 @@ import pytest
 from spanalign.corpus import (
     Corpus,
     CorpusError,
-    GoldAlignment,
     SentencePair,
     atomic_write_text,
     links_to_intervals,
@@ -26,6 +25,7 @@ from spanalign.corpus import (
     write_feature_file,
     write_gold_file,
 )
+from spanalign import corpus as corpus_module
 from spanalign.model import SynthConfig, synth_generate
 
 
@@ -199,14 +199,11 @@ def test_links_to_intervals_groups_runs():
 def test_gold_file_round_trip(tmp_path):
     path = tmp_path / "gold.tsv"
     gold = {
-        "u1": GoldAlignment("u1", frozenset({(0, 0), (0, 1), (1, 4)})),
-        "u2": GoldAlignment("u2", frozenset({(0, 2)})),
+        "u1": frozenset({(0, 0), (0, 1), (1, 4)}),
+        "u2": frozenset({(0, 2)}),
     }
     write_gold_file(path, gold)
-    back = read_gold_file(path)
-    assert back.keys() == gold.keys()
-    for k in gold:
-        assert back[k].links == gold[k].links
+    assert read_gold_file(path) == gold
 
 
 @pytest.mark.parametrize(
@@ -229,13 +226,13 @@ def test_duplicate_utterance_rejected():
 
 def test_gold_out_of_range_rejected():
     pair = make_pair("u1", m=4)
-    gold = {"u1": GoldAlignment("u1", frozenset({(0, 9)}))}
+    gold = {"u1": frozenset({(0, 9)})}
     with pytest.raises(CorpusError, match="out of range"):
         Corpus(pairs=(pair,), gold=gold)
 
 
 def test_gold_for_unknown_utterance_rejected():
-    gold = {"zz": GoldAlignment("zz", frozenset({(0, 0)}))}
+    gold = {"zz": frozenset({(0, 0)})}
     with pytest.raises(CorpusError, match="gold alignment for unknown utterance 'zz'"):
         Corpus(pairs=(make_pair("u1"),), gold=gold)
 
@@ -301,8 +298,7 @@ def test_corpus_save_load_round_trip(tmp_path):
         np.testing.assert_array_equal(a.energy_track, b.energy_track)
         assert a.boundaries == b.boundaries
     assert back.pairs[0].boundaries == (2, 5)
-    for utt_id, ga in corpus.gold.items():
-        assert back.gold[utt_id].links == ga.links
+    assert back.gold == corpus.gold
 
 
 def test_corpus_save_removes_stale_optional_files(tmp_path):
@@ -335,7 +331,7 @@ def test_synth_same_seed_bit_identical():
 def test_synth_gold_tiles_frames_without_silence():
     corpus, _ = synth_generate(SynthConfig(seed=2, vocab_size=3, sentences=5, silence_prob=0.0))
     for pair in corpus.pairs:
-        covered = sorted(j for (_, j) in corpus.gold[pair.utt_id].links)
+        covered = sorted(j for (_, j) in corpus.gold[pair.utt_id])
         assert covered == list(range(pair.m))
 
 
@@ -344,7 +340,7 @@ def test_synth_gold_spans_in_bounds_and_disjoint():
     for pair in corpus.pairs:
         per_word = {}
         seen_frames = set()
-        for (w, j) in corpus.gold[pair.utt_id].links:
+        for (w, j) in corpus.gold[pair.utt_id]:
             assert 0 <= j < pair.m
             per_word.setdefault(w, []).append(j)
             assert j not in seen_frames
@@ -370,7 +366,7 @@ def test_synth_prototype_lengths_cover_range():
     proto_len = {params.inventory.owner[f]: proto.shape[0] for f, proto in enumerate(params.prototypes)}
     for pair in corpus.pairs:
         counts = {}
-        for w, _ in corpus.gold[pair.utt_id].links:
+        for w, _ in corpus.gold[pair.utt_id]:
             counts[w] = counts.get(w, 0) + 1
         assert counts == {w: proto_len[word] for w, word in enumerate(pair.target_words)}
 
@@ -380,7 +376,7 @@ def test_synth_bounds_are_the_gold_word_edges(bounds):
     config = SynthConfig(seed=4, vocab_size=6, sentences=6, silence_prob=0.5, bounds=bounds)
     corpus, _ = synth_generate(config)
     for pair in corpus.pairs:
-        edges = {j for _, s, e in links_to_intervals(corpus.gold[pair.utt_id].links) for j in (s + 1, e)}
+        edges = {j for _, s, e in links_to_intervals(corpus.gold[pair.utt_id]) for j in (s + 1, e)}
         assert pair.boundaries == (tuple(sorted(edges)) if bounds else ())
 
 
@@ -424,6 +420,31 @@ def test_load_corpus_rejects_empty_text_inputs(tmp_path, manifest, translations,
     (tmp_path / "translations.txt").write_text(translations, encoding="utf-8")
     with pytest.raises(CorpusError, match=re.escape(message)):
         load_corpus(tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")
+
+
+def test_manifest_rejects_repeated_id_before_reading_features(tmp_path, monkeypatch):
+    corpus, _ = synth_generate(SynthConfig(seed=1, vocab_size=4, sentences=3))
+    save_corpus(corpus, tmp_path)
+    ids = [p.utt_id for p in corpus.pairs]
+    (tmp_path / "manifest.txt").write_text("\n".join([*ids, ids[1]]) + "\n", encoding="utf-8")
+    (tmp_path / "translations.txt").write_text("a\nb\nc\nd\n", encoding="utf-8")
+    read = []
+    monkeypatch.setattr(corpus_module, "read_feature_file", lambda path: read.append(path))
+    with pytest.raises(CorpusError, match=re.escape(f"manifest.txt:4: utterance id {ids[1]!r} repeats line 2")):
+        load_corpus(tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")
+    assert read == []
+
+
+def test_load_corpus_normalizes_before_building_pairs(tmp_path):
+    corpus, _ = synth_generate(SynthConfig(seed=2, vocab_size=4, sentences=3, noise_std=0.3))
+    save_corpus(corpus, tmp_path)
+    paths = (tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")
+    raw, normalized = load_corpus(*paths), load_corpus(*paths, normalize=True)
+    for pair, norm in zip(raw.pairs, normalized.pairs):
+        want = normalize_utterance(read_feature_file(tmp_path / f"{pair.utt_id}.feat"))
+        assert norm.frames.shape == want.shape and norm.frames.tobytes() == want.tobytes()
+        assert normalize_utterance(pair.frames).tobytes() == want.tobytes()
+        assert not norm.frames.flags.writeable
 
 
 # Characters that `str.splitlines` treats as line breaks besides "\n" and "\r".

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spanalign.corpus import Corpus, GoldAlignment, SentencePair
+from spanalign.corpus import Corpus, SentencePair
 from spanalign.evalkit import (
     EvalReport,
     Scores,
@@ -12,7 +12,7 @@ from spanalign.evalkit import (
     report_rows,
     score_links,
 )
-from spanalign.model import Alignment, WordAlignment
+from spanalign.model import WordAlignment
 
 
 def _pair(utt_id, words, m):
@@ -24,23 +24,20 @@ def _pair(utt_id, words, m):
     )
 
 
-def _alignment(utt_id, spans):
-    return Alignment(
-        utt_id,
-        tuple(WordAlignment(cluster_id=0, a=a, b=b, log_score=0.0) for a, b in spans),
-    )
+def _words(spans):
+    return tuple(WordAlignment(cluster_id=0, a=a, b=b, log_score=0.0) for a, b in spans)
 
 
 def test_alignment_to_links_expands_inclusive_spans():
     pair = _pair("u", ["ab", "cd"], m=6)
-    links = alignment_to_links(_alignment("u", [(1, 3), (5, 5)]), pair)
+    links = alignment_to_links(_words([(1, 3), (5, 5)]), pair)
     assert links == {(0, 0), (0, 1), (0, 2), (1, 4)}
 
 
 def test_alignment_to_links_rejects_out_of_range():
     pair = _pair("u", ["ab"], m=4)
-    with pytest.raises(ValueError, match="outside"):
-        alignment_to_links(_alignment("u", [(2, 5)]), pair)
+    with pytest.raises(ValueError, match=r"u: span \(2, 5\) outside \[1, 4\]"):
+        alignment_to_links(_words([(2, 5)]), pair)
 
 
 def test_score_links_hand_example():
@@ -60,13 +57,13 @@ def test_score_links_empty_conventions():
 def test_evaluate_pools_links_across_utterances():
     pairs = (_pair("u1", ["aa"], m=4), _pair("u2", ["aa"], m=4))
     gold = {
-        "u1": GoldAlignment("u1", frozenset({(0, 0)})),
-        "u2": GoldAlignment("u2", frozenset({(0, 0), (0, 1)})),
+        "u1": frozenset({(0, 0)}),
+        "u2": frozenset({(0, 0), (0, 1)}),
     }
     corpus = Corpus(pairs, gold)
     alignments = {
-        "u1": _alignment("u1", [(1, 2)]),
-        "u2": _alignment("u2", [(1, 1)]),
+        "u1": _words([(1, 2)]),
+        "u2": _words([(1, 1)]),
     }
     report = evaluate(alignments, gold, corpus)
 
@@ -78,7 +75,7 @@ def test_evaluate_pools_links_across_utterances():
 
 def test_evaluate_missing_prediction_counts_as_empty():
     pair = _pair("u1", ["aa"], m=3)
-    gold = {"u1": GoldAlignment("u1", frozenset({(0, 0)}))}
+    gold = {"u1": frozenset({(0, 0)})}
     report = evaluate({}, gold, Corpus((pair,), gold))
     assert report.precision == 0.0
     assert report.recall == 0.0
@@ -86,15 +83,15 @@ def test_evaluate_missing_prediction_counts_as_empty():
 
 def test_naive_baseline_tiles_the_utterance():
     pair = _pair("u", ["ab", "cdef", "gh"], m=8)
-    alignment = naive_baseline(pair)
-    spans = [(w.a, w.b) for w in alignment.words]
+    words = naive_baseline(pair)
+    spans = [(w.a, w.b) for w in words]
     assert spans == [(1, 2), (3, 6), (7, 8)]
-    assert all(w.cluster_id is None for w in alignment.words)
+    assert all(w.cluster_id is None for w in words)
 
 
 def test_naive_baseline_covers_every_frame_once():
     pair = _pair("u", ["a", "bb", "ccc"], m=11)
-    spans = [(w.a, w.b) for w in naive_baseline(pair).words]
+    spans = [(w.a, w.b) for w in naive_baseline(pair)]
     frames = [j for a, b in spans for j in range(a, b + 1)]
     assert frames == list(range(1, 12))
 

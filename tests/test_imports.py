@@ -3,12 +3,14 @@ module-level function and class is referenced somewhere, no function
 imports a package module (a deferred import hides an import cycle), the
 leaf modules `corpus`, `distortion` and `dtw` import no package module at
 all (`dtw` and `distortion` work on arrays and integers, below the corpus
-types), no parameter defaults to a `*Config` attribute (the setting would
+types), each module imports exactly the package modules that
+`IMPORT_GRAPH` lists and that table has no cycle, no parameter defaults to a `*Config` attribute (the setting would
 get a second home that skips the config's validation), every function
 parameter is read in its body, and `align` runs without importing
 `numpy.ma`."""
 
 import ast
+import graphlib
 import os
 import re
 import subprocess
@@ -24,6 +26,19 @@ MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 ROOT = PACKAGE.parents[1]
 SEARCHED = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
 LEAF_MODULES = ("corpus.py", "distortion.py", "dtw.py")
+# The package modules each module imports.  A new edge is added here on
+# purpose, and `test_import_graph_has_no_cycle` keeps the table acyclic.
+IMPORT_GRAPH = {
+    "__init__.py": (),
+    "corpus.py": (),
+    "distortion.py": (),
+    "dtw.py": (),
+    "segmentation.py": ("corpus",),
+    "model.py": ("corpus", "distortion", "dtw"),
+    "evalkit.py": ("corpus", "distortion", "model"),
+    "trainer.py": ("corpus", "distortion", "dtw", "model", "segmentation"),
+    "cli.py": ("corpus", "dtw", "evalkit", "model", "segmentation", "trainer"),
+}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -63,6 +78,22 @@ def _package_import_lines(tree: ast.AST) -> set[int]:
 def _package_imports(source: str) -> list[int]:
     """Line numbers of every package import, at module level or inside a function."""
     return sorted(_package_import_lines(ast.parse(source)))
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The package modules that `source` imports, by module name (`corpus`, `model`, ...)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            path = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if path[:1] != ["spanalign"]:
+                    continue
+                path = path[1:]
+            found |= {path[0]} if path else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("spanalign.")}
+    return found
 
 
 def _deferred_package_imports(source: str) -> list[int]:
@@ -137,6 +168,17 @@ def test_leaf_module_imports_no_package_module(module):
 
 
 @pytest.mark.parametrize("module", MODULES)
+def test_module_imports_follow_the_graph(module):
+    assert _imported_modules((PACKAGE / module).read_text(encoding="utf-8")) == set(IMPORT_GRAPH[module])
+
+
+def test_import_graph_covers_every_module_and_has_no_cycle():
+    assert sorted(IMPORT_GRAPH) == MODULES
+    graph = {module.removesuffix(".py"): deps for module, deps in IMPORT_GRAPH.items()}
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError naming the cycle
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_no_default_copies_a_config_setting(module):
     assert _config_attribute_defaults((PACKAGE / module).read_text(encoding="utf-8")) == []
 
@@ -193,6 +235,15 @@ def test_package_import_is_reported():
         "def f():\n    from ..x import y\n    import math\n"
     )
     assert _package_imports(source) == [2, 3, 4, 7]
+
+
+def test_imported_module_is_reported():
+    source = (
+        "import numpy as np\nfrom . import corpus, dtw\nfrom .model import X\nimport os, spanalign.trainer\n"
+        "from spanalign.evalkit import Y\nfrom spanalign import cli\nimport spanalign\nfrom spanalignx import Z\n"
+        "def f():\n    from .segmentation import W\n"
+    )
+    assert _imported_modules(source) == {"corpus", "dtw", "model", "trainer", "evalkit", "cli", "segmentation"}
 
 
 def test_config_attribute_default_is_reported():

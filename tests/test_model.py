@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from spanalign.model import (
     save_params,
     span_cost_rows,
 )
-from spanalign.segmentation import CandidateSpans
 from spanalign.trainer import Tables, _utterance_scores, distortion_rows, effective_mu
 
 from oracles import span_log_delta, word_log_score
@@ -45,7 +45,7 @@ def make_setup(k=1, variant="deficient"):
         distortion=DistortionParams(p0=0.0, lam=0.5),
         variant=variant,
     )
-    candidates = CandidateSpans(((1, 4), (2, 6), (5, 10)))
+    candidates = ((1, 4), (2, 6), (5, 10))
     return pair, params, candidates
 
 
@@ -105,7 +105,7 @@ def test_deficient_table_is_softmax_of_neg_squared_costs():
     costs = np.asarray(
         [
             dtw_distance(proto, pair.frames[a - 1 : b]).normalized_cost
-            for a, b in candidates.spans
+            for a, b in candidates
         ]
     )
     expected = -(costs**2)
@@ -122,7 +122,7 @@ def test_documented_two_span_softmax():
         target_words=("w",),
     )
     proto = fs([[0.0], [0.0]])
-    candidates = CandidateSpans(((1, 2), (3, 4)))
+    candidates = ((1, 2), (3, 4))
     c2 = dtw_distance(proto, pair.frames[2:4]).normalized_cost
     assert c2 == pytest.approx(1.0)  # |1-0| + |3-0| over (2+2) frames
     table = np.exp(deficient_log_s_table(span_cost_rows([proto], [pair], [candidates])[0]["u"]))
@@ -192,14 +192,14 @@ def test_span_cost_rows_equal_per_utterance_calls():
         pairs.append(SentencePair(f"u{idx}", fs(rng.normal(size=(m, 2))), ("w",)))
         all_spans = [(a, b) for a in range(1, m + 1) for b in range(a, m + 1)]
         picked = rng.choice(len(all_spans), size=min(6, len(all_spans)), replace=False)
-        candidates.append(CandidateSpans(tuple(sorted(all_spans[int(j)] for j in picked))))
+        candidates.append(tuple(sorted(all_spans[int(j)] for j in picked)))
     protos = [fs(rng.normal(size=(n, 2))) for n in (1, 3, 8)]
     rows = span_cost_rows(protos, pairs, candidates)
     assert len(rows) == len(protos)
     for proto, costs in zip(protos, rows):
         assert list(costs) == [pair.utt_id for pair in pairs]
         for pair, cands in zip(pairs, candidates):
-            want = candidate_span_costs(proto, pair.frames, cands.spans)
+            want = candidate_span_costs(proto, pair.frames, cands)
             # bitwise: laying utterances end to end must not change any cost
             assert np.array_equal(costs[pair.utt_id], want)
 
@@ -207,7 +207,7 @@ def test_span_cost_rows_equal_per_utterance_calls():
 def test_span_cost_rows_share_one_layout(monkeypatch):
     rng = np.random.default_rng(6)
     pairs = [SentencePair(f"u{i}", fs(rng.normal(size=(m, 2))), ("w",)) for i, m in enumerate((5, 8))]
-    candidates = [CandidateSpans(((1, 2), (1, 5), (3, 4))), CandidateSpans(((2, 8), (4, 6)))]
+    candidates = [((1, 2), (1, 5), (3, 4)), ((2, 8), (4, 6))]
     protos = [fs(rng.normal(size=(n, 2))) for n in (2, 4, 7)]
     seen = []
 
@@ -347,4 +347,36 @@ def test_load_params_rejects_bad_prototype(tmp_path, entry, message):
     payload["prototypes"][1].update(entry)
     path.write_text(json.dumps(payload))
     with pytest.raises(CorpusError, match=message):
+        load_params(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p["prototypes"][1].update(frame_shift_ms="10"),
+         "prototypes[1].frame_shift_ms must be a number, got '10'"),
+        (lambda p: p["prototypes"][1].update(frame_shift_ms=True),
+         "prototypes[1].frame_shift_ms must be a number, got True"),
+        (lambda p: p["prototypes"][1].update(frames=[["1.0", 0.0]]),
+         "prototypes[1].frames must be a number, got '1.0'"),
+        (lambda p: p["prototypes"][1].pop("frames"), "prototypes[1].frames is missing"),
+        (lambda p: p["distortion"].update(p0="0"), "distortion.p0 must be a number, got '0'"),
+        (lambda p: p["distortion"].update({"lambda": True}), "distortion.lambda must be a number, got True"),
+        (lambda p: p.update(format_version=True), "format_version must be an integer, got True"),
+        (lambda p: p["clusters"].update(bar=[False]), "clusters.bar must be an integer, got False"),
+        (lambda p: p.update(u=["0.25", *p["u"][1:]]), "u must be a number, got '0.25'"),
+        (lambda p: p.pop("u"), "u is missing"),
+    ],
+    ids=["shift_string", "shift_bool", "frame_string", "no_frames", "p0_string", "lambda_bool",
+         "version_bool", "cluster_id_bool", "u_string", "no_u"],
+)
+def test_load_params_rejects_missing_or_mistyped_field(tmp_path, edit, message):
+    _, params, _ = make_setup(k=1)
+    path = tmp_path / "params.json"
+    save_params(params, path, 10.0)
+    payload = json.loads(path.read_text())
+    assert payload["clusters"] == {"bar": [0], "foo": [1]}
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint field {message}")):
         load_params(path)

@@ -5,7 +5,6 @@ import pytest
 
 from spanalign.corpus import (
     Corpus,
-    GoldAlignment,
     SentencePair,
     normalize_utterance,
 )
@@ -14,7 +13,7 @@ from spanalign import trainer as trainer_module
 from spanalign.dtw import candidate_span_costs
 from spanalign.evalkit import evaluate
 from spanalign.model import ClusterInventory, ModelParams, SynthConfig, load_params, synth_generate
-from spanalign.segmentation import CandidateSpans, SegmentationConfig
+from spanalign.segmentation import SegmentationConfig
 from spanalign.trainer import (
     Tables,
     TrainConfig,
@@ -48,7 +47,7 @@ def _tiny_instance(rng, variant):
     all_spans = [(a, b) for a in range(1, m + 1) for b in range(a, m + 1)]
     n_spans = min(int(rng.integers(1, 5)), len(all_spans))
     picked = rng.choice(len(all_spans), size=n_spans, replace=False)
-    candidates = CandidateSpans(tuple(sorted(all_spans[int(j)] for j in picked)))
+    candidates = tuple(sorted(all_spans[int(j)] for j in picked))
 
     inventory = ClusterInventory.build(sorted(set(vocab)), k=2)
     n = inventory.n_clusters
@@ -107,10 +106,10 @@ def test_final_alignments_scores_match_reference(variant):
         tables = Tables(corpus, {"tiny": candidates})
         delta = distortion_rows(tables, params.distortion)
         for f in range(params.inventory.n_clusters):
-            for a, b in candidates.spans:
+            for a, b in candidates:
                 state = TrainState(params, {"tiny": ((f, a, b),) * pair.l}, (), delta)
                 alignment = final_alignments(corpus, state, tables)["tiny"]
-                for i, (word, entry) in enumerate(zip(pair.target_words, alignment.words), start=1):
+                for i, (word, entry) in enumerate(zip(pair.target_words, alignment), start=1):
                     want = word_log_score(i, word, f, a, b, pair, params, candidates, mu[i - 1])
                     if f not in params.inventory.clusters[word]:
                         seen.add("other word")
@@ -157,7 +156,7 @@ def test_initialize_spans_come_from_candidates():
     assert len(state.iteration_log) == 1
     assert state.iteration_log[0].iteration == 0
     for pair in corpus:
-        spans = set(tables.candidates[pair.utt_id].spans)
+        spans = set(tables.candidates[pair.utt_id])
         entry = state.assignments[pair.utt_id]
         assert len(entry) == pair.l
         for f, a, b in entry:
@@ -214,7 +213,7 @@ def test_e_step_tie_order_matches_brute_force(variant):
         distortion=DistortionParams(p0=0.0, lam=0.0),
         variant=variant,
     )
-    candidates = CandidateSpans(tuple((a, b) for a in range(1, 13) for b in range(a, min(a + 5, 12) + 1)))
+    candidates = tuple((a, b) for a in range(1, 13) for b in range(a, min(a + 5, 12) + 1))
     mu = allocate_mu(pair.char_lengths, pair.m)
     assignments, _ = _e_step(Corpus((pair,)), params, {"t": candidates})
 
@@ -240,7 +239,7 @@ def test_e_step_dead_word_keeps_previous_assignment():
         prototypes=(None, None, proto, proto),
         distortion=DistortionParams(),
     )
-    candidates = CandidateSpans(((1, 2), (3, 4)))
+    candidates = ((1, 2), (3, 4))
     prev = {"t": ((0, 3, 4),)}
     assignments, total = _e_step(Corpus((pair,)), params, {"t": candidates}, prev)
     assert assignments["t"] == ((0, 3, 4),)
@@ -359,7 +358,7 @@ def test_cost_rows_follow_prototype_objects(monkeypatch, variant):
     store.refresh(changed)
     assert computed() == [copy]
     for pair in corpus:
-        spans = tables.candidates[pair.utt_id].spans
+        spans = tables.candidates[pair.utt_id]
         for g in live:
             if variant == "proper" or params.inventory.owner[g] in pair.target_words:
                 want = candidate_span_costs(changed.prototypes[g], pair.frames, spans)
@@ -400,13 +399,13 @@ def test_train_reuse_matches_recomputing_everything(variant):
     assert final_alignments(corpus, state, tables) == final_alignments(corpus, state, fresh_tables())
     # Another candidate set is scored through its own tables, on its own rows.
     narrow = Tables(
-        corpus, {u: CandidateSpans(tuple(sorted({(a, b) for _, a, b in w}))) for u, w in assignments.items()}
+        corpus, {u: tuple(sorted({(a, b) for _, a, b in w})) for u, w in assignments.items()}
     )
     probe = TrainState(state.params, assignments, (), distortion_rows(narrow, state.params.distortion))
     got = final_alignments(corpus, probe, narrow)
     for pair in corpus:
         candidates, mu = narrow.candidates[pair.utt_id], narrow.mu[pair.utt_id]
-        for i, (word, entry) in enumerate(zip(pair.target_words, got[pair.utt_id].words), start=1):
+        for i, (word, entry) in enumerate(zip(pair.target_words, got[pair.utt_id]), start=1):
             f, a, b = assignments[pair.utt_id][i - 1]
             want = word_log_score(i, word, f, a, b, pair, state.params, candidates, mu[i - 1])
             assert abs(entry.log_score - want) <= 1e-12
@@ -487,9 +486,9 @@ def test_final_alignments_scores_are_finite():
     alignments = final_alignments(corpus, state, tables)
     assert set(alignments) == {p.utt_id for p in corpus}
     for pair in corpus:
-        alignment = alignments[pair.utt_id]
-        assert len(alignment.words) == pair.l
-        for entry, (f, a, b) in zip(alignment.words, state.assignments[pair.utt_id]):
+        words = alignments[pair.utt_id]
+        assert len(words) == pair.l
+        for entry, (f, a, b) in zip(words, state.assignments[pair.utt_id]):
             assert (entry.cluster_id, entry.a, entry.b) == (f, a, b)
             assert np.isfinite(entry.log_score)
 
@@ -543,8 +542,8 @@ def test_degenerate_utterances_end_to_end(variant):
 
     tables, state, alignments = run()
     for pair in corpus:
-        spans = set(tables.candidates[pair.utt_id].spans)
-        words = alignments[pair.utt_id].words
+        spans = set(tables.candidates[pair.utt_id])
+        words = alignments[pair.utt_id]
         assert len(words) == pair.l
         for word, entry in zip(pair.target_words, words):
             assert (entry.a, entry.b) in spans
@@ -581,7 +580,7 @@ def _repeated_type_corpus():
         frames = np.concatenate(chunks) + rng.normal(0.0, 0.1, size=(cursor, chunks[0].shape[1]))
         utt_id = f"repeat{n}"
         pairs.append(SentencePair(utt_id, frames, words, np.concatenate(energy)))
-        gold[utt_id] = GoldAlignment(utt_id, frozenset(links))
+        gold[utt_id] = frozenset(links)
     return Corpus(tuple(pairs), gold)
 
 
@@ -598,8 +597,8 @@ def test_repeated_word_types_in_noisy_corpus(lam):
 
     assignments, alignments = runs[0]
     for pair in corpus:
-        spans = set(tables.candidates[pair.utt_id].spans)
-        for entry in alignments[pair.utt_id].words:
+        spans = set(tables.candidates[pair.utt_id])
+        for entry in alignments[pair.utt_id]:
             assert (entry.a, entry.b) in spans
             assert np.isfinite(entry.log_score)
     assert np.isfinite(evaluate(alignments, corpus.gold, corpus).f_score)
