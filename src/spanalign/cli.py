@@ -177,10 +177,9 @@ def _config(cls, values: dict, **renamed):
 def _alignment_rows(corpus: Corpus, alignments: dict) -> str:
     lines = []
     for pair in corpus:
-        for w_idx, entry in enumerate(alignments[pair.utt_id]):
+        for w_idx, (f, a, b, score) in enumerate(alignments[pair.utt_id]):
             lines.append(
-                f"{pair.utt_id}\t{w_idx}\t{pair.target_words[w_idx]}\t{entry.cluster_id}"
-                f"\t{entry.a - 1}\t{entry.b}\t{entry.log_score!r}"
+                f"{pair.utt_id}\t{w_idx}\t{pair.target_words[w_idx]}\t{f}\t{a - 1}\t{b}\t{score!r}"
             )
     return "\n".join(lines) + "\n"
 
@@ -338,8 +337,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_dtw(args: argparse.Namespace) -> int:
-    result = dtw_distance(read_feature_file(args.file_a), read_feature_file(args.file_b))
-    print(repr(result.normalized_cost))
+    cost, _ = dtw_distance(read_feature_file(args.file_a), read_feature_file(args.file_b))
+    print(repr(cost))
     return 0
 
 

@@ -3,7 +3,8 @@
 On-disk layout:
   manifest           one utterance id per line, each once, no blank line
                      before the last
-  <utt_id>.feat      header line "m d", then m lines of d floats
+  <utt_id>.feat      header line "m d", then m lines of d floats; trailing
+                     blank lines are ignored
   translations       one whitespace-tokenized sentence per manifest line
   gold file          utt_id<TAB>word_index<TAB>start_frame<TAB>end_frame,
                      0-indexed, end exclusive
@@ -144,11 +145,17 @@ class Corpus:
 # file readers / writers
 # ---------------------------------------------------------------------------
 
-def _read_lines(path: Path | str) -> list[str]:
-    """The file's lines, split at newlines only (`str.splitlines` also splits at U+0085 and kin)."""
+def _read_lines(path: Path | str, keep: int = 0) -> list[str]:
+    """The file's lines, split at newlines only (`str.splitlines` also splits at U+0085 and kin).
+
+    Trailing blank lines are dropped, except any among the first `keep` lines.
+    """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    return text.removesuffix("\n").split("\n") if text else []
+    lines = text.removesuffix("\n").split("\n") if text else []
+    while len(lines) > keep and not lines[-1].strip():
+        lines.pop()
+    return lines
 
 
 def read_feature_file(path: Path | str) -> np.ndarray:
@@ -165,17 +172,18 @@ def read_feature_file(path: Path | str) -> np.ndarray:
         raise CorpusError(f"{path}:1: header must be two integers, got {lines[0]!r}") from None
     if m < 1 or d < 1:
         raise CorpusError(f"{path}:1: header must declare m >= 1 and d >= 1, got {lines[0]!r}")
-    if len(lines) - 1 != m:
-        raise CorpusError(f"{path}: header declares {m} frames, file has {len(lines) - 1}")
-    rows = np.empty((m, d), dtype=np.float64)
+    values = []
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != d:
             raise CorpusError(f"{path}:{i}: expected {d} values, got {len(parts)}")
         try:
-            rows[i - 2] = [float(p) for p in parts]
+            values.append([float(p) for p in parts])
         except ValueError:
             raise CorpusError(f"{path}:{i}: non-numeric value") from None
+    if len(values) != m:
+        raise CorpusError(f"{path}: header declares {m} frames, file has {len(values)}")
+    rows = np.array(values, dtype=np.float64)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise CorpusError(f"{path}:{int(finite.argmin()) + 2}: non-finite feature value")
@@ -234,8 +242,6 @@ def read_boundary_file(path: Path | str, m: int) -> tuple[int, ...]:
 def read_manifest(path: Path | str) -> list[str]:
     """Unique utterance ids, one per line; trailing blank lines are ignored, inner ones rejected."""
     utt_ids = [ln.strip() for ln in _read_lines(path)]
-    while utt_ids and not utt_ids[-1]:
-        utt_ids.pop()
     first: dict[str, int] = {}
     for lineno, utt_id in enumerate(utt_ids, start=1):
         if not utt_id:
@@ -319,9 +325,7 @@ def load_corpus(
     feature_dir = Path(feature_dir)
     utt_ids = read_manifest(manifest_path)
 
-    sentences = _read_lines(translations_path)
-    while len(sentences) > len(utt_ids) and not sentences[-1].strip():
-        sentences.pop()
+    sentences = _read_lines(translations_path, keep=len(utt_ids))
     if len(sentences) != len(utt_ids):
         raise CorpusError(
             f"{translations_path}: {len(sentences)} sentences for {len(utt_ids)} manifest entries"

@@ -72,6 +72,21 @@ def allocate_mu(char_lengths, m: int) -> tuple[int, ...]:
     return tuple(mu)
 
 
+def log_softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """x minus its log-sum-exp, over all of x or along `axis`.
+
+    Every float64 `exp` and `log` of the model runs here.  Over all of
+    x the log of the sum is `math.log`; along an axis it is `np.log`.
+    The two can differ in the last bit, and the golden digests pin the
+    bits each form gives.
+    """
+    if axis is None:
+        peak = x.max()
+        return x - (peak + math.log(np.exp(x - peak).sum()))
+    peak = x.max(axis=axis, keepdims=True)
+    return x - (peak + np.log(np.exp(x - peak).sum(axis=axis, keepdims=True)))
+
+
 def _log_delta(i: int, l: int, m: int, mu_i: int, params: DistortionParams, shift: int) -> np.ndarray:
     """log delta over j = 0..m: log p0, then log(1 - p0) plus a log softmax of lam * h."""
     if l < 1 or not (1 <= i <= l):
@@ -81,12 +96,9 @@ def _log_delta(i: int, l: int, m: int, mu_i: int, params: DistortionParams, shif
     j = np.arange(1, m + 1, dtype=np.int64)
     num = np.abs(i * (m - mu_i) - l * (j - shift))
     h = -num.astype(np.float64) / float(l * (m - mu_i))
-    logits = params.lam * h
-    peak = logits.max()
-    body = logits - (peak + math.log(np.exp(logits - peak).sum()))
     out = np.empty(m + 1)
     out[0] = math.log(params.p0) if params.p0 > 0 else -math.inf
-    out[1:] = body + math.log1p(-params.p0)
+    out[1:] = log_softmax(params.lam * h) + math.log1p(-params.p0)
     out.setflags(write=False)
     return out
 

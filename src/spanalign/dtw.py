@@ -32,21 +32,12 @@ sub-block bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 _INF = math.inf
-
-
-@dataclass(frozen=True)
-class WarpResult:
-    """Normalized DTW cost and the 1-indexed warping path that attains it."""
-
-    normalized_cost: float
-    path: tuple[tuple[int, int], ...]
 
 
 def frame_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -78,8 +69,10 @@ def frame_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None)
     return np.sqrt(lanes[0], out=out)
 
 
-def dtw_distance(x: np.ndarray, y: np.ndarray, distances: np.ndarray | None = None) -> WarpResult:
-    """Align two (m, d) frame arrays and return the normalized cost with one optimal path.
+def dtw_distance(
+    x: np.ndarray, y: np.ndarray, distances: np.ndarray | None = None
+) -> tuple[float, tuple[tuple[int, int], ...]]:
+    """Align two (m, d) frame arrays: the normalized cost and one optimal 1-indexed path.
 
     The full (n+1) x (m+1) accumulated cost table is built as Python
     lists: plain float arithmetic keeps the inner loop fast enough at
@@ -122,7 +115,7 @@ def dtw_distance(x: np.ndarray, y: np.ndarray, distances: np.ndarray | None = No
         i, j = pi, pj
         path.append((i, j))
     path.reverse()
-    return WarpResult(w[n][m] / (n + m), tuple(path))
+    return w[n][m] / (n + m), tuple(path)
 
 
 class SpanLanes(tuple):
@@ -283,9 +276,9 @@ def dba_centroid(
         # One distance block per pass; each member's DTW reads its own columns.
         block = frame_distances(skel, stacked)
         for mem, cols in zip(members, columns):
-            result = dtw_distance(skel, mem, block[:, cols])
-            total += result.normalized_cost * result.normalized_cost
-            paths.append(result.path)
+            cost, path = dtw_distance(skel, mem, block[:, cols])
+            total += cost * cost
+            paths.append(path)
         return total, paths
 
     obj, paths = objective_and_paths(skeleton)

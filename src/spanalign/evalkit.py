@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 from .corpus import Corpus, SentencePair
 from .distortion import allocate_mu
-from .model import WordAlignment
 
 Link = tuple[int, int]
+Word = tuple[int | None, int, int, float]  # (cluster, span start, span end, log score)
 
 
 class Scores(NamedTuple):
@@ -34,15 +34,13 @@ class EvalReport:
     per_word_type: dict[str, Scores]
 
 
-def alignment_to_links(words: tuple[WordAlignment, ...], pair: SentencePair) -> set[Link]:
+def alignment_to_links(words: tuple[Word, ...], pair: SentencePair) -> set[Link]:
     """Expand the words' inclusive 1-indexed spans on `pair` into 0-indexed (word, frame) links."""
     links = set()
-    for w_idx, entry in enumerate(words):
-        if not (1 <= entry.a <= entry.b <= pair.m):
-            raise ValueError(
-                f"{pair.utt_id}: span ({entry.a}, {entry.b}) outside [1, {pair.m}]"
-            )
-        links.update((w_idx, j - 1) for j in range(entry.a, entry.b + 1))
+    for w_idx, (_, a, b, _) in enumerate(words):
+        if not (1 <= a <= b <= pair.m):
+            raise ValueError(f"{pair.utt_id}: span ({a}, {b}) outside [1, {pair.m}]")
+        links.update((w_idx, j - 1) for j in range(a, b + 1))
     return links
 
 
@@ -66,7 +64,7 @@ def score_links(predicted: set, gold: set) -> Scores:
 
 
 def evaluate(
-    alignments: dict[str, tuple[WordAlignment, ...]],
+    alignments: dict[str, tuple[Word, ...]],
     gold: dict[str, frozenset[Link]],
     corpus: Corpus,
 ) -> Scores:
@@ -82,10 +80,10 @@ def evaluate(
     return score_links(pooled_pred, pooled_gold)
 
 
-def naive_baseline(pair: SentencePair) -> tuple[WordAlignment, ...]:
-    """Monotone partition of the utterance into mu-proportional spans, with no cluster."""
+def naive_baseline(pair: SentencePair) -> tuple[Word, ...]:
+    """Monotone partition of the utterance into mu-proportional spans, with no cluster and score 0."""
     mu = allocate_mu(pair.char_lengths, pair.m)
-    return tuple(WordAlignment(None, end - width + 1, end) for width, end in zip(mu, accumulate(mu)))
+    return tuple((None, end - width + 1, end, 0.0) for width, end in zip(mu, accumulate(mu)))
 
 
 def format_report(report: EvalReport) -> str:

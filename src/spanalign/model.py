@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, SentencePair, atomic_write_text, check_frame_shift, frame_array
-from .distortion import DistortionParams
+from .distortion import DistortionParams, log_softmax
 from .dtw import SpanLanes, candidate_span_costs
 
 VARIANTS = ("deficient", "proper")
@@ -102,16 +102,6 @@ class ModelParams:
         )
 
 
-@dataclass(frozen=True)
-class WordAlignment:
-    """One word's chosen cluster and 1-indexed inclusive span."""
-
-    cluster_id: int | None
-    a: int
-    b: int
-    log_score: float = 0.0
-
-
 # ---------------------------------------------------------------------------
 # span tables
 # ---------------------------------------------------------------------------
@@ -146,18 +136,13 @@ def span_cost_rows(
 
 def deficient_log_s_table(costs: np.ndarray) -> np.ndarray:
     """log s(a, b | f) from one prototype's costs over a candidate set: softmax of -DTW^2."""
-    neg = -(costs * costs)
-    peak = neg.max()
-    return neg - (peak + math.log(np.exp(neg - peak).sum()))
+    return log_softmax(-(costs * costs))
 
 
 def proper_log_s_rows(costs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """log s(f | a, b) per live cluster f from their cost rows: softmax of -DTW^2 over f."""
     rows = np.stack(list(costs.values()))
-    rows = -(rows * rows)
-    peak = rows.max(axis=0)
-    lse = peak + np.log(np.exp(rows - peak).sum(axis=0))
-    log_s = rows - lse
+    log_s = log_softmax(-(rows * rows), axis=0)
     return {f: log_s[idx] for idx, f in enumerate(costs)}
 
 

@@ -38,7 +38,6 @@ from .model import (
     VARIANTS,
     ClusterInventory,
     ModelParams,
-    WordAlignment,
     deficient_log_s_table,
     proper_log_s_rows,
     save_params,
@@ -47,6 +46,7 @@ from .model import (
 from .segmentation import SegmentationConfig, candidate_spans
 
 Assignment = tuple[int, int, int]  # (cluster id, span start, span end)
+ScoredAssignment = tuple[int, int, int, float]  # an Assignment with its log score
 
 
 class TrainError(RuntimeError):
@@ -258,7 +258,7 @@ def _score_assignments(
     tables: Tables,
     delta: dict[str, np.ndarray],
     assignments: dict[str, tuple[Assignment, ...]],
-) -> dict[str, tuple[WordAlignment, ...]]:
+) -> dict[str, tuple[ScoredAssignment, ...]]:
     """Score every utterance's fixed assignment under `params`, in corpus order.
 
     Another word's cluster, a dead cluster or a span outside the candidate
@@ -275,7 +275,7 @@ def _score_assignments(
         hit = np.array(clusters) == np.array([f for f, _, _ in assignment])[:, None]
         picked = scores[np.arange(pair.l), spans, hit.argmax(axis=1)]
         picked = np.where(hit.any(axis=1) & (spans >= 0), picked, -np.inf).tolist()
-        out[pair.utt_id] = tuple(WordAlignment(f, a, b, score) for (f, a, b), score in zip(assignment, picked))
+        out[pair.utt_id] = tuple((*word, score) for word, score in zip(assignment, picked))
     return out
 
 
@@ -386,7 +386,7 @@ def initialize(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainStat
 
     total = 0.0
     for words in _score_assignments(corpus, params, tables, delta, assignments).values():
-        total += sum(w.log_score for w in words)
+        total += sum(score for _, _, _, score in words)
     log = IterationStats(0, total, time.perf_counter() - started)
     return TrainState(params=params, assignments=assignments, iteration_log=(log,), delta=delta)
 
@@ -418,7 +418,9 @@ def train(
     return TrainState(params=params, assignments=assignments, iteration_log=tuple(log), delta=state.delta)
 
 
-def final_alignments(corpus: Corpus, state: TrainState, tables: Tables) -> dict[str, tuple[WordAlignment, ...]]:
+def final_alignments(
+    corpus: Corpus, state: TrainState, tables: Tables
+) -> dict[str, tuple[ScoredAssignment, ...]]:
     """Score the final assignments under the final parameters for reporting.
 
     Reads the run's distortion rows from `state` and the cost rows that

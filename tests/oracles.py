@@ -108,9 +108,9 @@ def dba_centroid_reference(members, iterations: int = 3, return_history: bool = 
         total = 0.0
         paths = []
         for mem in members:
-            result = dtw_distance(skel, mem)
-            total += result.normalized_cost * result.normalized_cost
-            paths.append(result.path)
+            cost, path = dtw_distance(skel, mem)
+            total += cost * cost
+            paths.append(path)
         return total, paths
 
     obj, paths = objective_and_paths(skeleton)
@@ -153,7 +153,7 @@ def analytic_delta_argmax(i: int, l: int, m: int, mu_i: int, shifted: bool) -> i
 def _span_costs(proto, pair, candidates) -> np.ndarray:
     """Normalized DTW cost of the prototype against each candidate span, one DP each."""
     frames = pair.frames
-    return np.array([dtw_distance(proto, frames[a - 1 : b]).normalized_cost for a, b in candidates])
+    return np.array([dtw_distance(proto, frames[a - 1 : b])[0] for a, b in candidates])
 
 
 def log_s_deficient(f, a, b, pair, candidates, prototypes) -> float:

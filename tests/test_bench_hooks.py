@@ -70,3 +70,19 @@ def test_required_hooks_fire(tmp_path, workload):
     assert set(run.REQUIRED_EVAL_HOOKS) - eval_fired == set()
     for variant, hook in run.VARIANT_HOOKS.items():
         assert (hook in fired) == (variant == spec.variant), hook
+
+
+def test_fallback_counter_names():
+    # perfbench/smoke_test.py::test_fallback_counter calls these names; tier-1
+    # does not run that file, so a rename or removal fails here instead.
+    hooked = [*child.TIMED, *child.COUNTED]
+    saved = {key: getattr(MODULES[key[0]], key[1]) for key in hooked}
+    tracer = child.Tracer()
+    try:
+        tracer.install(MODULES)
+        with pytest.raises(segmentation.NoCandidateSpansError):
+            segmentation.enumerate_spans([1, 2], segmentation.SilenceSpans(()), 3, 150)
+    finally:
+        for (mod, attr), fn in saved.items():
+            setattr(MODULES[mod], attr, fn)
+    assert tracer.record()["counts"]["segmentation.fallbacks"] == 1

@@ -19,7 +19,7 @@ from spanalign.cli import (
 from spanalign.corpus import Corpus, SentencePair, write_feature_file
 from spanalign.dtw import dtw_distance
 from spanalign.evalkit import alignment_to_links
-from spanalign.model import SynthConfig, WordAlignment
+from spanalign.model import SynthConfig
 from spanalign.segmentation import SegmentationConfig
 from spanalign import trainer
 from spanalign.trainer import TrainConfig
@@ -193,10 +193,7 @@ def test_alignment_rows_round_trip(tmp_path):
         ("aa", "b"),
     )
     corpus = Corpus((pair,))
-    words = (
-        WordAlignment(cluster_id=4, a=1, b=2, log_score=-1.5),
-        WordAlignment(cluster_id=7, a=3, b=3, log_score=0.0),
-    )
+    words = ((4, 1, 2, -1.5), (7, 3, 3, 0.0))
     text = _alignment_rows(corpus, {"u1": words})
     # spans are stored 0-indexed end-exclusive
     assert text.splitlines()[0] == "u1\t0\taa\t4\t0\t2\t-1.5"
@@ -241,7 +238,7 @@ def test_dtw_subcommand_prints_normalized_cost(tmp_path, capsys):
     code = main(["dtw", str(tmp_path / "x.feat"), str(tmp_path / "y.feat")])
     assert code == 0
     printed = capsys.readouterr().out.strip()
-    assert float(printed) == dtw_distance(x, y).normalized_cost
+    assert float(printed) == dtw_distance(x, y)[0]
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):

@@ -131,6 +131,24 @@ def test_feature_file_rejection_names_line(tmp_path, text, message):
         read_feature_file(path)
 
 
+@pytest.mark.parametrize("tail", ["\n\n", "\n \n", "\n\n\n"])
+def test_feature_file_ignores_trailing_blank_lines(tmp_path, tail):
+    body = "2 2\n1 2\n3 4"
+    (tmp_path / "clean.feat").write_text(body + "\n", encoding="utf-8")
+    (tmp_path / "tail.feat").write_text(body + tail, encoding="utf-8")
+    clean = read_feature_file(tmp_path / "clean.feat")
+    np.testing.assert_array_equal(read_feature_file(tmp_path / "tail.feat"), clean)
+    np.testing.assert_array_equal(clean, [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("header", ["2 2", "3 2"])
+def test_feature_file_rejects_inner_blank_line(tmp_path, header):
+    path = tmp_path / "bad.feat"
+    path.write_text(f"{header}\n1 2\n\n3 4\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape("bad.feat:3: expected 2 values, got 0")):
+        read_feature_file(path)
+
+
 def test_feature_file_row_count_mismatch(tmp_path):
     path = tmp_path / "short.feat"
     path.write_text("3 1\n0\n1\n", encoding="utf-8")

@@ -8,7 +8,9 @@ from spanalign.distortion import (
     allocate_mu,
     log_delta_a,
     log_delta_b,
+    log_softmax,
 )
+from spanalign.model import deficient_log_s_table, proper_log_s_rows
 
 from oracles import analytic_delta_argmax, largest_remainder_alloc
 
@@ -114,3 +116,46 @@ def test_allocate_mu_matches_reference():
 def test_allocate_mu_rejects_infeasible():
     with pytest.raises(ValueError):
         allocate_mu((1, 1, 1), 2)
+
+
+def test_log_softmax_keeps_the_bits_of_each_normalizer():
+    # Reference spellings of the three normalizers, each as its own
+    # expression: the golden digests pin these bits.
+    def old_log_delta_body(logits):
+        peak = logits.max()
+        return logits - (peak + math.log(np.exp(logits - peak).sum()))
+
+    def old_deficient(costs):
+        neg = -(costs * costs)
+        peak = neg.max()
+        return neg - (peak + math.log(np.exp(neg - peak).sum()))
+
+    def old_proper(rows):
+        rows = -(rows * rows)
+        peak = rows.max(axis=0)
+        return rows - (peak + np.log(np.exp(rows - peak).sum(axis=0)))
+
+    rng = np.random.default_rng(5)
+    # One log per row in the 1-d form, so many rows: math.log and np.log
+    # disagree on about one scalar in a thousand.
+    for _ in range(5000):
+        x = rng.normal(scale=float(rng.uniform(0.1, 20.0)), size=int(rng.integers(1, 40)))
+        assert np.array_equal(log_softmax(x), old_log_delta_body(x))
+        costs = np.abs(x)
+        assert np.array_equal(deficient_log_s_table(costs), old_deficient(costs))
+    for _ in range(200):
+        n = int(rng.integers(1, 300))
+        rows = np.abs(rng.normal(size=(int(rng.integers(1, 12)), n)))
+        assert np.array_equal(log_softmax(-(rows * rows), axis=0), old_proper(rows))
+        got = proper_log_s_rows({f: row for f, row in enumerate(rows)})
+        assert np.array_equal(np.stack(list(got.values())), old_proper(rows))
+
+        l = int(rng.integers(1, 9))
+        m = int(rng.integers(l + 1, 200))
+        i = int(rng.integers(1, l + 1))
+        mu_i = int(rng.integers(1, m))
+        params = DistortionParams(p0=float(rng.uniform(0.0, 0.5)), lam=float(rng.uniform(0.0, 50.0)))
+        j = np.arange(1, m + 1)
+        h = -np.abs(i * (m - mu_i) - l * j).astype(np.float64) / float(l * (m - mu_i))
+        want = old_log_delta_body(params.lam * h) + math.log1p(-params.p0)
+        assert np.array_equal(log_delta_a(i, l, m, mu_i, params)[1:], want)

@@ -3,7 +3,6 @@ import pytest
 
 from spanalign.dtw import (
     SpanLanes,
-    WarpResult,
     candidate_span_costs,
     dba_centroid,
     dtw_distance,
@@ -30,27 +29,27 @@ def col(*vals) -> np.ndarray:
 def test_documented_pair():
     # x = [0, 2], y = [0, 1, 2] in one dimension: the middle frame costs
     # 1 wherever it lands, so raw cost 1 and normalized 1/(2+3) = 0.2.
-    res = dtw_distance(col(0, 2), col(0, 1, 2))
-    assert res.normalized_cost == pytest.approx(0.2, abs=1e-15)
-    assert res.path == ((1, 1), (1, 2), (2, 3))
+    cost, path = dtw_distance(col(0, 2), col(0, 1, 2))
+    assert cost == pytest.approx(0.2, abs=1e-15)
+    assert path == ((1, 1), (1, 2), (2, 3))
 
 
 def test_documented_pair_symmetry():
     x, y = col(0, 2), col(0, 1, 2)
-    assert dtw_distance(x, y).normalized_cost == dtw_distance(y, x).normalized_cost
+    assert dtw_distance(x, y)[0] == dtw_distance(y, x)[0]
 
 
 def test_identical_sequences_zero_cost():
     x = fs(np.random.default_rng(0).normal(size=(7, 3)))
-    res = dtw_distance(x, x)
-    assert res.normalized_cost == 0.0
-    assert res.path == tuple((i, i) for i in range(1, 8))
+    cost, path = dtw_distance(x, x)
+    assert cost == 0.0
+    assert path == tuple((i, i) for i in range(1, 8))
 
 
 def test_single_frame_pair():
-    res = dtw_distance(col(1.0), col(4.0))
-    assert res.normalized_cost == pytest.approx(3.0 / 2.0)
-    assert res.path == ((1, 1),)
+    cost, path = dtw_distance(col(1.0), col(4.0))
+    assert cost == pytest.approx(3.0 / 2.0)
+    assert path == ((1, 1),)
 
 
 def test_dimension_mismatch_rejected():
@@ -74,9 +73,9 @@ def test_cost_matches_returned_path():
     for _ in range(25):
         x = rng.normal(size=(int(rng.integers(1, 7)), 2))
         y = rng.normal(size=(int(rng.integers(1, 7)), 2))
-        res = dtw_distance(fs(x), fs(y))
-        assert is_valid_warp_path(res.path, x.shape[0], y.shape[0])
-        assert res.normalized_cost == pytest.approx(path_cost(x, y, res.path), abs=1e-12)
+        cost, path = dtw_distance(fs(x), fs(y))
+        assert is_valid_warp_path(path, x.shape[0], y.shape[0])
+        assert cost == pytest.approx(path_cost(x, y, path), abs=1e-12)
 
 
 def test_matches_exhaustive_enumeration():
@@ -84,7 +83,7 @@ def test_matches_exhaustive_enumeration():
     for _ in range(40):
         x = rng.normal(size=(int(rng.integers(1, 6)), 2))
         y = rng.normal(size=(int(rng.integers(1, 6)), 2))
-        assert dtw_distance(fs(x), fs(y)).normalized_cost == pytest.approx(
+        assert dtw_distance(fs(x), fs(y))[0] == pytest.approx(
             exhaustive_dtw(x, y), abs=1e-12
         )
 
@@ -92,8 +91,8 @@ def test_matches_exhaustive_enumeration():
 def test_tie_break_prefers_diagonal():
     # All-zero sequences make every step free; the backtrace must then
     # walk the diagonal first rather than an L-shaped path.
-    res = dtw_distance(fs(np.zeros((3, 1))), fs(np.zeros((3, 1))))
-    assert res.path == ((1, 1), (2, 2), (3, 3))
+    _, path = dtw_distance(fs(np.zeros((3, 1))), fs(np.zeros((3, 1))))
+    assert path == ((1, 1), (2, 2), (3, 3))
 
 
 def test_frame_distances_euclidean():
@@ -173,7 +172,7 @@ def test_candidate_span_costs_matches_loop():
         assert batched.shape == (len(spans),)
         for k, (a, b) in enumerate(spans):
             # bitwise: the wavefront kernel must be the same arithmetic
-            assert batched[k] == dtw_distance(fs(proto), fs(frames[a - 1 : b])).normalized_cost
+            assert batched[k] == dtw_distance(fs(proto), fs(frames[a - 1 : b]))[0]
 
 
 def test_shared_layout_matches_fresh_calls():
@@ -193,7 +192,7 @@ def test_shared_layout_matches_fresh_calls():
             shared = candidate_span_costs(proto, case_frames, lanes)
             assert np.array_equal(shared, candidate_span_costs(proto, case_frames, case_spans))
             for k, (a, b) in enumerate(case_spans):
-                want = dtw_distance(fs(proto), fs(case_frames[a - 1 : b])).normalized_cost
+                want, _ = dtw_distance(fs(proto), fs(case_frames[a - 1 : b]))
                 assert shared[k] == want
 
 
@@ -264,4 +263,4 @@ def test_dba_empty_members_rejected():
 
 def test_result_type():
     res = dtw_distance(col(0.0), col(0.0))
-    assert isinstance(res, WarpResult)
+    assert isinstance(res, tuple) and res == (0.0, ((1, 1),))

@@ -12,7 +12,6 @@ from spanalign.evalkit import (
     report_rows,
     score_links,
 )
-from spanalign.model import WordAlignment
 
 
 def _pair(utt_id, words, m):
@@ -25,7 +24,7 @@ def _pair(utt_id, words, m):
 
 
 def _words(spans):
-    return tuple(WordAlignment(cluster_id=0, a=a, b=b, log_score=0.0) for a, b in spans)
+    return tuple((0, a, b, 0.0) for a, b in spans)
 
 
 def test_alignment_to_links_expands_inclusive_spans():
@@ -84,14 +83,14 @@ def test_evaluate_missing_prediction_counts_as_empty():
 def test_naive_baseline_tiles_the_utterance():
     pair = _pair("u", ["ab", "cdef", "gh"], m=8)
     words = naive_baseline(pair)
-    spans = [(w.a, w.b) for w in words]
+    spans = [(a, b) for _, a, b, _ in words]
     assert spans == [(1, 2), (3, 6), (7, 8)]
-    assert all(w.cluster_id is None for w in words)
+    assert all(f is None and score == 0.0 for f, _, _, score in words)
 
 
 def test_naive_baseline_covers_every_frame_once():
     pair = _pair("u", ["a", "bb", "ccc"], m=11)
-    spans = [(w.a, w.b) for w in naive_baseline(pair)]
+    spans = [(a, b) for _, a, b, _ in naive_baseline(pair)]
     frames = [j for a, b in spans for j in range(a, b + 1)]
     assert frames == list(range(1, 12))
 

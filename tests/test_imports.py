@@ -35,7 +35,7 @@ IMPORT_GRAPH = {
     "dtw.py": (),
     "segmentation.py": ("corpus",),
     "model.py": ("corpus", "distortion", "dtw"),
-    "evalkit.py": ("corpus", "distortion", "model"),
+    "evalkit.py": ("corpus", "distortion"),
     "trainer.py": ("corpus", "distortion", "dtw", "model", "segmentation"),
     "cli.py": ("corpus", "dtw", "evalkit", "model", "segmentation", "trainer"),
 }

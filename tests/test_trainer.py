@@ -109,16 +109,16 @@ def test_final_alignments_scores_match_reference(variant):
             for a, b in candidates:
                 state = TrainState(params, {"tiny": ((f, a, b),) * pair.l}, (), delta)
                 alignment = final_alignments(corpus, state, tables)["tiny"]
-                for i, (word, entry) in enumerate(zip(pair.target_words, alignment), start=1):
+                for i, (word, (_, _, _, score)) in enumerate(zip(pair.target_words, alignment), start=1):
                     want = word_log_score(i, word, f, a, b, pair, params, candidates, mu[i - 1])
                     if f not in params.inventory.clusters[word]:
                         seen.add("other word")
-                        assert want == entry.log_score == -np.inf
+                        assert want == score == -np.inf
                     elif f not in params.live_clusters():
                         seen.add("dead")
-                        assert want == entry.log_score == -np.inf
+                        assert want == score == -np.inf
                     else:
-                        assert abs(entry.log_score - want) <= 1e-12
+                        assert abs(score - want) <= 1e-12
     assert seen == {"other word", "dead"}
 
 
@@ -405,10 +405,10 @@ def test_train_reuse_matches_recomputing_everything(variant):
     got = final_alignments(corpus, probe, narrow)
     for pair in corpus:
         candidates, mu = narrow.candidates[pair.utt_id], narrow.mu[pair.utt_id]
-        for i, (word, entry) in enumerate(zip(pair.target_words, got[pair.utt_id]), start=1):
+        for i, (word, (_, _, _, score)) in enumerate(zip(pair.target_words, got[pair.utt_id]), start=1):
             f, a, b = assignments[pair.utt_id][i - 1]
             want = word_log_score(i, word, f, a, b, pair, state.params, candidates, mu[i - 1])
-            assert abs(entry.log_score - want) <= 1e-12
+            assert abs(score - want) <= 1e-12
     # Tables refuse a corpus whose pairs are not their own, even an equal one.
     other = _small_corpus()
     for call in (
@@ -488,9 +488,9 @@ def test_final_alignments_scores_are_finite():
     for pair in corpus:
         words = alignments[pair.utt_id]
         assert len(words) == pair.l
-        for entry, (f, a, b) in zip(words, state.assignments[pair.utt_id]):
-            assert (entry.cluster_id, entry.a, entry.b) == (f, a, b)
-            assert np.isfinite(entry.log_score)
+        for (f, a, b, score), assignment in zip(words, state.assignments[pair.utt_id]):
+            assert (f, a, b) == assignment
+            assert np.isfinite(score)
 
 
 @pytest.mark.parametrize(
@@ -545,10 +545,10 @@ def test_degenerate_utterances_end_to_end(variant):
         spans = set(tables.candidates[pair.utt_id])
         words = alignments[pair.utt_id]
         assert len(words) == pair.l
-        for word, entry in zip(pair.target_words, words):
-            assert (entry.a, entry.b) in spans
-            assert entry.cluster_id in state.params.inventory.clusters[word]
-            assert np.isfinite(entry.log_score)
+        for word, (f, a, b, score) in zip(pair.target_words, words):
+            assert (a, b) in spans
+            assert f in state.params.inventory.clusters[word]
+            assert np.isfinite(score)
     _, again, alignments_again = run()
     assert alignments_again == alignments
     assert again.assignments == state.assignments
@@ -598,9 +598,9 @@ def test_repeated_word_types_in_noisy_corpus(lam):
     assignments, alignments = runs[0]
     for pair in corpus:
         spans = set(tables.candidates[pair.utt_id])
-        for entry in alignments[pair.utt_id]:
-            assert (entry.a, entry.b) in spans
-            assert np.isfinite(entry.log_score)
+        for _, a, b, score in alignments[pair.utt_id]:
+            assert (a, b) in spans
+            assert np.isfinite(score)
     assert np.isfinite(evaluate(alignments, corpus.gold, corpus).f_score)
     if lam == 0.0:
         # A flat distortion scores every occurrence of a type on the same
