@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-import secrets
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -35,7 +34,7 @@ class CorpusError(ValueError):
 def atomic_write_text(path: Path | str, text: str) -> None:
     """Write via a new temp file and rename, so readers never see partials; umask sets the mode."""
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}")
     try:
         with open(tmp, "x", encoding="utf-8") as handle:
             handle.write(text)

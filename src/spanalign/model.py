@@ -45,9 +45,15 @@ class ClusterInventory:
     owner: dict[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Scoring reshapes the slices as (words, k) and breaks ties by cluster id.
+        k = len(next(iter(self.clusters.values()), ()))
         for word, fs in self.clusters.items():
             if not fs:
                 raise ValueError(f"word {word!r} has no clusters")
+            if len(fs) != k:
+                raise ValueError(f"word {word!r} has {len(fs)} clusters, the first word {k}")
+            if list(fs) != sorted(fs):
+                raise ValueError(f"word {word!r} has cluster ids out of order")
         ids = sorted(f for fs in self.clusters.values() for f in fs)
         if ids != list(range(len(ids))):
             raise ValueError("cluster ids must be 0..n-1, each used once")

@@ -25,23 +25,8 @@ class NoCandidateSpansError(Exception):
     """Enumeration produced no span; callers fall back to the unrestricted grid."""
 
 
-@dataclass(frozen=True)
-class SilenceSpans:
-    """Disjoint silent intervals [s, t), 1-indexed, in increasing order."""
-
-    spans: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prev_end = 0
-        for s, t in self.spans:
-            if not (1 <= s < t):
-                raise ValueError(f"bad silence interval [{s}, {t})")
-            if s < prev_end:
-                raise ValueError("silence intervals must be disjoint and ordered")
-            prev_end = t
-
-    def __iter__(self):
-        return iter(self.spans)
+# Silent runs [s, t), 1-indexed, increasing and non-touching, as detect_silence builds them.
+SilenceSpans = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -103,7 +88,7 @@ def detect_silence(
     # its last, so the changes pair up as [s, t) runs, here made 1-indexed.
     runs = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0])))).reshape(-1, 2) + 1
     runs = runs[runs[:, 1] - runs[:, 0] >= min_frames]
-    return SilenceSpans(tuple(map(tuple, runs.tolist())))
+    return tuple(map(tuple, runs.tolist()))
 
 
 def candidate_boundaries(
@@ -169,7 +154,7 @@ def candidate_spans(
     if pair.energy_track is not None:
         silences = detect_silence(pair.energy_track, frame_shift_ms, config)
     else:
-        silences = SilenceSpans(())
+        silences = ()
 
     boundaries = candidate_boundaries(pair, config, silences)
     try:
@@ -177,5 +162,5 @@ def candidate_spans(
     except NoCandidateSpansError:
         # Every frame is a boundary; an utterance shorter than span_min_len gets only (1, m).
         min_len = min(config.span_min_len, pair.m)
-        spans = enumerate_spans(range(1, pair.m + 1), SilenceSpans(()), min_len, config.span_max_len)
+        spans = enumerate_spans(range(1, pair.m + 1), (), min_len, config.span_max_len)
     return spans, silences

@@ -57,9 +57,9 @@ def test_inventory_build_assigns_sequential_ids():
 
 
 def test_inventory_derives_owner_map():
-    inv = ClusterInventory({"b": (1,), "a": (2, 0)})
-    assert inv.owner == {0: "a", 1: "b", 2: "a"}
-    assert inv.n_clusters == 3
+    inv = ClusterInventory({"b": (1, 3), "a": (0, 2)})
+    assert inv.owner == {0: "a", 1: "b", 2: "a", 3: "b"}
+    assert inv.n_clusters == 4
 
 
 @pytest.mark.parametrize(
@@ -68,8 +68,10 @@ def test_inventory_derives_owner_map():
         ({"a": (0, 1), "b": (1, 2)}, "cluster ids must be 0..n-1, each used once"),
         ({"a": (0,), "b": (2,)}, "cluster ids must be 0..n-1, each used once"),
         ({"a": (0,), "b": ()}, "word 'b' has no clusters"),
+        ({"a": (0,), "b": (1, 2, 3)}, "word 'b' has 3 clusters, the first word 1"),
+        ({"a": (0, 1), "b": (3, 2)}, "word 'b' has cluster ids out of order"),
     ],
-    ids=["reused_id", "gap", "no_clusters"],
+    ids=["reused_id", "gap", "no_clusters", "uneven", "unsorted"],
 )
 def test_inventory_rejects_bad_cluster_ids(clusters, message):
     with pytest.raises(ValueError, match=message):
@@ -374,4 +376,16 @@ def test_load_params_rejects_missing_or_mistyped_field(tmp_path, edit, message):
     edit(payload)
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=re.escape(f"checkpoint field {message}")):
+        load_params(path)
+
+
+def test_load_params_rejects_uneven_inventory(tmp_path):
+    _, params, _ = make_setup(k=2)
+    path = tmp_path / "params.json"
+    save_params(params, path, 10.0)
+    payload = json.loads(path.read_text())
+    assert payload["clusters"] == {"bar": [0, 1], "foo": [2, 3]}
+    payload["clusters"] = {"bar": [0], "foo": [1, 2, 3]}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="word 'foo' has 3 clusters, the first word 1"):
         load_params(path)

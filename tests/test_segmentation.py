@@ -30,31 +30,31 @@ def make_pair(m, energy=None, utt_id="u1", boundaries=()):
 def test_detect_silence_seven_frame_run():
     e = np.ones(30)
     e[10:17] = 0.01
-    assert detect_silence(e, 10.0).spans == ((11, 18),)
+    assert detect_silence(e, 10.0) == ((11, 18),)
 
 
 def test_detect_silence_four_frames_too_short():
     e = np.ones(30)
     e[10:14] = 0.01
-    assert detect_silence(e, 10.0).spans == ()
+    assert detect_silence(e, 10.0) == ()
 
 
 def test_detect_silence_all_zero_track():
-    assert detect_silence(np.zeros(25), 10.0).spans == ()
+    assert detect_silence(np.zeros(25), 10.0) == ()
 
 
 def test_detect_silence_multiple_runs():
     e = np.ones(60)
     e[5:12] = 0.0
     e[30:40] = 0.0
-    assert detect_silence(e, 10.0).spans == ((6, 13), (31, 41))
+    assert detect_silence(e, 10.0) == ((6, 13), (31, 41))
 
 
 def test_detect_silence_min_ms_scales_with_shift():
     e = np.ones(30)
     e[10:14] = 0.0
     # 4 frames at 20 ms/frame = 80 ms >= 50 ms
-    assert detect_silence(e, frame_shift_ms=20.0).spans == ((11, 15),)
+    assert detect_silence(e, frame_shift_ms=20.0) == ((11, 15),)
 
 
 def test_detect_silence_rejects_bad_track():
@@ -62,13 +62,6 @@ def test_detect_silence_rejects_bad_track():
         detect_silence(np.asarray([1.0, -0.5, 0.2]), 10.0)
     with pytest.raises(ValueError):
         detect_silence(np.ones((3, 2)), 10.0)
-
-
-def test_silence_spans_validation():
-    with pytest.raises(ValueError):
-        SilenceSpans(((5, 5),))
-    with pytest.raises(ValueError):
-        SilenceSpans(((5, 9), (8, 12)))
 
 
 def test_boundaries_grid_endpoints():
@@ -133,10 +126,10 @@ def test_candidate_spans_full_pipeline_snaps_to_word():
     energy = np.concatenate([np.full(10, 0.01), np.ones(8), np.full(10, 0.01)])
     pair = make_pair(28, energy=energy)
     cands, silences = candidate_spans(pair, SegmentationConfig(), 10.0)
-    assert silences.spans == ((1, 11), (19, 29))
+    assert silences == ((1, 11), (19, 29))
     assert (11, 18) in cands
     for a, b in cands:
-        assert not any(max(a, s) <= min(b, t - 1) for s, t in silences.spans)
+        assert not any(max(a, s) <= min(b, t - 1) for s, t in silences)
 
 
 def test_candidate_spans_fallback_whole_utterance():
@@ -171,7 +164,7 @@ def test_candidate_spans_silence_follows_config(settings, expected):
     energy[8:12] = 0.01
     energy[24:31] = 0.2
     cands, silences = candidate_spans(make_pair(40, energy=energy), SegmentationConfig(**settings), 10.0)
-    assert silences.spans == expected
+    assert silences == expected
     for a, b in cands:
         assert not any(max(a, s) <= min(b, t - 1) for s, t in expected)
 
@@ -179,7 +172,7 @@ def test_candidate_spans_silence_follows_config(settings, expected):
 def test_candidate_spans_no_energy_skips_silence():
     pair = make_pair(20)
     cands, silences = candidate_spans(pair, SegmentationConfig(), 10.0)
-    assert silences.spans == ()
+    assert silences == ()
     assert (1, 20) in cands
 
 
@@ -210,7 +203,7 @@ def test_enumerate_spans_matches_pairwise_reference():
         min_len = int(rng.integers(0, 6))
         max_len = int(rng.integers(0, 25))
 
-        seen["adjacent"] += any(s == prev_t for (_, prev_t), (s, _) in zip(silences, silences.spans[1:]))
+        seen["adjacent"] += any(s == prev_t for (_, prev_t), (s, _) in zip(silences, silences[1:]))
         seen["inside"] += any(s < j < t - 1 for j in boundaries for s, t in silences)
         seen["on_edge"] += any(j in (s, t - 1, t) for j in boundaries for s, t in silences)
         seen["past_last"] += any(t - 1 > max(boundaries) for _, t in silences)
@@ -249,7 +242,7 @@ def test_detect_silence_runs_match_frame_loop():
         ratio = float(rng.uniform(0.05, 0.95))
         min_ms = float(rng.integers(1, 7) * 10)
         config = SegmentationConfig(threshold_ratio=ratio, min_silence_ms=min_ms, smooth_frames=1)
-        got = detect_silence(energy, 10.0, config).spans
+        got = detect_silence(energy, 10.0, config)
         mask = energy < ratio * energy.max()
         assert got == tuple(silence_runs_reference(mask, math.ceil(min_ms / 10.0)))
         assert all(type(v) is int for span in got for v in span)
@@ -269,4 +262,4 @@ def test_detect_silence_smooths_with_running_median(width):
         ratio = float(rng.uniform(0.05, 0.95))
         config = SegmentationConfig(threshold_ratio=ratio, min_silence_ms=10.0, smooth_frames=width)
         mask = smoothed < ratio * smoothed.max()
-        assert detect_silence(energy, 10.0, config).spans == tuple(silence_runs_reference(mask, 1))
+        assert detect_silence(energy, 10.0, config) == tuple(silence_runs_reference(mask, 1))
