@@ -68,7 +68,6 @@ _RUN_OPTIONS = [
     Option("frame_shift_ms", float, Corpus.frame_shift_ms,
            "frame shift of the features in milliseconds"),
     Option("normalize", bool, True, "normalize each utterance to zero mean, unit variance"),
-    Option("p0", float, _TRAIN.p0, "distortion probability mass on the null span"),
     Option("threshold_ratio", float, _SEG.threshold_ratio,
            "silence threshold as a ratio of the smoothed peak"),
     Option("min_silence_ms", float, _SEG.min_silence_ms, "minimum silence duration in milliseconds"),
@@ -296,6 +295,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
     check_frame_shift(values["frame_shift_ms"])
     dev_ids = read_manifest(values["dev_manifest"])
     test_ids = read_manifest(values["test_manifest"])
+    in_dev = set(dev_ids)
+    for lineno, utt_id in enumerate(test_ids, start=1):
+        if utt_id in in_dev:  # lambda would be selected on test utterances
+            raise CorpusError(f"{values['test_manifest']}:{lineno}: {utt_id!r} is in the dev split too")
     known = set(read_manifest(values["manifest"]))
     for utt_id in dev_ids + test_ids:
         if utt_id not in known:

@@ -1,8 +1,8 @@
 """Corpus types, file I/O and feature normalization.
 
 On-disk layout:
-  manifest           one utterance id per line, each once, no blank line
-                     before the last
+  manifest           one tab-free utterance id per line, each once, no
+                     blank line before the last
   <utt_id>.feat      header line "m d", then m lines of d floats; trailing
                      blank lines are ignored
   translations       one whitespace-tokenized sentence per manifest line
@@ -239,12 +239,14 @@ def read_boundary_file(path: Path | str, m: int) -> tuple[int, ...]:
 
 
 def read_manifest(path: Path | str) -> list[str]:
-    """Unique utterance ids, one per line; trailing blank lines are ignored, inner ones rejected."""
+    """Unique tab-free utterance ids, one per line; trailing blank lines are ignored, inner ones rejected."""
     utt_ids = [ln.strip() for ln in _read_lines(path)]
     first: dict[str, int] = {}
     for lineno, utt_id in enumerate(utt_ids, start=1):
         if not utt_id:
             raise CorpusError(f"{path}:{lineno}: blank utterance id")
+        if "\t" in utt_id:  # alignment and gold rows are tab-separated
+            raise CorpusError(f"{path}:{lineno}: utterance id {utt_id!r} contains a tab")
         if first.setdefault(utt_id, lineno) != lineno:
             raise CorpusError(f"{path}:{lineno}: utterance id {utt_id!r} repeats line {first[utt_id]}")
     if not utt_ids:

@@ -6,8 +6,7 @@ end b then follow two softmax families peaked near the diagonal:
 
     h_a(i, j) = -| i/l - j / (m - mu_i) |
     h_b(i, j) = -| i/l - (j - mu_i) / (m - mu_i) |
-    delta(j)  = p0                                  if j = 0
-              = (1 - p0) * exp(lam * h) / Z         if 1 <= j <= m
+    delta(j)  = exp(lam * h) / Z                    for 1 <= j <= m
 
 Both h values are evaluated through the integer-exact numerator
 |i*(m - mu) - l*(j - shift)| so that argmax ties resolve identically
@@ -24,15 +23,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DistortionParams:
-    """Null-span mass p0 and diagonal sharpness lam (the lambda knob)."""
+    """Diagonal sharpness lam (the lambda knob); no null-word mass, as no candidate span is null."""
 
-    p0: float = 0.0
     lam: float = 0.5
 
     def __post_init__(self):
-        # Candidate spans never include the null span: at p0 = 1 every word would score -inf.
-        if not (0.0 <= self.p0 < 1.0):
-            raise ValueError(f"p0 must lie in [0, 1), got {self.p0}")
         if not (self.lam >= 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
@@ -88,7 +83,7 @@ def log_softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
 
 
 def _log_delta(i: int, l: int, m: int, mu_i: int, params: DistortionParams, shift: int) -> np.ndarray:
-    """log delta over j = 0..m: log p0, then log(1 - p0) plus a log softmax of lam * h."""
+    """log delta over j = 0..m: -inf at 0, where no span starts or ends, then log_softmax(lam * h)."""
     if l < 1 or not (1 <= i <= l):
         raise ValueError(f"word index i={i} out of range for l={l}")
     if not (0 < mu_i < m):
@@ -97,17 +92,17 @@ def _log_delta(i: int, l: int, m: int, mu_i: int, params: DistortionParams, shif
     num = np.abs(i * (m - mu_i) - l * (j - shift))
     h = -num.astype(np.float64) / float(l * (m - mu_i))
     out = np.empty(m + 1)
-    out[0] = math.log(params.p0) if params.p0 > 0 else -math.inf
-    out[1:] = log_softmax(params.lam * h) + math.log1p(-params.p0)
+    out[0] = -math.inf
+    out[1:] = log_softmax(params.lam * h)
     out.setflags(write=False)
     return out
 
 
 def log_delta_a(i: int, l: int, m: int, mu_i: int, params: DistortionParams) -> np.ndarray:
-    """Log probabilities over span starts j = 0..m (0 is the null span)."""
+    """Log probabilities over span starts j = 0..m (slot 0 is -inf)."""
     return _log_delta(i, l, m, mu_i, params, shift=0)
 
 
 def log_delta_b(i: int, l: int, m: int, mu_i: int, params: DistortionParams) -> np.ndarray:
-    """Log probabilities over span ends j = 0..m, shifted right by mu_i."""
+    """Log probabilities over span ends j = 0..m (slot 0 is -inf), shifted right by mu_i."""
     return _log_delta(i, l, m, mu_i, params, shift=mu_i)

@@ -234,12 +234,11 @@ def candidate_span_costs(
     return last[offsets, spans.lane_of_span] / (n + offsets + 1)
 
 
-def dba_centroid(
-    members: Sequence[np.ndarray],
-    iterations: int = 3,
-    return_history: bool = False,
-):
-    """DTW barycenter averaging over (m, d) member frame arrays; the centroid is one too.
+def dba_centroid(members: Sequence[np.ndarray], iterations: int = 3) -> tuple[np.ndarray, list[float]]:
+    """DTW barycenter averaging over (m, d) member frame arrays: (centroid, history).
+
+    The centroid is an (m, d) array; `history` holds the objective below
+    for the starting skeleton and after each accepted update.
 
     The skeleton starts as a median-length member (upper median; ties go
     to the lowest member index) and each iteration replaces every
@@ -299,7 +298,4 @@ def dba_centroid(
         history.append(obj)
         if history[-2] - obj < 1e-6 * max(history[-2], 1e-300):
             break
-
-    if return_history:
-        return skeleton, history
-    return skeleton
+    return skeleton, history

@@ -164,7 +164,7 @@ def save_params(params: ModelParams, path: Path | str, frame_shift_ms: float) ->
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "variant": params.variant,
-        "distortion": {"p0": params.distortion.p0, "lambda": params.distortion.lam},
+        "distortion": {"p0": 0.0, "lambda": params.distortion.lam},  # format 1 keeps a null-span mass of 0
         "clusters": {w: list(fs) for w, fs in params.inventory.clusters.items()},
         "u": [float(v) for v in params.u],
         "prototypes": [
@@ -226,12 +226,14 @@ def load_params(path: Path | str) -> ModelParams:
             entry = _numbers(_field(entry, "frames", list, f"{name}.frames"), f"{name}.frames")
         prototypes.append(entry)
     distortion = _field(payload, "distortion", dict)
-    p0, lam = (_field(distortion, key, _NUMBER, f"distortion.{key}") for key in ("p0", "lambda"))
+    if (p0 := _field(distortion, "p0", _NUMBER, "distortion.p0")) != 0:
+        raise ValueError(f"checkpoint field distortion.p0 must be 0 (no span is null), got {p0!r}")
+    lam = _field(distortion, "lambda", _NUMBER, "distortion.lambda")
     return ModelParams(
         inventory=ClusterInventory(clusters),
         u=np.array(_numbers(_field(payload, "u", list), "u"), dtype=np.float64),
         prototypes=prototypes,
-        distortion=DistortionParams(p0=p0, lam=lam),
+        distortion=DistortionParams(lam=lam),
         variant=_field(payload, "variant", str),
     )
 

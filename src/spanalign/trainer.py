@@ -60,7 +60,6 @@ class TrainConfig:
     k: int = 2
     dba_iterations: int = 3
     variant: str = "deficient"
-    p0: float = DistortionParams.p0
     lam: float = DistortionParams.lam
 
     def __post_init__(self):
@@ -74,7 +73,7 @@ class TrainConfig:
             raise ValueError("dba_iterations must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        DistortionParams(p0=self.p0, lam=self.lam)  # rejects a bad lam or p0
+        DistortionParams(lam=self.lam)  # rejects a bad lam
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,7 @@ def m_step(
     for f in sorted(members):
         if members[f] != prev_members.get(f):
             spans = [frames[utt_id][a - 1 : b] for utt_id, a, b in members[f]]
-            prototypes[f] = dba_centroid(spans, iterations=config.dba_iterations)
+            prototypes[f], _ = dba_centroid(spans, iterations=config.dba_iterations)
     return ModelParams(
         inventory=prev_params.inventory,
         u=u,
@@ -362,7 +361,7 @@ def initialize(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainStat
     started = time.perf_counter()
     word_types = sorted({w for pair in corpus for w in pair.target_words})
     inventory = ClusterInventory.build(word_types, config.k)
-    dparams = DistortionParams(p0=config.p0, lam=config.lam)
+    dparams = DistortionParams(lam=config.lam)
     rng = np.random.default_rng(config.seed)
     delta = distortion_rows(tables, dparams)
 

@@ -121,10 +121,7 @@ def test_distortion_vectors_normalize_and_peak_on_diagonal():
         i = int(rng.integers(1, l + 1))
         m = int(rng.integers(2, 121))
         mu_i = int(rng.integers(1, m))
-        params = DistortionParams(
-            p0=float(rng.choice([0.0, rng.uniform(0.0, 0.3)])),
-            lam=float(rng.uniform(0.05, 3.0)),
-        )
+        params = DistortionParams(lam=float(rng.uniform(0.05, 3.0)))
         for log_vector, shifted in ((log_delta_a, False), (log_delta_b, True)):
             vec = np.exp(log_vector(i, l, m, mu_i, params))
             assert abs(vec.sum() - 1.0) <= 1e-9
@@ -212,7 +209,7 @@ def test_dba_objective_never_increases():
             rng.standard_normal((int(rng.integers(2, 9)), 3))
             for _ in range(int(rng.integers(2, 6)))
         ]
-        _, history = dba_centroid(members, iterations=6, return_history=True)
+        _, history = dba_centroid(members, iterations=6)
         assert len(history) >= 2
         for prev, nxt in zip(history, history[1:]):
             assert nxt <= prev + 1e-9

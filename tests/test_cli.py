@@ -259,15 +259,9 @@ def _assert_rejected_before_reading(tmp_path, capsys, command, setting, message)
     assert not (tmp_path / "run").exists()
 
 
-def test_align_rejects_p0_of_one(tmp_path, capsys):
-    # Candidate spans never include the null span, so p0 = 1 would score every word -inf.
-    _assert_rejected_before_reading(tmp_path, capsys, "align", ["--p0", "1"], "p0 must lie in [0, 1)")
-
-
 @pytest.mark.parametrize(
     "command, setting, message",
     [
-        ("grid", ["--p0", "1"], "p0 must lie in [0, 1)"),
         ("align", ["--span-min-len", "5", "--span-max-len", "3"], "need 1 <= span_min_len <= span_max_len"),
         ("align", ["--frame-shift-ms", "0"], "frame_shift_ms must be positive and finite, got 0.0"),
         ("grid", ["--frame-shift-ms", "nan"], "frame_shift_ms must be positive and finite, got nan"),
@@ -280,7 +274,7 @@ def test_align_rejects_p0_of_one(tmp_path, capsys):
         ("align", ["--threshold-ratio", "1"], "threshold_ratio must lie in (0, 1)"),
         ("grid", ["--grid-stride", "-1"], "grid_stride must be >= 0 (0 disables the grid)"),
     ],
-    ids=["grid_p0", "align_span_len", "align_frame_shift_zero", "grid_frame_shift_nan",
+    ids=["align_span_len", "align_frame_shift_zero", "grid_frame_shift_nan",
          "align_min_silence_nan", "grid_min_silence_inf", "align_seed", "grid_seed",
          "align_smooth_frames_even", "grid_smooth_frames_zero", "align_threshold_ratio",
          "grid_grid_stride"],
@@ -292,7 +286,9 @@ def test_bad_settings_rejected_before_reading_files(tmp_path, capsys, command, s
 @pytest.mark.parametrize(
     "command, name, value",
     [("align", "lambda_grid", "abc"), ("align", "dev_manifest", "nope"),
-     ("align", "test_manifest", "nope"), ("grid", "lambda", "0.5")],
+     ("align", "test_manifest", "nope"), ("grid", "lambda", "0.5"),
+     # No candidate span is null, so a null-span mass would only shift every score.
+     ("align", "p0", "0.3"), ("grid", "p0", "0.3")],
 )
 def test_command_rejects_settings_it_does_not_read(tmp_path, capsys, command, name, value):
     flag = "--" + name.replace("_", "-")
@@ -437,6 +433,14 @@ def test_grid_rejects_repeated_id_in_split_manifest(tmp_path, capsys):
     code, err = _grid_on_splits(tmp_path, capsys, "{0}\n{1}\n", "{2}\n{3}\n{2}\n")
     assert code == 1
     assert f"{tmp_path / 'test.txt'}:3: utterance id 'synth0002' repeats line 1" in err
+    assert not (tmp_path / "grid").exists()
+
+
+def test_grid_rejects_id_in_both_splits(tmp_path, capsys):
+    # Lambda would otherwise be selected on utterances that the test F also scores.
+    code, err = _grid_on_splits(tmp_path, capsys, "{0}\n{1}\n", "{2}\n{1}\n")
+    assert code == 1
+    assert f"{tmp_path / 'test.txt'}:2: 'synth0001' is in the dev split too" in err
     assert not (tmp_path / "grid").exists()
 
 

@@ -453,6 +453,17 @@ def test_manifest_rejects_repeated_id_before_reading_features(tmp_path, monkeypa
     assert read == []
 
 
+def test_manifest_rejects_tab_in_id_before_reading_features(tmp_path, monkeypatch):
+    # Alignment and gold rows are tab-separated: a tab in an id would add a field to each row.
+    (tmp_path / "manifest.txt").write_text("u1\nu\t2\n", encoding="utf-8")
+    (tmp_path / "translations.txt").write_text("a\nb\n", encoding="utf-8")
+    read = []
+    monkeypatch.setattr(corpus_module, "read_feature_file", lambda path: read.append(path))
+    with pytest.raises(CorpusError, match=re.escape("manifest.txt:2: utterance id 'u\\t2' contains a tab")):
+        load_corpus(tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")
+    assert read == []
+
+
 def test_load_corpus_normalizes_before_building_pairs(tmp_path):
     corpus, _ = synth_generate(SynthConfig(seed=2, vocab_size=4, sentences=3, noise_std=0.3))
     save_corpus(corpus, tmp_path)

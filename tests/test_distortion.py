@@ -16,7 +16,7 @@ from oracles import analytic_delta_argmax, largest_remainder_alloc
 
 
 EXAMPLE = dict(i=1, l=5, m=100, mu_i=20)
-EXAMPLE_PARAMS = DistortionParams(p0=0.0, lam=0.5)
+EXAMPLE_PARAMS = DistortionParams(lam=0.5)
 
 
 def test_fig_argmax_start():
@@ -35,17 +35,13 @@ def test_last_word_end_peaks_at_last_frame():
 
 
 def test_vector_sums_to_one():
-    for p0 in (0.0, 0.2):
-        params = DistortionParams(p0=p0, lam=0.5)
+    # Index j is frame j; no span starts or ends at frame 0, so slot 0 holds no mass.
+    for lam in (0.0, 0.5, 40.0):
         for fn in (log_delta_a, log_delta_b):
-            vec = np.exp(fn(i=2, l=4, m=37, mu_i=9, params=params))
-            assert vec.sum() == pytest.approx(1.0, abs=1e-9)
-            assert vec[0] == pytest.approx(p0, abs=1e-12)
-
-
-def test_null_mass_zero_when_p0_zero():
-    vec = log_delta_a(**EXAMPLE, params=EXAMPLE_PARAMS)
-    assert vec[0] == -math.inf
+            vec = fn(i=2, l=4, m=37, mu_i=9, params=DistortionParams(lam=lam))
+            assert vec.shape == (38,)
+            assert vec[0] == -math.inf
+            assert np.exp(vec[1:]).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_random_sweep_matches_analytic_argmax():
@@ -58,7 +54,7 @@ def test_random_sweep_matches_analytic_argmax():
         if not (0 < mu_i < m):
             continue
         lam = float(rng.uniform(0.05, 3.0))
-        params = DistortionParams(p0=float(rng.uniform(0.0, 0.3)), lam=lam)
+        params = DistortionParams(lam=lam)
         for fn, shifted in ((log_delta_a, False), (log_delta_b, True)):
             vec = fn(i, l, m, mu_i, params)
             got = int(np.argmax(vec[1:])) + 1
@@ -75,10 +71,9 @@ def test_argument_validation():
 
 
 def test_distortion_params_validation():
-    with pytest.raises(ValueError):
-        DistortionParams(p0=-0.1, lam=0.5)
-    with pytest.raises(ValueError):
-        DistortionParams(p0=0.0, lam=-1.0)
+    for lam in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            DistortionParams(lam=lam)
 
 
 def test_allocate_mu_documented_split():
@@ -154,8 +149,8 @@ def test_log_softmax_keeps_the_bits_of_each_normalizer():
         m = int(rng.integers(l + 1, 200))
         i = int(rng.integers(1, l + 1))
         mu_i = int(rng.integers(1, m))
-        params = DistortionParams(p0=float(rng.uniform(0.0, 0.5)), lam=float(rng.uniform(0.0, 50.0)))
+        params = DistortionParams(lam=float(rng.uniform(0.0, 50.0)))
         j = np.arange(1, m + 1)
         h = -np.abs(i * (m - mu_i) - l * j).astype(np.float64) / float(l * (m - mu_i))
-        want = old_log_delta_body(params.lam * h) + math.log1p(-params.p0)
+        want = old_log_delta_body(params.lam * h)
         assert np.array_equal(log_delta_a(i, l, m, mu_i, params)[1:], want)

@@ -220,30 +220,29 @@ def test_dba_matches_reference():
         size = 1 if trial % 5 == 0 else int(rng.integers(2, 8))
         members = [fs(rng.normal(size=(int(rng.integers(1, 13)), dim))) for _ in range(size)]
         iterations = 1 + trial % 5
-        got, got_history = dba_centroid(members, iterations=iterations, return_history=True)
+        got, got_history = dba_centroid(members, iterations=iterations)
         want, want_history = dba_centroid_reference(members, iterations, return_history=True)
         # bitwise: one add.at per pass keeps the order of the per-cell sums
         assert np.array_equal(got, want)
         assert got_history == want_history
-        assert np.array_equal(dba_centroid(members, iterations=iterations), want)
 
 
 def test_dba_singleton_is_member():
     member = fs(np.random.default_rng(5).normal(size=(6, 2)))
-    centroid = dba_centroid([member])
+    centroid, _ = dba_centroid([member])
     np.testing.assert_array_equal(centroid, member)
 
 
 def test_dba_two_constant_sequences():
     # Members [0, 0] and [2, 2]: the average sits at [1, 1].
-    centroid = dba_centroid([col(0.0, 0.0), col(2.0, 2.0)])
+    centroid, _ = dba_centroid([col(0.0, 0.0), col(2.0, 2.0)])
     np.testing.assert_allclose(centroid, [[1.0], [1.0]])
 
 
 def test_dba_skeleton_upper_median_length():
     rng = np.random.default_rng(9)
     members = [fs(rng.normal(size=(n, 2))) for n in (3, 9, 5)]
-    centroid = dba_centroid(members, iterations=1)
+    centroid, _ = dba_centroid(members, iterations=1)
     # lengths sorted (3, 5, 9) -> index 3 // 2 picks 5
     assert centroid.shape[0] == 5
 
@@ -251,7 +250,7 @@ def test_dba_skeleton_upper_median_length():
 def test_dba_objective_non_increasing():
     rng = np.random.default_rng(21)
     members = [fs(rng.normal(size=(int(rng.integers(3, 9)), 3))) for _ in range(6)]
-    _, history = dba_centroid(members, iterations=5, return_history=True)
+    _, history = dba_centroid(members, iterations=5)
     for prev, cur in zip(history, history[1:]):
         assert cur <= prev + 1e-9
 

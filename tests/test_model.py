@@ -42,7 +42,7 @@ def make_setup(k=1, variant="deficient"):
         inventory=inventory,
         u=u,
         prototypes=protos,
-        distortion=DistortionParams(p0=0.0, lam=0.5),
+        distortion=DistortionParams(lam=0.5),
         variant=variant,
     )
     candidates = ((1, 4), (2, 6), (5, 10))
@@ -315,14 +315,14 @@ def test_params_round_trip_with_dead_prototype(tmp_path):
         inventory=inv,
         u=np.asarray([1.0, 0.0]),
         prototypes=(fs(np.ones((2, 1))), None),
-        distortion=DistortionParams(p0=0.1, lam=2.0),
+        distortion=DistortionParams(lam=2.0),
     )
     path = tmp_path / "params.json"
     save_params(params, path, 10.0)
     back = load_params(path)
     assert back.prototypes[1] is None
     assert back.u[1] == 0.0
-    assert back.distortion.p0 == 0.1
+    assert back.distortion.lam == 2.0
 
 
 @pytest.mark.parametrize(
@@ -358,13 +358,15 @@ def test_load_params_rejects_bad_prototype(tmp_path, entry, message):
          "prototypes[1].frames must be a number, got '1.0'"),
         (lambda p: p["prototypes"][1].pop("frames"), "prototypes[1].frames is missing"),
         (lambda p: p["distortion"].update(p0="0"), "distortion.p0 must be a number, got '0'"),
+        # Format 1 keeps the null-span mass field; no span is null, so it must be 0.
+        (lambda p: p["distortion"].update(p0=0.1), "distortion.p0 must be 0 (no span is null), got 0.1"),
         (lambda p: p["distortion"].update({"lambda": True}), "distortion.lambda must be a number, got True"),
         (lambda p: p.update(format_version=True), "format_version must be an integer, got True"),
         (lambda p: p["clusters"].update(bar=[False]), "clusters.bar must be an integer, got False"),
         (lambda p: p.update(u=["0.25", *p["u"][1:]]), "u must be a number, got '0.25'"),
         (lambda p: p.pop("u"), "u is missing"),
     ],
-    ids=["shift_string", "shift_bool", "frame_string", "no_frames", "p0_string", "lambda_bool",
+    ids=["shift_string", "shift_bool", "frame_string", "no_frames", "p0_string", "p0_nonzero", "lambda_bool",
          "version_bool", "cluster_id_bool", "u_string", "no_u"],
 )
 def test_load_params_rejects_missing_or_mistyped_field(tmp_path, edit, message):

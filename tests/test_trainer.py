@@ -63,7 +63,7 @@ def _tiny_instance(rng, variant):
         inventory=inventory,
         u=u / u.sum(),
         prototypes=tuple(prototypes),
-        distortion=DistortionParams(p0=float(rng.uniform(0.0, 0.4)), lam=float(rng.uniform(0.05, 3.0))),
+        distortion=DistortionParams(lam=float(rng.uniform(0.05, 3.0))),
         variant=variant,
     )
     mu = allocate_mu(pair.char_lengths, m)
@@ -210,7 +210,7 @@ def test_e_step_tie_order_matches_brute_force(variant):
         inventory=inventory,
         u=np.full(4, 0.25),
         prototypes=(p, p, q, q),
-        distortion=DistortionParams(p0=0.0, lam=0.0),
+        distortion=DistortionParams(lam=0.0),
         variant=variant,
     )
     candidates = tuple((a, b) for a in range(1, 13) for b in range(a, min(a + 5, 12) + 1))
@@ -500,8 +500,8 @@ def test_final_alignments_scores_are_finite():
         dict(k=0),
         dict(dba_iterations=0),
         dict(variant="soft"),
-        dict(p0=1.0),
-        dict(p0=2.0, lam=-1.0),
+        dict(seed=-1),
+        dict(lam=float("inf")),
         dict(lam=-1.0),
         dict(lam=float("nan")),
     ],
