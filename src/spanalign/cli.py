@@ -4,8 +4,9 @@ Subcommands: align (train and write alignments), eval (score an
 alignment file against gold), grid (lambda sweep on a dev split),
 synth (write a synthetic corpus), dtw (cost between two feature files).
 
-Settings come from a flat key-value config file (`key = value`, `#`
-comments) and same-named command-line flags; flags win.  Output files
+Settings come from a flat key-value config file (`key = value`, each
+key once; `#` starts a comment at the start of a line or after
+whitespace) and same-named command-line flags; flags win.  Output files
 are written atomically.  Alignment rows are 0-indexed with exclusive
 ends: utt_id, word_index, word, cluster_id, start_frame, end_frame,
 log_score.
@@ -14,6 +15,7 @@ log_score.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, fields
@@ -129,9 +131,10 @@ def _add_options(parser: argparse.ArgumentParser, options: list[Option]) -> None
 def _read_config_file(path: str, options: list[Option]) -> dict:
     by_name = {opt.name: opt for opt in options}
     values = {}
+    first: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # `run#1` keeps its `#`
             if not line:
                 continue
             if "=" not in line:
@@ -141,6 +144,8 @@ def _read_config_file(path: str, options: list[Option]) -> dict:
             value = value.strip()
             if key not in by_name:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if first.setdefault(key, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {first[key]}")
             opt = by_name[key]
             try:
                 values[key] = _parse_bool(value) if opt.kind is bool else opt.kind(value)
@@ -288,9 +293,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
         grid = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise ValueError(f"lambda_grid must be comma-separated numbers, got {text!r}") from None
-    if not grid or any(v <= 0 for v in grid):
-        raise ValueError("lambda_grid values must be positive")
-    configs = [_config(TrainConfig, values, lam=lam) for lam in grid]
+    if not grid:
+        raise ValueError(f"lambda_grid names no values, got {text!r}")
+    configs = [_config(TrainConfig, values, lam=lam) for lam in grid]  # each checks its lam
     seg_config = _config(SegmentationConfig, values)
     check_frame_shift(values["frame_shift_ms"])
     dev_ids = read_manifest(values["dev_manifest"])
@@ -300,9 +305,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
         if utt_id in in_dev:  # lambda would be selected on test utterances
             raise CorpusError(f"{values['test_manifest']}:{lineno}: {utt_id!r} is in the dev split too")
     known = set(read_manifest(values["manifest"]))
-    for utt_id in dev_ids + test_ids:
-        if utt_id not in known:
-            raise CorpusError(f"split utterance {utt_id!r} not in the corpus")
+    for name, ids in (("dev_manifest", dev_ids), ("test_manifest", test_ids)):
+        for lineno, utt_id in enumerate(ids, start=1):
+            if utt_id not in known:
+                raise CorpusError(f"{values[name]}:{lineno}: split utterance {utt_id!r} not in the corpus")
     corpus, out_dir, tables = _load_tables(values, seg_config)
     by_id = {p.utt_id: p for p in corpus.pairs}
     dev = Corpus(tuple(by_id[u] for u in dev_ids))

@@ -16,20 +16,14 @@ to exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class DistortionParams:
-    """Diagonal sharpness lam (the lambda knob); no null-word mass, as no candidate span is null."""
-
-    lam: float = 0.5
-
-    def __post_init__(self):
-        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+def check_lam(lam: float) -> None:
+    """Reject a diagonal sharpness lam (the lambda knob) that is not finite and >= 0."""
+    if not (lam >= 0.0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
 
 
 def allocate_mu(char_lengths, m: int) -> tuple[int, ...]:
@@ -82,7 +76,7 @@ def log_softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
     return x - (peak + np.log(np.exp(x - peak).sum(axis=axis, keepdims=True)))
 
 
-def _log_delta(i: int, l: int, m: int, mu_i: int, params: DistortionParams, shift: int) -> np.ndarray:
+def _log_delta(i: int, l: int, m: int, mu_i: int, lam: float, shift: int) -> np.ndarray:
     """log delta over j = 0..m: -inf at 0, where no span starts or ends, then log_softmax(lam * h)."""
     if l < 1 or not (1 <= i <= l):
         raise ValueError(f"word index i={i} out of range for l={l}")
@@ -93,16 +87,16 @@ def _log_delta(i: int, l: int, m: int, mu_i: int, params: DistortionParams, shif
     h = -num.astype(np.float64) / float(l * (m - mu_i))
     out = np.empty(m + 1)
     out[0] = -math.inf
-    out[1:] = log_softmax(params.lam * h)
+    out[1:] = log_softmax(lam * h)
     out.setflags(write=False)
     return out
 
 
-def log_delta_a(i: int, l: int, m: int, mu_i: int, params: DistortionParams) -> np.ndarray:
+def log_delta_a(i: int, l: int, m: int, mu_i: int, lam: float) -> np.ndarray:
     """Log probabilities over span starts j = 0..m (slot 0 is -inf)."""
-    return _log_delta(i, l, m, mu_i, params, shift=0)
+    return _log_delta(i, l, m, mu_i, lam, shift=0)
 
 
-def log_delta_b(i: int, l: int, m: int, mu_i: int, params: DistortionParams) -> np.ndarray:
+def log_delta_b(i: int, l: int, m: int, mu_i: int, lam: float) -> np.ndarray:
     """Log probabilities over span ends j = 0..m (slot 0 is -inf), shifted right by mu_i."""
-    return _log_delta(i, l, m, mu_i, params, shift=mu_i)
+    return _log_delta(i, l, m, mu_i, lam, shift=mu_i)

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, SentencePair, atomic_write_text, check_frame_shift, frame_array
-from .distortion import DistortionParams, log_softmax
+from .distortion import check_lam, log_softmax
 from .dtw import SpanLanes, candidate_span_costs
 
 VARIANTS = ("deficient", "proper")
@@ -73,15 +73,16 @@ class ClusterInventory:
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Everything the scorer needs: inventory, prior, prototypes, distortion."""
+    """Everything the scorer needs: inventory, prior, prototypes, distortion sharpness lam."""
 
     inventory: ClusterInventory
     u: np.ndarray
     prototypes: tuple[np.ndarray | None, ...]  # read-only (m, d) frame arrays
-    distortion: DistortionParams
+    lam: float = 0.5
     variant: str = "deficient"
 
     def __post_init__(self):
+        check_lam(self.lam)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         u = np.asarray(self.u, dtype=np.float64)
@@ -164,7 +165,7 @@ def save_params(params: ModelParams, path: Path | str, frame_shift_ms: float) ->
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "variant": params.variant,
-        "distortion": {"p0": 0.0, "lambda": params.distortion.lam},  # format 1 keeps a null-span mass of 0
+        "distortion": {"p0": 0.0, "lambda": params.lam},  # format 1 keeps a null-span mass of 0
         "clusters": {w: list(fs) for w, fs in params.inventory.clusters.items()},
         "u": [float(v) for v in params.u],
         "prototypes": [
@@ -228,12 +229,11 @@ def load_params(path: Path | str) -> ModelParams:
     distortion = _field(payload, "distortion", dict)
     if (p0 := _field(distortion, "p0", _NUMBER, "distortion.p0")) != 0:
         raise ValueError(f"checkpoint field distortion.p0 must be 0 (no span is null), got {p0!r}")
-    lam = _field(distortion, "lambda", _NUMBER, "distortion.lambda")
     return ModelParams(
         inventory=ClusterInventory(clusters),
         u=np.array(_numbers(_field(payload, "u", list), "u"), dtype=np.float64),
         prototypes=prototypes,
-        distortion=DistortionParams(lam=lam),
+        lam=_field(distortion, "lambda", _NUMBER, "distortion.lambda"),
         variant=_field(payload, "variant", str),
     )
 
@@ -395,7 +395,6 @@ def synth_generate(config: SynthConfig) -> tuple[Corpus, ModelParams]:
         inventory=inventory,
         u=u,
         prototypes=tuple(prototypes[inventory.owner[f]] for f in range(config.vocab_size)),
-        distortion=DistortionParams(),
         variant="deficient",
     )
     return corpus, true_params

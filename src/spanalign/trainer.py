@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, SentencePair
-from .distortion import DistortionParams, allocate_mu, log_delta_a, log_delta_b
+from .distortion import allocate_mu, check_lam, log_delta_a, log_delta_b
 from .dtw import dba_centroid
 from .model import (
     VARIANTS,
@@ -60,7 +60,7 @@ class TrainConfig:
     k: int = 2
     dba_iterations: int = 3
     variant: str = "deficient"
-    lam: float = DistortionParams.lam
+    lam: float = ModelParams.lam
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -73,7 +73,7 @@ class TrainConfig:
             raise ValueError("dba_iterations must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        DistortionParams(lam=self.lam)  # rejects a bad lam
+        check_lam(self.lam)
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ class TrainState:
     params: ModelParams
     assignments: dict[str, tuple[Assignment, ...]]
     iteration_log: tuple[IterationStats, ...]
-    # distortion_rows(tables, params.distortion), built once per run
+    # distortion_rows(tables, params.lam), built once per run
     delta: dict[str, np.ndarray] = field(compare=False, repr=False)
 
 
@@ -164,7 +164,7 @@ def build_tables(corpus: Corpus, seg_config: SegmentationConfig) -> Tables:
     return Tables(corpus, candidates)
 
 
-def distortion_rows(tables: Tables, distortion: DistortionParams) -> dict[str, np.ndarray]:
+def distortion_rows(tables: Tables, lam: float) -> dict[str, np.ndarray]:
     """Each utterance's (words x candidate spans) log delta_a(a) + log delta_b(b).
 
     This is the only part of a word's score that depends on lambda.
@@ -177,8 +177,8 @@ def distortion_rows(tables: Tables, distortion: DistortionParams) -> dict[str, n
             starts, ends = np.array(spans).T
             for i, mu_i in enumerate(tables.mu[pair.utt_id], start=1):
                 mu = effective_mu(mu_i, pair.l, pair.m)
-                la = log_delta_a(i, pair.l, pair.m, mu, distortion)
-                lb = log_delta_b(i, pair.l, pair.m, mu, distortion)
+                la = log_delta_a(i, pair.l, pair.m, mu, lam)
+                lb = log_delta_b(i, pair.l, pair.m, mu, lam)
                 rows[i - 1] = la[starts] + lb[ends]
         delta[pair.utt_id] = rows
     return delta
@@ -287,7 +287,7 @@ def e_step(
 ) -> tuple[dict[str, tuple[Assignment, ...]], float]:
     """Re-align every word; returns the new assignments and their total log score.
 
-    `delta` is `distortion_rows(tables, params.distortion)`.
+    `delta` is `distortion_rows(tables, params.lam)`.
     """
     tables.check(corpus)
     tables.refresh(params)
@@ -345,7 +345,7 @@ def m_step(
         inventory=prev_params.inventory,
         u=u,
         prototypes=tuple(prototypes),
-        distortion=prev_params.distortion,
+        lam=prev_params.lam,
         variant=prev_params.variant,
     )
 
@@ -361,9 +361,8 @@ def initialize(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainStat
     started = time.perf_counter()
     word_types = sorted({w for pair in corpus for w in pair.target_words})
     inventory = ClusterInventory.build(word_types, config.k)
-    dparams = DistortionParams(lam=config.lam)
     rng = np.random.default_rng(config.seed)
-    delta = distortion_rows(tables, dparams)
+    delta = distortion_rows(tables, config.lam)
 
     assignments = {}
     for pair in corpus:
@@ -378,7 +377,7 @@ def initialize(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainStat
         inventory=inventory,
         u=np.full(inventory.n_clusters, 1.0 / inventory.n_clusters),
         prototypes=(None,) * inventory.n_clusters,
-        distortion=dparams,
+        lam=config.lam,
         variant=config.variant,
     )
     params = m_step(corpus, assignments, config, blank)

@@ -180,13 +180,13 @@ def log_s_proper(f, a, b, pair, params, candidates) -> float:
     return float(rows[live.index(f)][candidates.index((a, b))])
 
 
-def span_log_delta(i, a, b, pair, mu_i, params) -> float:
+def span_log_delta(i, a, b, pair, mu_i, lam) -> float:
     """log delta_a(a) + log delta_b(b) for word i (1-indexed)."""
     if pair.m == 1:
         return 0.0  # a single frame admits a single span; distortion is constant
     mu = min(mu_i, pair.m - 1) if pair.l == 1 else mu_i  # single-word clamp
-    la = log_delta_a(i, pair.l, pair.m, mu, params)
-    lb = log_delta_b(i, pair.l, pair.m, mu, params)
+    la = log_delta_a(i, pair.l, pair.m, mu, lam)
+    lb = log_delta_b(i, pair.l, pair.m, mu, lam)
     return float(la[a] + lb[b])
 
 
@@ -201,7 +201,7 @@ def word_log_score(i, word, f, a, b, pair, params, candidates, mu_i) -> float:
         return -math.inf
     if params.u[f] <= 0.0 or params.prototypes[f] is None:
         return -math.inf
-    delta_lp = span_log_delta(i, a, b, pair, mu_i, params.distortion)
+    delta_lp = span_log_delta(i, a, b, pair, mu_i, params.lam)
     if params.variant == "deficient":
         s_lp = log_s_deficient(f, a, b, pair, candidates, params.prototypes)
         return (math.log(params.u[f]) + s_lp) + delta_lp

@@ -73,9 +73,17 @@ def test_config_file_parsing(tmp_path):
         "seed = 5   # trailing comment\n"
         "bounds = off\n"
         "frame_shift_ms = 12.5\n"
+        "output = run#1  # a '#' starts a comment only after whitespace\n"
     )
     values = _read_config_file(str(path), _SYNTH_OPTIONS)
-    assert values == {"seed": 5, "bounds": False, "frame_shift_ms": 12.5}
+    assert values == {"seed": 5, "bounds": False, "frame_shift_ms": 12.5, "output": "run#1"}
+
+
+def test_config_file_rejects_repeated_key(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text("seed = 1\nbounds = off\nseed = 2\n")
+    with pytest.raises(ValueError, match=f"{path}:3: config key 'seed' repeats line 1"):
+        _read_config_file(str(path), _SYNTH_OPTIONS)
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -273,11 +281,19 @@ def _assert_rejected_before_reading(tmp_path, capsys, command, setting, message)
         ("grid", ["--smooth-frames", "0"], "smooth_frames must be odd and >= 1, got 0"),
         ("align", ["--threshold-ratio", "1"], "threshold_ratio must lie in (0, 1)"),
         ("grid", ["--grid-stride", "-1"], "grid_stride must be >= 0 (0 disables the grid)"),
+        # align's lambda and each of grid's lambda_grid values follow one rule
+        ("align", ["--lambda", "-1"], "lam must be finite and >= 0, got -1.0"),
+        ("align", ["--lambda", "nan"], "lam must be finite and >= 0, got nan"),
+        ("align", ["--lambda", "inf"], "lam must be finite and >= 0, got inf"),
+        ("grid", ["--lambda-grid", "-1"], "lam must be finite and >= 0, got -1.0"),
+        ("grid", ["--lambda-grid", "0.5,nan"], "lam must be finite and >= 0, got nan"),
+        ("grid", ["--lambda-grid", "inf"], "lam must be finite and >= 0, got inf"),
     ],
     ids=["align_span_len", "align_frame_shift_zero", "grid_frame_shift_nan",
          "align_min_silence_nan", "grid_min_silence_inf", "align_seed", "grid_seed",
          "align_smooth_frames_even", "grid_smooth_frames_zero", "align_threshold_ratio",
-         "grid_grid_stride"],
+         "grid_grid_stride", "align_lambda_negative", "align_lambda_nan", "align_lambda_inf",
+         "grid_lambda_negative", "grid_lambda_nan", "grid_lambda_inf"],
 )
 def test_bad_settings_rejected_before_reading_files(tmp_path, capsys, command, setting, message):
     _assert_rejected_before_reading(tmp_path, capsys, command, setting, message)
@@ -374,9 +390,9 @@ def test_grid_does_lambda_independent_work_once(tmp_path, monkeypatch):
         spans_for.append(pair.utt_id)
         return candidate_spans(pair, *args, **kwargs)
 
-    def counted_delta(i, l, m, mu, distortion):
-        delta_lams.append(distortion.lam)
-        return log_delta_a(i, l, m, mu, distortion)
+    def counted_delta(i, l, m, mu, lam):
+        delta_lams.append(lam)
+        return log_delta_a(i, l, m, mu, lam)
 
     monkeypatch.setattr(trainer, "candidate_spans", counted_spans)
     monkeypatch.setattr(trainer, "log_delta_a", counted_delta)
@@ -400,8 +416,8 @@ def test_grid_does_lambda_independent_work_once(tmp_path, monkeypatch):
     assert delta_lams == [0.3] * words + [1.0] * words + [2.0] * words
 
 
-def _grid_on_splits(tmp_path, capsys, dev_text, test_text):
-    """Run grid on a small corpus with the given split manifests; return (exit code, stderr)."""
+def _grid_on_splits(tmp_path, capsys, dev_text, test_text, *extra):
+    """Run grid on a small corpus with the given split manifests and flags; return (exit code, stderr)."""
     corpus_dir = _synth(tmp_path)
     ids = (corpus_dir / "manifest.txt").read_text().split()
     (tmp_path / "dev.txt").write_text(dev_text.format(*ids))
@@ -416,9 +432,20 @@ def _grid_on_splits(tmp_path, capsys, dev_text, test_text):
             "--output", str(tmp_path / "grid"),
             "--dev-manifest", str(tmp_path / "dev.txt"),
             "--test-manifest", str(tmp_path / "test.txt"),
+            *extra,
         ]
     )
     return code, capsys.readouterr().err
+
+
+def test_grid_accepts_lambda_zero(tmp_path, capsys):
+    # grid's lambda values follow align's rule: lambda = 0, a flat distortion, is allowed.
+    code, _ = _grid_on_splits(
+        tmp_path, capsys, "{0}\n{1}\n", "{2}\n{3}\n{4}\n", "--lambda-grid", "0.5,0", "--iterations", "1"
+    )
+    assert code == 0
+    rows = (tmp_path / "grid" / "grid_report.tsv").read_text().splitlines()
+    assert [row.split("\t")[0] for row in rows[1:3]] == ["0.5", "0.0"]
 
 
 def test_grid_rejects_blank_line_inside_split_manifest(tmp_path, capsys):
@@ -448,12 +475,13 @@ def test_grid_rejects_split_id_missing_from_corpus(tmp_path, capsys):
     code, err = _grid_on_splits(tmp_path, capsys, "{0}\n{1}\n", "{2}\nnope\n")
     assert code == 1
     assert "split utterance 'nope' not in the corpus" in err
+    assert f"{tmp_path / 'test.txt'}:2: " in err
     assert not (tmp_path / "grid").exists()
 
 
 @pytest.mark.parametrize(
     "grid, message",
-    [(",", "lambda_grid values must be positive"), ("0.5,0", "lambda_grid values must be positive"),
+    [(",", "lambda_grid names no values, got ','"), ("0.5,-1", "lam must be finite and >= 0, got -1.0"),
      ("0.5,abc", "lambda_grid must be comma-separated numbers, got '0.5,abc'")],
     ids=["empty", "non_positive", "non_numeric"],
 )

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from spanalign.distortion import (
-    DistortionParams,
     allocate_mu,
+    check_lam,
     log_delta_a,
     log_delta_b,
     log_softmax,
@@ -16,21 +16,20 @@ from oracles import analytic_delta_argmax, largest_remainder_alloc
 
 
 EXAMPLE = dict(i=1, l=5, m=100, mu_i=20)
-EXAMPLE_PARAMS = DistortionParams(lam=0.5)
 
 
 def test_fig_argmax_start():
-    vec = np.exp(log_delta_a(**EXAMPLE, params=EXAMPLE_PARAMS))
+    vec = np.exp(log_delta_a(**EXAMPLE, lam=0.5))
     assert int(np.argmax(vec[1:])) + 1 == 16
 
 
 def test_fig_argmax_end():
-    vec = np.exp(log_delta_b(**EXAMPLE, params=EXAMPLE_PARAMS))
+    vec = np.exp(log_delta_b(**EXAMPLE, lam=0.5))
     assert int(np.argmax(vec[1:])) + 1 == 36
 
 
 def test_last_word_end_peaks_at_last_frame():
-    vec = np.exp(log_delta_b(i=5, l=5, m=100, mu_i=20, params=EXAMPLE_PARAMS))
+    vec = np.exp(log_delta_b(i=5, l=5, m=100, mu_i=20, lam=0.5))
     assert int(np.argmax(vec[1:])) + 1 == 100
 
 
@@ -38,7 +37,7 @@ def test_vector_sums_to_one():
     # Index j is frame j; no span starts or ends at frame 0, so slot 0 holds no mass.
     for lam in (0.0, 0.5, 40.0):
         for fn in (log_delta_a, log_delta_b):
-            vec = fn(i=2, l=4, m=37, mu_i=9, params=DistortionParams(lam=lam))
+            vec = fn(i=2, l=4, m=37, mu_i=9, lam=lam)
             assert vec.shape == (38,)
             assert vec[0] == -math.inf
             assert np.exp(vec[1:]).sum() == pytest.approx(1.0, abs=1e-9)
@@ -47,7 +46,7 @@ def test_vector_sums_to_one():
 def test_null_mass_zero_when_p0_zero():
     # The null span carries no mass now that p0 is fixed at 0.
     for fn in (log_delta_a, log_delta_b):
-        vec = fn(**EXAMPLE, params=EXAMPLE_PARAMS)
+        vec = fn(**EXAMPLE, lam=0.5)
         assert vec[0] == -math.inf
 
 
@@ -61,26 +60,27 @@ def test_random_sweep_matches_analytic_argmax():
         if not (0 < mu_i < m):
             continue
         lam = float(rng.uniform(0.05, 3.0))
-        params = DistortionParams(lam=lam)
         for fn, shifted in ((log_delta_a, False), (log_delta_b, True)):
-            vec = fn(i, l, m, mu_i, params)
+            vec = fn(i, l, m, mu_i, lam)
             got = int(np.argmax(vec[1:])) + 1
             assert got == analytic_delta_argmax(i, l, m, mu_i, shifted)
 
 
 def test_argument_validation():
     with pytest.raises(ValueError):
-        log_delta_a(i=0, l=3, m=10, mu_i=2, params=EXAMPLE_PARAMS)
+        log_delta_a(i=0, l=3, m=10, mu_i=2, lam=0.5)
     with pytest.raises(ValueError):
-        log_delta_a(i=4, l=3, m=10, mu_i=2, params=EXAMPLE_PARAMS)
+        log_delta_a(i=4, l=3, m=10, mu_i=2, lam=0.5)
     with pytest.raises(ValueError):
-        log_delta_a(i=1, l=3, m=10, mu_i=10, params=EXAMPLE_PARAMS)
+        log_delta_a(i=1, l=3, m=10, mu_i=10, lam=0.5)
 
 
-def test_distortion_params_validation():
+def test_check_lam_rejects_negative_or_non_finite():
+    for lam in (0.0, 0.5, 40.0):
+        check_lam(lam)
     for lam in (-1.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
-            DistortionParams(lam=lam)
+        with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got {lam}"):
+            check_lam(lam)
 
 
 def test_allocate_mu_documented_split():
@@ -156,8 +156,8 @@ def test_log_softmax_keeps_the_bits_of_each_normalizer():
         m = int(rng.integers(l + 1, 200))
         i = int(rng.integers(1, l + 1))
         mu_i = int(rng.integers(1, m))
-        params = DistortionParams(lam=float(rng.uniform(0.0, 50.0)))
+        lam = float(rng.uniform(0.0, 50.0))
         j = np.arange(1, m + 1)
         h = -np.abs(i * (m - mu_i) - l * j).astype(np.float64) / float(l * (m - mu_i))
-        want = old_log_delta_body(params.lam * h)
-        assert np.array_equal(log_delta_a(i, l, m, mu_i, params)[1:], want)
+        want = old_log_delta_body(lam * h)
+        assert np.array_equal(log_delta_a(i, l, m, mu_i, lam)[1:], want)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spanalign.corpus import Corpus, CorpusError, SentencePair
-from spanalign.distortion import DistortionParams, log_delta_a, log_delta_b
+from spanalign.distortion import log_delta_a, log_delta_b
 from spanalign.dtw import candidate_span_costs, dtw_distance
 from spanalign import model, trainer
 from spanalign.model import (
@@ -42,7 +42,7 @@ def make_setup(k=1, variant="deficient"):
         inventory=inventory,
         u=u,
         prototypes=protos,
-        distortion=DistortionParams(lam=0.5),
+        lam=0.5,
         variant=variant,
     )
     candidates = ((1, 4), (2, 6), (5, 10))
@@ -85,7 +85,6 @@ def test_params_prior_must_sum_to_one():
             inventory=inv,
             u=np.asarray([0.5]),
             prototypes=(fs(np.zeros((2, 1))),),
-            distortion=DistortionParams(),
         )
 
 
@@ -95,7 +94,6 @@ def test_live_clusters_require_mass_and_prototype():
         inventory=inv,
         u=np.asarray([1.0, 0.0]),
         prototypes=(fs(np.zeros((2, 1))), None),
-        distortion=DistortionParams(),
     )
     assert params.live_clusters() == (0,)
 
@@ -132,7 +130,7 @@ def _proper_rows(params, pair, candidates):
     """log s(f | a, b) per live cluster f, read from the trainer's word scores less distortion."""
     tables = Tables(Corpus((pair,)), {pair.utt_id: candidates})
     tables.refresh(params)
-    delta = distortion_rows(tables, params.distortion)[pair.utt_id]
+    delta = distortion_rows(tables, params.lam)[pair.utt_id]
     clusters, scores = _utterance_scores(pair, params, tables, delta)
     return {
         f: scores[i, :, j] - delta[i]
@@ -173,7 +171,7 @@ def test_proper_rows_exclude_dead_clusters():
         inventory=params.inventory,
         u=u,
         prototypes=params.prototypes,
-        distortion=params.distortion,
+        lam=params.lam,
         variant="proper",
     )
     rows = _proper_rows(dead, pair, candidates)
@@ -231,7 +229,7 @@ def test_span_cost_rows_without_pairs_are_empty(monkeypatch):
     # A deficient E-step reaches this case when the inventory holds a word no utterance has.
     inventory = ClusterInventory.build(["foo", "bar", "baz"], 1)
     protos = params.prototypes + (fs(np.zeros((2, 2))),)
-    params = ModelParams(inventory, np.full(3, 1.0 / 3), protos, params.distortion)
+    params = ModelParams(inventory, np.full(3, 1.0 / 3), protos, params.lam)
     calls = []
 
     def spy(protos, pairs, cands):
@@ -243,7 +241,7 @@ def test_span_cost_rows_without_pairs_are_empty(monkeypatch):
     tables = Tables(Corpus((pair,)), {pair.utt_id: candidates})
     tables.refresh(params)
     assert ((), [{}]) in calls
-    delta = distortion_rows(tables, params.distortion)[pair.utt_id]
+    delta = distortion_rows(tables, params.lam)[pair.utt_id]
     clusters, scores = _utterance_scores(pair, params, tables, delta)
     assert clusters == [(2,), (0,)]  # foo, bar; baz (cluster 1) is scored on no utterance
     assert np.isfinite(scores).all()
@@ -261,15 +259,15 @@ def test_span_log_delta_single_frame_sentence():
         frames=np.zeros((1, 1)),
         target_words=("w",),
     )
-    assert span_log_delta(1, 1, 1, pair, 1, DistortionParams()) == 0.0
+    assert span_log_delta(1, 1, 1, pair, 1, 0.5) == 0.0
 
 
 def test_span_log_delta_matches_endpoint_vectors():
     pair, params, _ = make_setup()
-    d = params.distortion
-    got = span_log_delta(1, 2, 6, pair, 4, d)
-    la = log_delta_a(1, pair.l, pair.m, 4, d)
-    lb = log_delta_b(1, pair.l, pair.m, 4, d)
+    lam = params.lam
+    got = span_log_delta(1, 2, 6, pair, 4, lam)
+    la = log_delta_a(1, pair.l, pair.m, 4, lam)
+    lb = log_delta_b(1, pair.l, pair.m, 4, lam)
     assert got == pytest.approx(float(la[2] + lb[6]), abs=1e-12)
 
 
@@ -288,7 +286,7 @@ def test_word_log_score_dead_cluster_is_neg_inf():
         inventory=params.inventory,
         u=u,
         prototypes=params.prototypes,
-        distortion=params.distortion,
+        lam=params.lam,
     )
     f = dead.inventory.clusters["bar"][0]  # cluster 0 after sorting types
     assert dead.u[f] == 0.0
@@ -304,7 +302,7 @@ def test_params_round_trip(tmp_path):
     assert back.inventory.clusters == params.inventory.clusters
     assert back.inventory.owner == params.inventory.owner
     np.testing.assert_array_equal(back.u, params.u)
-    assert back.distortion == params.distortion
+    assert back.lam == params.lam
     for p, q in zip(back.prototypes, params.prototypes):
         np.testing.assert_array_equal(p, q)
 
@@ -315,14 +313,14 @@ def test_params_round_trip_with_dead_prototype(tmp_path):
         inventory=inv,
         u=np.asarray([1.0, 0.0]),
         prototypes=(fs(np.ones((2, 1))), None),
-        distortion=DistortionParams(lam=2.0),
+        lam=2.0,
     )
     path = tmp_path / "params.json"
     save_params(params, path, 10.0)
     back = load_params(path)
     assert back.prototypes[1] is None
     assert back.u[1] == 0.0
-    assert back.distortion.lam == 2.0
+    assert back.lam == 2.0
 
 
 @pytest.mark.parametrize(
@@ -344,6 +342,19 @@ def test_load_params_rejects_bad_prototype(tmp_path, entry, message):
     payload["prototypes"][1].update(entry)
     path.write_text(json.dumps(payload))
     with pytest.raises(CorpusError, match=message):
+        load_params(path)
+
+
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+def test_load_params_rejects_bad_lambda(tmp_path, lam):
+    # A hand-edited checkpoint meets the rule that align's --lambda meets.
+    _, params, _ = make_setup(k=1)
+    path = tmp_path / "params.json"
+    save_params(params, path, 10.0)
+    payload = json.loads(path.read_text())
+    payload["distortion"]["lambda"] = lam
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(f"lam must be finite and >= 0, got {lam}")):
         load_params(path)
 
 

@@ -8,7 +8,7 @@ from spanalign.corpus import (
     SentencePair,
     normalize_utterance,
 )
-from spanalign.distortion import DistortionParams, allocate_mu
+from spanalign.distortion import allocate_mu
 from spanalign import trainer as trainer_module
 from spanalign.dtw import candidate_span_costs
 from spanalign.evalkit import evaluate
@@ -63,7 +63,7 @@ def _tiny_instance(rng, variant):
         inventory=inventory,
         u=u / u.sum(),
         prototypes=tuple(prototypes),
-        distortion=DistortionParams(lam=float(rng.uniform(0.05, 3.0))),
+        lam=float(rng.uniform(0.05, 3.0)),
         variant=variant,
     )
     mu = allocate_mu(pair.char_lengths, m)
@@ -73,7 +73,7 @@ def _tiny_instance(rng, variant):
 def _e_step(corpus, params, candidates, prev=None):
     """One E-step through fresh tables for hand-made candidates."""
     tables = Tables(corpus, candidates)
-    return e_step(corpus, params, tables, distortion_rows(tables, params.distortion), prev)
+    return e_step(corpus, params, tables, distortion_rows(tables, params.lam), prev)
 
 
 @pytest.mark.parametrize("variant", ["deficient", "proper"])
@@ -104,7 +104,7 @@ def test_final_alignments_scores_match_reference(variant):
         pair, params, candidates, mu = _tiny_instance(rng, variant)
         corpus = Corpus((pair,))
         tables = Tables(corpus, {"tiny": candidates})
-        delta = distortion_rows(tables, params.distortion)
+        delta = distortion_rows(tables, params.lam)
         for f in range(params.inventory.n_clusters):
             for a, b in candidates:
                 state = TrainState(params, {"tiny": ((f, a, b),) * pair.l}, (), delta)
@@ -210,7 +210,7 @@ def test_e_step_tie_order_matches_brute_force(variant):
         inventory=inventory,
         u=np.full(4, 0.25),
         prototypes=(p, p, q, q),
-        distortion=DistortionParams(lam=0.0),
+        lam=0.0,
         variant=variant,
     )
     candidates = tuple((a, b) for a in range(1, 13) for b in range(a, min(a + 5, 12) + 1))
@@ -237,7 +237,6 @@ def test_e_step_dead_word_keeps_previous_assignment():
         inventory=inventory,
         u=np.array([0.0, 0.0, 0.5, 0.5]),
         prototypes=(None, None, proto, proto),
-        distortion=DistortionParams(),
     )
     candidates = ((1, 2), (3, 4))
     prev = {"t": ((0, 3, 4),)}
@@ -259,7 +258,6 @@ def test_m_step_relative_frequencies():
         inventory=inventory,
         u=np.full(4, 0.25),
         prototypes=(None, sentinel, None, None),
-        distortion=DistortionParams(),
     )
     assignments = {
         "u1": ((0, 1, 3), (2, 4, 6)),
@@ -339,13 +337,13 @@ def test_cost_rows_follow_prototype_objects(monkeypatch, variant):
     def with_prototype(f, proto, u=params.u):
         protos = list(params.prototypes)
         protos[f] = proto
-        return ModelParams(params.inventory, u, tuple(protos), params.distortion, variant)
+        return ModelParams(params.inventory, u, tuple(protos), params.lam, variant)
 
     store = Tables(corpus, tables.candidates)
     store.refresh(params)
     assert sorted(map(id, computed())) == sorted(id(params.prototypes[f]) for f in live)
     # Cost rows do not depend on lambda: a refresh under another one computes none.
-    other = ModelParams(params.inventory, params.u, params.prototypes, DistortionParams(lam=2.0), variant)
+    other = ModelParams(params.inventory, params.u, params.prototypes, 2.0, variant)
     store.refresh(other)
     assert computed() == []
     store.refresh(params)
@@ -401,7 +399,7 @@ def test_train_reuse_matches_recomputing_everything(variant):
     narrow = Tables(
         corpus, {u: tuple(sorted({(a, b) for _, a, b in w})) for u, w in assignments.items()}
     )
-    probe = TrainState(state.params, assignments, (), distortion_rows(narrow, state.params.distortion))
+    probe = TrainState(state.params, assignments, (), distortion_rows(narrow, state.params.lam))
     got = final_alignments(corpus, probe, narrow)
     for pair in corpus:
         candidates, mu = narrow.candidates[pair.utt_id], narrow.mu[pair.utt_id]
