@@ -65,7 +65,8 @@ _RUN_OPTIONS = [
     Option("manifest", str, None, "utterance manifest, one utt_id per line"),
     Option("features", str, None, "directory holding <utt_id>.feat files and sidecars"),
     Option("translations", str, None, "translation sentences, one per manifest line"),
-    Option("gold", str, None, "gold alignment file (optional)"),
+    Option("gold", str, None,
+           "gold alignment file: align only checks it against the corpus, grid scores dev and test with it"),
     Option("output", str, None, "output directory"),
     Option("frame_shift_ms", float, Corpus.frame_shift_ms,
            "frame shift of the features in milliseconds"),
@@ -90,7 +91,9 @@ _ALIGN_OPTIONS = [*_RUN_OPTIONS, Option("lambda", float, _TRAIN.lam, "distortion
 
 _GRID_OPTIONS = [
     *_RUN_OPTIONS,
-    Option("lambda_grid", str, "0.1,0.3,0.5,1.0,2.0", "comma-separated lambda grid"),
+    Option("lambda_grid", str, "0.1,0.3,0.5,1.0,2.0",
+           "comma-separated lambda grid, each value a number named once; "
+           "a grid that starts with '-' needs the spelling --lambda-grid=-1,0.5"),
     Option("dev_manifest", str, None, "manifest naming the dev split"),
     Option("test_manifest", str, None, "manifest naming the test split"),
 ]
@@ -290,11 +293,12 @@ def cmd_grid(args: argparse.Namespace) -> int:
     )
     text = str(values["lambda_grid"])
     try:
-        grid = tuple(float(v) for v in text.split(",") if v.strip())
+        grid = [float(v) for v in text.split(",")]
     except ValueError:
         raise ValueError(f"lambda_grid must be comma-separated numbers, got {text!r}") from None
-    if not grid:
-        raise ValueError(f"lambda_grid names no values, got {text!r}")
+    for n, lam in enumerate(grid):
+        if lam in grid[:n]:
+            raise ValueError(f"lambda_grid repeats {lam}")
     configs = [_config(TrainConfig, values, lam=lam) for lam in grid]  # each checks its lam
     seg_config = _config(SegmentationConfig, values)
     check_frame_shift(values["frame_shift_ms"])

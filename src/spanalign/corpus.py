@@ -157,6 +157,14 @@ def _read_lines(path: Path | str, keep: int = 0) -> list[str]:
     return lines
 
 
+def _nonblank_lines(path: Path | str) -> Iterator[tuple[int, str]]:
+    """(lineno, line) for each non-blank line, numbered from 1, without its newline."""
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.strip():
+                yield lineno, line.rstrip("\n")
+
+
 def read_feature_file(path: Path | str) -> np.ndarray:
     path = Path(path)
     lines = _read_lines(path)
@@ -199,18 +207,14 @@ def write_feature_file(path: Path | str, frames: np.ndarray) -> None:
 def read_energy_file(path: Path | str, m: int) -> np.ndarray:
     """Parse a sidecar of non-negative energy values, one per frame and line."""
     values = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise CorpusError(f"{path}:{lineno}: non-numeric energy value") from None
-            if not 0.0 <= value < math.inf:
-                raise CorpusError(f"{path}:{lineno}: energy must be finite and non-negative, got {line}")
-            values.append(value)
+    for lineno, line in _nonblank_lines(path):
+        try:
+            value = float(line)
+        except ValueError:
+            raise CorpusError(f"{path}:{lineno}: non-numeric energy value") from None
+        if not 0.0 <= value < math.inf:
+            raise CorpusError(f"{path}:{lineno}: energy must be finite and non-negative, got {line.strip()}")
+        values.append(value)
     if len(values) != m:
         raise CorpusError(f"{path}: expected {m} energy values, got {len(values)}")
     return np.array(values, dtype=np.float64)
@@ -223,18 +227,14 @@ def write_energy_file(path: Path | str, energy: np.ndarray) -> None:
 def read_boundary_file(path: Path | str, m: int) -> tuple[int, ...]:
     """Parse a sidecar of 1-indexed boundary frame indices, one per line."""
     points = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = int(line)
-            except ValueError:
-                raise CorpusError(f"{path}:{lineno}: non-integer boundary") from None
-            if not (1 <= value <= m):
-                raise CorpusError(f"{path}:{lineno}: boundary {value} outside [1, {m}]")
-            points.add(value)
+    for lineno, line in _nonblank_lines(path):
+        try:
+            value = int(line)
+        except ValueError:
+            raise CorpusError(f"{path}:{lineno}: non-integer boundary") from None
+        if not (1 <= value <= m):
+            raise CorpusError(f"{path}:{lineno}: boundary {value} outside [1, {m}]")
+        points.add(value)
     return tuple(sorted(points))
 
 
@@ -277,23 +277,19 @@ def read_interval_rows(
 ) -> Iterator[tuple[int, list[str], int, int, int]]:
     """(lineno, fields, word, start, end) per non-blank row; `columns` locates word, start and end."""
     word_col, start_col, end_col = columns
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_fields:
-                raise CorpusError(f"{path}:{lineno}: expected {n_fields} tab-separated fields")
-            try:
-                word, start, end = int(parts[word_col]), int(parts[start_col]), int(parts[end_col])
-            except ValueError:
-                raise CorpusError(f"{path}:{lineno}: non-integer field") from None
-            if word < 0:
-                raise CorpusError(f"{path}:{lineno}: negative word index {word}")
-            if start < 0 or end <= start:
-                raise CorpusError(f"{path}:{lineno}: invalid interval [{start}, {end})")
-            yield lineno, parts, word, start, end
+    for lineno, line in _nonblank_lines(path):
+        parts = line.split("\t")
+        if len(parts) != n_fields:
+            raise CorpusError(f"{path}:{lineno}: expected {n_fields} tab-separated fields")
+        try:
+            word, start, end = int(parts[word_col]), int(parts[start_col]), int(parts[end_col])
+        except ValueError:
+            raise CorpusError(f"{path}:{lineno}: non-integer field") from None
+        if word < 0:
+            raise CorpusError(f"{path}:{lineno}: negative word index {word}")
+        if start < 0 or end <= start:
+            raise CorpusError(f"{path}:{lineno}: invalid interval [{start}, {end})")
+        yield lineno, parts, word, start, end
 
 
 def read_gold_file(path: Path | str) -> dict[str, frozenset[tuple[int, int]]]:

@@ -234,7 +234,7 @@ def candidate_span_costs(
     return last[offsets, spans.lane_of_span] / (n + offsets + 1)
 
 
-def dba_centroid(members: Sequence[np.ndarray], iterations: int = 3) -> tuple[np.ndarray, list[float]]:
+def dba_centroid(members: Sequence[np.ndarray], iterations: int) -> tuple[np.ndarray, list[float]]:
     """DTW barycenter averaging over (m, d) member frame arrays: (centroid, history).
 
     The centroid is an (m, d) array; `history` holds the objective below

@@ -37,6 +37,12 @@ VARIANTS = ("deficient", "proper")
 CHECKPOINT_VERSION = 1
 
 
+def check_variant(variant: str) -> None:
+    """Reject a span likelihood variant that is not one of `VARIANTS`."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+
+
 @dataclass(frozen=True)
 class ClusterInventory:
     """k cluster ids per word type; `owner` maps each id back to its word."""
@@ -61,8 +67,6 @@ class ClusterInventory:
 
     @classmethod
     def build(cls, word_types: Iterable[str], k: int) -> "ClusterInventory":
-        if k < 1:
-            raise ValueError("k must be >= 1")
         words = sorted(set(word_types))
         return cls({word: tuple(range(n * k, (n + 1) * k)) for n, word in enumerate(words)})
 
@@ -83,8 +87,7 @@ class ModelParams:
 
     def __post_init__(self):
         check_lam(self.lam)
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        check_variant(self.variant)
         u = np.asarray(self.u, dtype=np.float64)
         n = self.inventory.n_clusters
         if u.shape != (n,):

@@ -35,9 +35,9 @@ from .corpus import Corpus, SentencePair
 from .distortion import allocate_mu, check_lam, log_delta_a, log_delta_b
 from .dtw import dba_centroid
 from .model import (
-    VARIANTS,
     ClusterInventory,
     ModelParams,
+    check_variant,
     deficient_log_s_table,
     proper_log_s_rows,
     save_params,
@@ -71,8 +71,7 @@ class TrainConfig:
             raise ValueError("k must be >= 1")
         if self.dba_iterations < 1:
             raise ValueError("dba_iterations must be >= 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        check_variant(self.variant)
         check_lam(self.lam)
 
 

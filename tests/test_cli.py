@@ -288,12 +288,16 @@ def _assert_rejected_before_reading(tmp_path, capsys, command, setting, message)
         ("grid", ["--lambda-grid", "-1"], "lam must be finite and >= 0, got -1.0"),
         ("grid", ["--lambda-grid", "0.5,nan"], "lam must be finite and >= 0, got nan"),
         ("grid", ["--lambda-grid", "inf"], "lam must be finite and >= 0, got inf"),
+        # as a separate argument, "-1,0.5" would read as a flag
+        ("grid", ["--lambda-grid=-1,0.5"], "lam must be finite and >= 0, got -1.0"),
+        ("align", ["--variant", "soft"], "variant must be one of ('deficient', 'proper'), got 'soft'"),
     ],
     ids=["align_span_len", "align_frame_shift_zero", "grid_frame_shift_nan",
          "align_min_silence_nan", "grid_min_silence_inf", "align_seed", "grid_seed",
          "align_smooth_frames_even", "grid_smooth_frames_zero", "align_threshold_ratio",
          "grid_grid_stride", "align_lambda_negative", "align_lambda_nan", "align_lambda_inf",
-         "grid_lambda_negative", "grid_lambda_nan", "grid_lambda_inf"],
+         "grid_lambda_negative", "grid_lambda_nan", "grid_lambda_inf", "grid_lambda_negative_first",
+         "align_variant"],
 )
 def test_bad_settings_rejected_before_reading_files(tmp_path, capsys, command, setting, message):
     _assert_rejected_before_reading(tmp_path, capsys, command, setting, message)
@@ -481,9 +485,12 @@ def test_grid_rejects_split_id_missing_from_corpus(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "grid, message",
-    [(",", "lambda_grid names no values, got ','"), ("0.5,-1", "lam must be finite and >= 0, got -1.0"),
-     ("0.5,abc", "lambda_grid must be comma-separated numbers, got '0.5,abc'")],
-    ids=["empty", "non_positive", "non_numeric"],
+    [(",", "lambda_grid must be comma-separated numbers, got ','"),
+     ("0.5,-1", "lam must be finite and >= 0, got -1.0"),
+     ("0.5,abc", "lambda_grid must be comma-separated numbers, got '0.5,abc'"),
+     ("0.5,,1", "lambda_grid must be comma-separated numbers, got '0.5,,1'"),
+     ("0.5,0.5", "lambda_grid repeats 0.5")],
+    ids=["empty", "non_positive", "non_numeric", "empty_item", "repeat"],
 )
 def test_grid_rejects_bad_lambda_grid(tmp_path, capsys, grid, message):
     paths = ["--manifest", "m.txt", "--features", "f", "--translations", "t.txt", "--gold", "g.tsv"]

@@ -19,6 +19,7 @@ from spanalign.corpus import (
     read_energy_file,
     read_feature_file,
     read_gold_file,
+    read_interval_rows,
     read_manifest,
     save_corpus,
     write_energy_file,
@@ -189,6 +190,30 @@ def test_boundary_file_bad_value_reports_line(tmp_path, value, message):
     path.write_text(f"2\n\n{value}\n", encoding="utf-8")
     with pytest.raises(CorpusError, match=re.escape(f"u.bounds:3: {message}")):
         read_boundary_file(path, 4)
+
+
+@pytest.mark.parametrize(
+    "name, read, good, bad, message, blank",
+    [("u.energy", lambda p: read_energy_file(p, 3), "0.5", "x", "non-numeric energy value",
+      "expected 3 energy values, got 0"),
+     ("u.bounds", lambda p: read_boundary_file(p, 4), "2", "x", "non-integer boundary", ()),
+     ("gold.tsv", read_gold_file, "u\t0\t0\t2", "u\t0\t3\t1", "invalid interval [3, 1)", {}),
+     ("alignments.tsv", lambda p: list(read_interval_rows(p, 7, (1, 4, 5))), "u\t0\tw\t0\t0\t2\t-1.0",
+      "u\t0\tw", "expected 7 tab-separated fields", [])],
+    ids=["energy", "bounds", "gold", "alignment"],
+)
+def test_row_readers_skip_blank_lines(tmp_path, name, read, good, bad, message, blank):
+    # Blank lines, a \r\n ending and a lone \r each count toward the row number.
+    path = tmp_path / name
+    path.write_bytes(f"\n{good}\r\n \n{good}\r{bad}\n".encode())
+    with pytest.raises(CorpusError, match=re.escape(f"{path}:5: {message}")):
+        read(path)
+    path.write_bytes(b"\n \r\n\r\t\n")
+    if isinstance(blank, str):  # a message: the reader needs rows
+        with pytest.raises(CorpusError, match=re.escape(f"{path}: {blank}")):
+            read(path)
+    else:
+        assert read(path) == blank
 
 
 def test_atomic_write_replaces_content(tmp_path):

@@ -229,13 +229,13 @@ def test_dba_matches_reference():
 
 def test_dba_singleton_is_member():
     member = fs(np.random.default_rng(5).normal(size=(6, 2)))
-    centroid, _ = dba_centroid([member])
+    centroid, _ = dba_centroid([member], iterations=3)
     np.testing.assert_array_equal(centroid, member)
 
 
 def test_dba_two_constant_sequences():
     # Members [0, 0] and [2, 2]: the average sits at [1, 1].
-    centroid, _ = dba_centroid([col(0.0, 0.0), col(2.0, 2.0)])
+    centroid, _ = dba_centroid([col(0.0, 0.0), col(2.0, 2.0)], iterations=3)
     np.testing.assert_allclose(centroid, [[1.0], [1.0]])
 
 
@@ -257,7 +257,7 @@ def test_dba_objective_non_increasing():
 
 def test_dba_empty_members_rejected():
     with pytest.raises(ValueError):
-        dba_centroid([])
+        dba_centroid([], iterations=3)
 
 
 def test_result_type():

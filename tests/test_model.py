@@ -358,6 +358,21 @@ def test_load_params_rejects_bad_lambda(tmp_path, lam):
         load_params(path)
 
 
+def test_variant_rule_has_one_message(tmp_path):
+    # A hand-edited checkpoint meets the rule that align's --variant meets.
+    message = re.escape("variant must be one of ('deficient', 'proper'), got 'soft'")
+    with pytest.raises(ValueError, match=message):
+        trainer.TrainConfig(variant="soft")
+    _, params, _ = make_setup(k=1)
+    path = tmp_path / "params.json"
+    save_params(params, path, 10.0)
+    payload = json.loads(path.read_text())
+    payload["variant"] = "soft"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        load_params(path)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
