@@ -63,7 +63,12 @@ def frame_array(frames: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SentencePair:
-    """An utterance's (m, d) feature frames paired with its translation sentence."""
+    """An utterance's (m, d) feature frames paired with its translation sentence.
+
+    The one home of the per-utterance rules that training and segmentation
+    assume: at least one frame per word, one finite non-negative energy
+    value per frame, and sorted unique boundaries inside [1, m].
+    """
 
     utt_id: str
     frames: np.ndarray
@@ -79,6 +84,8 @@ class SentencePair:
             raise CorpusError(f"{self.utt_id}: empty target sentence")
         if not all(self.target_words):
             raise CorpusError(f"{self.utt_id}: empty token")
+        if self.m < self.l:  # every word takes a span of at least one frame
+            raise CorpusError(f"{self.utt_id}: {self.m} frames cannot cover {self.l} words")
         if self.energy_track is not None:
             e = np.asarray(self.energy_track, dtype=np.float64)
             if e.ndim != 1 or e.shape[0] != self.m:
@@ -225,8 +232,8 @@ def write_energy_file(path: Path | str, energy: np.ndarray) -> None:
 
 
 def read_boundary_file(path: Path | str, m: int) -> tuple[int, ...]:
-    """Parse a sidecar of 1-indexed boundary frame indices, one per line."""
-    points = set()
+    """Parse a sidecar of 1-indexed boundary frame indices, one per line, in file order."""
+    points = []
     for lineno, line in _nonblank_lines(path):
         try:
             value = int(line)
@@ -234,8 +241,8 @@ def read_boundary_file(path: Path | str, m: int) -> tuple[int, ...]:
             raise CorpusError(f"{path}:{lineno}: non-integer boundary") from None
         if not (1 <= value <= m):
             raise CorpusError(f"{path}:{lineno}: boundary {value} outside [1, {m}]")
-        points.add(value)
-    return tuple(sorted(points))
+        points.append(value)
+    return tuple(points)
 
 
 def read_manifest(path: Path | str) -> list[str]:

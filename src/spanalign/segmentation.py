@@ -67,16 +67,11 @@ def detect_silence(
     config.threshold_ratio * max(smoothed) count as silent, and maximal
     silent runs of at least ceil(config.min_silence_ms / frame_shift_ms)
     frames are returned.  An all-zero track has peak 0 and thus no
-    silences.
+    silences.  `energy` is a `SentencePair.energy_track`, which holds the
+    track's rule: one finite, non-negative value per frame.
     """
-    e = np.asarray(energy, dtype=np.float64)
-    if e.ndim != 1 or e.shape[0] < 1:
-        raise ValueError("energy track must be a non-empty 1-d array")
-    if not np.isfinite(e).all() or (e < 0).any():
-        raise ValueError("energy track must be finite and non-negative")
-
     half = config.smooth_frames // 2
-    padded = np.pad(e, half, mode="edge")
+    padded = np.pad(energy, half, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
     smoothed = np.sort(windows, axis=1)[:, half]
 

@@ -153,13 +153,7 @@ class TrainState:
 
 def build_tables(corpus: Corpus, seg_config: SegmentationConfig) -> Tables:
     """The corpus's tables: candidate spans and mu allocations per utterance."""
-    candidates = {}
-    for pair in corpus:
-        if pair.m < pair.l:
-            raise TrainError(
-                f"{pair.utt_id}: {pair.m} frames cannot cover {pair.l} words"
-            )
-        candidates[pair.utt_id], _ = candidate_spans(pair, seg_config, corpus.frame_shift_ms)
+    candidates = {p.utt_id: candidate_spans(p, seg_config, corpus.frame_shift_ms)[0] for p in corpus}
     return Tables(corpus, candidates)
 
 

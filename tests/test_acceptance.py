@@ -9,7 +9,11 @@ line per criterion.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +204,42 @@ def test_alignments_identical_across_thread_counts(clean_corpus_dir, tmp_path):
     _align(clean_corpus_dir, run4, "--threads", "4")
     assert (run1 / "alignments.tsv").read_bytes() == (run4 / "alignments.tsv").read_bytes()
     assert (run1 / "checkpoint.json").read_bytes() == (run4 / "checkpoint.json").read_bytes()
+
+
+def test_outputs_identical_across_hash_seeds(tmp_path):
+    # Output must not depend on set or dict-of-str iteration order, which
+    # PYTHONHASHSEED changes between processes.
+    script = (
+        "import sys\n"
+        "from spanalign.cli import main\n"
+        "out = sys.argv[1]\n"
+        "corpus = out + '/corpus'\n"
+        "steps = [['synth', '--output', corpus, '--sentences', '20', '--no-bounds']]\n"
+        "for variant in ('deficient', 'proper'):\n"
+        "    run = f'{out}/{variant}'\n"
+        "    steps.append(['align', '--manifest', corpus + '/manifest.txt', '--features', corpus,\n"
+        "                  '--translations', corpus + '/translations.txt', '--output', run,\n"
+        "                  '--variant', variant])\n"
+        "    steps.append(['eval', run + '/alignments.tsv', corpus + '/gold.tsv', '--output', run])\n"
+        "for argv in steps:\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        done = subprocess.run([sys.executable, "-c", script, str(out)], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        names = ["alignments.tsv", "checkpoint.json", "report.tsv", "report.txt"]
+        files = {}
+        for variant in ("deficient", "proper"):
+            run = out / variant
+            iters = sorted(p.name for p in run.glob("checkpoint_iter*.json"))
+            assert iters
+            files.update({f"{variant}/{n}": (run / n).read_bytes() for n in [*names, *iters]})
+        outputs.append(files)
+    assert outputs[0] == outputs[1]
 
 
 def test_dba_objective_never_increases():

@@ -498,3 +498,43 @@ def test_grid_rejects_bad_lambda_grid(tmp_path, capsys, grid, message):
     code = main(["grid", *paths, *splits, "--output", str(tmp_path), "--lambda-grid", grid])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["align", "grid"])
+def test_short_utterance_rejected_while_corpus_loads(tmp_path, capsys, monkeypatch, command):
+    # u2 has 2 frames for 3 words, so no word-per-span alignment exists; the
+    # corpus load refuses it before any candidate span or output directory.
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    rng = np.random.default_rng(0)
+    write_feature_file(corpus_dir / "u1.feat", rng.normal(size=(8, 2)))
+    write_feature_file(corpus_dir / "u2.feat", rng.normal(size=(2, 2)))
+    (corpus_dir / "manifest.txt").write_text("u1\nu2\n")
+    (corpus_dir / "translations.txt").write_text("aa bb\naa bb cc\n")
+    (corpus_dir / "gold.tsv").write_text("u1\t0\t0\t4\nu1\t1\t4\t8\n")
+    (tmp_path / "dev.txt").write_text("u1\n")
+    (tmp_path / "test.txt").write_text("u2\n")
+    spans_for = []
+    candidate_spans = trainer.candidate_spans
+
+    def counted_spans(pair, *args, **kwargs):
+        spans_for.append(pair.utt_id)
+        return candidate_spans(pair, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "candidate_spans", counted_spans)
+    splits = ["--dev-manifest", str(tmp_path / "dev.txt"), "--test-manifest", str(tmp_path / "test.txt")]
+    code = main(
+        [
+            command,
+            "--manifest", str(corpus_dir / "manifest.txt"),
+            "--features", str(corpus_dir),
+            "--translations", str(corpus_dir / "translations.txt"),
+            "--gold", str(corpus_dir / "gold.tsv"),
+            "--output", str(tmp_path / "run"),
+            *(splits if command == "grid" else []),
+        ]
+    )
+    assert code == 1
+    assert "u2: 2 frames cannot cover 3 words" in capsys.readouterr().err
+    assert spans_for == []
+    assert not (tmp_path / "run").exists()

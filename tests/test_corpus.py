@@ -289,20 +289,40 @@ def test_char_lengths_follow_tokens():
     assert make_pair(words=("ab", "cde")).char_lengths == (2, 3)
 
 
-def test_energy_track_length_checked():
-    with pytest.raises(CorpusError):
-        SentencePair(
-            utt_id="u",
-            frames=np.zeros((2, 1)),
-            target_words=("ab",),
-            energy_track=np.ones(5),
-        )
+def test_sentence_pair_rejects_fewer_frames_than_words():
+    # Every word takes a span of at least one frame.
+    with pytest.raises(CorpusError, match="short: 1 frames cannot cover 2 words"):
+        SentencePair("short", np.zeros((1, 2)), ("aa", "bb"))
+    assert SentencePair("even", np.zeros((2, 2)), ("aa", "bb")).m == 2
+
+
+@pytest.mark.parametrize(
+    "energy, message",
+    [(np.array([1.0, -0.5, 0.2]), "energy track must be finite and non-negative"),
+     (np.array([1.0, np.nan, 0.2]), "energy track must be finite and non-negative"),
+     (np.ones(5), "energy track length does not match frame count"),
+     (np.ones((3, 2)), "energy track length does not match frame count")],
+    ids=["negative", "nan", "wrong_length", "two_dim"],
+)
+def test_sentence_pair_rejects_bad_energy_track(energy, message):
+    # The pair is the one home of the track's rule; detect_silence trusts it.
+    with pytest.raises(CorpusError, match=f"u: {message}"):
+        SentencePair("u", np.zeros((3, 1)), ("ab",), energy_track=energy)
 
 
 @pytest.mark.parametrize("boundaries", [(0, 3), (3, 7)], ids=["zero", "past_m"])
 def test_boundaries_must_lie_inside_utterance(boundaries):
     with pytest.raises(CorpusError, match=r"u: boundaries must lie in \[1, 6\]"):
         SentencePair("u", np.zeros((6, 1)), ("ab",), boundaries=boundaries)
+
+
+def test_boundary_file_keeps_file_order_and_pair_sorts(tmp_path):
+    # The reader checks each line; SentencePair alone sorts and drops repeats.
+    path = tmp_path / "u.bounds"
+    path.write_text("5\n2\n5\n", encoding="utf-8")
+    points = read_boundary_file(path, 6)
+    assert points == (5, 2, 5)
+    assert SentencePair("u", np.zeros((6, 1)), ("ab",), boundaries=points).boundaries == (2, 5)
 
 
 def test_normalize_utterance_zero_mean_unit_variance():

@@ -142,13 +142,6 @@ def test_build_tables_mu_covers_frames():
         assert all(v >= 1 for v in mu)
 
 
-def test_build_tables_rejects_short_utterance():
-    rng = np.random.default_rng(0)
-    pair = _pair(rng, "short", ["aa", "bb"], m=1)
-    with pytest.raises(TrainError, match="cannot cover"):
-        build_tables(Corpus((pair,)), SegmentationConfig())
-
-
 def test_initialize_spans_come_from_candidates():
     corpus = _small_corpus()
     tables = build_tables(corpus, SegmentationConfig())
