@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: align (train and write alignments), eval (score an
-alignment file against gold), grid (lambda sweep on a dev split),
-synth (write a synthetic corpus), dtw (cost between two feature files).
+alignment file against gold), grid (lambda sweep on a dev split) and
+synth (write a synthetic corpus).
 
 Settings come from a flat key-value config file (`key = value`, each
 key once; `#` starts a comment at the start of a line or after
@@ -27,16 +27,15 @@ from .corpus import (
     atomic_write_text,
     check_frame_shift,
     load_corpus,
-    read_feature_file,
     read_gold_file,
     read_interval_rows,
     read_manifest,
     save_corpus,
 )
-from .dtw import dtw_distance
 from .evalkit import EvalReport, evaluate, format_report, report_rows, score_links
-from .model import SynthConfig, save_params, synth_generate
+from .model import save_params
 from .segmentation import SegmentationConfig
+from .synth import SynthConfig, synth_generate
 from .trainer import TrainConfig, TrainError, build_tables, final_alignments, train
 
 
@@ -104,7 +103,8 @@ _SYNTH_OPTIONS = [
     Option("vocab_size", int, _SYNTH.vocab_size, "word types in the vocabulary"),
     Option("sentences", int, _SYNTH.sentences, "number of sentences"),
     Option("sentence_len_min", int, _SYNTH.sentence_len_min, "minimum sentence length in words"),
-    Option("sentence_len_max", int, _SYNTH.sentence_len_max, "maximum sentence length in words"),
+    Option("sentence_len_max", int, _SYNTH.sentence_len_max,
+           "maximum sentence length in words, capped at vocab_size (a sentence never repeats a type)"),
     Option("proto_len_min", int, _SYNTH.proto_len_min, "minimum prototype length in frames"),
     Option("proto_len_max", int, _SYNTH.proto_len_max, "maximum prototype length in frames"),
     Option("dim", int, _SYNTH.dim, "feature dimensions"),
@@ -349,12 +349,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_dtw(args: argparse.Namespace) -> int:
-    cost, _ = dtw_distance(read_feature_file(args.file_a), read_feature_file(args.file_b))
-    print(repr(cost))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spanalign",
@@ -383,11 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--config", help="flat key-value config file; flags override it")
     _add_options(p_synth, _SYNTH_OPTIONS)
     p_synth.set_defaults(func=cmd_synth)
-
-    p_dtw = sub.add_parser("dtw", allow_abbrev=False, help="print the normalized DTW cost of two feature files")
-    p_dtw.add_argument("file_a")
-    p_dtw.add_argument("file_b")
-    p_dtw.set_defaults(func=cmd_dtw)
 
     return parser
 

@@ -9,11 +9,9 @@ utterances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 from .corpus import Corpus, SentencePair
-from .distortion import allocate_mu
 
 Link = tuple[int, int]
 Word = tuple[int | None, int, int, float]  # (cluster, span start, span end, log score)
@@ -78,12 +76,6 @@ def evaluate(
         if pair.utt_id in gold:
             pooled_gold.update((pair.utt_id, w, j) for w, j in gold[pair.utt_id])
     return score_links(pooled_pred, pooled_gold)
-
-
-def naive_baseline(pair: SentencePair) -> tuple[Word, ...]:
-    """Monotone partition of the utterance into mu-proportional spans, with no cluster and score 0."""
-    mu = allocate_mu(pair.char_lengths, pair.m)
-    return tuple((None, end - width + 1, end, 0.0) for width, end in zip(mu, accumulate(mu)))
 
 
 def format_report(report: EvalReport) -> str:

@@ -3,14 +3,16 @@
 Everything here trades speed for obviousness: exhaustive enumeration,
 integer arithmetic, and a per-span scorer that computes one DTW per
 (cluster, span) instead of sharing the package's batched span tables.
+It also holds the naive length baseline the acceptance suite beats.
 """
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
-from spanalign.distortion import log_delta_a, log_delta_b
+from spanalign.distortion import allocate_mu, log_delta_a, log_delta_b
 from spanalign.dtw import dtw_distance
 from spanalign.segmentation import NoCandidateSpansError
 
@@ -306,3 +308,9 @@ def largest_remainder_alloc(char_lengths, m: int):
         mu[donor] -= 1
         mu[z] += 1
     return tuple(mu)
+
+
+def naive_baseline(pair):
+    """Monotone partition of the utterance into mu-proportional spans, with no cluster and score 0."""
+    mu = allocate_mu(pair.char_lengths, pair.m)
+    return tuple((None, end - width + 1, end, 0.0) for width, end in zip(mu, accumulate(mu)))

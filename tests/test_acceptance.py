@@ -22,7 +22,7 @@ from spanalign.cli import _file_report, main
 from spanalign.corpus import load_corpus
 from spanalign.distortion import log_delta_a, log_delta_b
 from spanalign.dtw import dba_centroid, dtw_distance
-from spanalign.evalkit import evaluate, naive_baseline
+from spanalign.evalkit import evaluate
 from spanalign.segmentation import SegmentationConfig
 from spanalign.trainer import (
     Tables,
@@ -35,7 +35,13 @@ from spanalign.trainer import (
     train,
 )
 
-from oracles import analytic_delta_argmax, brute_force_word_argmax, exhaustive_dtw, word_log_score
+from oracles import (
+    analytic_delta_argmax,
+    brute_force_word_argmax,
+    exhaustive_dtw,
+    naive_baseline,
+    word_log_score,
+)
 from test_trainer import _tiny_instance
 
 

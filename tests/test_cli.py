@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import fields
 
@@ -17,10 +18,9 @@ from spanalign.cli import (
     main,
 )
 from spanalign.corpus import Corpus, SentencePair, write_feature_file
-from spanalign.dtw import dtw_distance
 from spanalign.evalkit import alignment_to_links
-from spanalign.model import SynthConfig
 from spanalign.segmentation import SegmentationConfig
+from spanalign.synth import SynthConfig
 from spanalign import trainer
 from spanalign.trainer import TrainConfig
 
@@ -237,16 +237,13 @@ def test_eval_rejects_malformed_alignment_row(tmp_path, capsys, row, message):
     assert captured.out == ""
 
 
-def test_dtw_subcommand_prints_normalized_cost(tmp_path, capsys):
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((4, 3))
-    y = rng.standard_normal((6, 3))
-    write_feature_file(tmp_path / "x.feat", x)
-    write_feature_file(tmp_path / "y.feat", y)
-    code = main(["dtw", str(tmp_path / "x.feat"), str(tmp_path / "y.feat")])
-    assert code == 0
-    printed = capsys.readouterr().out.strip()
-    assert float(printed) == dtw_distance(x, y)[0]
+def test_subcommands_are_align_eval_grid_synth(capsys):
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"align", "eval", "grid", "synth"}
+    with pytest.raises(SystemExit) as exc:
+        main(["dtw", "a.feat", "b.feat"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dtw'" in capsys.readouterr().err
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):

@@ -27,7 +27,7 @@ from spanalign.corpus import (
     write_gold_file,
 )
 from spanalign import corpus as corpus_module
-from spanalign.model import SynthConfig, synth_generate
+from spanalign.synth import SynthConfig, synth_generate
 
 
 def make_pair(utt_id="u1", m=6, words=("ab", "cde")):
@@ -455,6 +455,9 @@ def test_synth_rejects_degenerate_config():
             SynthConfig(noise_std=noise_std)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         SynthConfig(seed=-1)
+    # Words are drawn without replacement, so a 3-type vocabulary cannot fill 5 words.
+    with pytest.raises(ValueError, match="sentence_len_min must be <= vocab_size, got 5 and 3"):
+        SynthConfig(vocab_size=3, sentence_len_min=5, sentence_len_max=8, sentences=4)
 
 
 def test_load_corpus_missing_feature_file(tmp_path):

@@ -35,9 +35,10 @@ IMPORT_GRAPH = {
     "dtw.py": (),
     "segmentation.py": ("corpus",),
     "model.py": ("corpus", "distortion", "dtw"),
-    "evalkit.py": ("corpus", "distortion"),
+    "synth.py": ("corpus", "model"),
+    "evalkit.py": ("corpus",),
     "trainer.py": ("corpus", "distortion", "dtw", "model", "segmentation"),
-    "cli.py": ("corpus", "dtw", "evalkit", "model", "segmentation", "trainer"),
+    "cli.py": ("corpus", "evalkit", "model", "segmentation", "synth", "trainer"),
 }
 
 

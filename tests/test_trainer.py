@@ -12,8 +12,9 @@ from spanalign.distortion import allocate_mu
 from spanalign import trainer as trainer_module
 from spanalign.dtw import candidate_span_costs
 from spanalign.evalkit import evaluate
-from spanalign.model import ClusterInventory, ModelParams, SynthConfig, load_params, synth_generate
+from spanalign.model import ClusterInventory, ModelParams, load_params
 from spanalign.segmentation import SegmentationConfig
+from spanalign.synth import SynthConfig, synth_generate
 from spanalign.trainer import (
     Tables,
     TrainConfig,
