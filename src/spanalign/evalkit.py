@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .corpus import Corpus, SentencePair
 
 Link = tuple[int, int]
-Word = tuple[int | None, int, int, float]  # (cluster, span start, span end, log score)
+Word = tuple[int, int, int, float]  # (cluster, span start, span end, log score)
 
 
 class Scores(NamedTuple):

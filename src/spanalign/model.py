@@ -20,15 +20,14 @@ words.
 from __future__ import annotations
 
 import json
-import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import SentencePair, atomic_write_text, check_frame_shift, frame_array
-from .distortion import check_lam, log_softmax
+from .corpus import SentencePair, atomic_write_text, frame_array
+from .distortion import log_softmax
 from .dtw import SpanLanes, candidate_span_costs
 
 VARIANTS = ("deficient", "proper")
@@ -43,30 +42,24 @@ def check_variant(variant: str) -> None:
 
 @dataclass(frozen=True)
 class ClusterInventory:
-    """k cluster ids per word type; `owner` maps each id back to its word."""
+    """k cluster ids per word type: word n of `words` owns ids n*k .. n*k+k-1.
 
-    clusters: dict[str, tuple[int, ...]]
-    owner: dict[int, str] = field(init=False, repr=False, compare=False)
+    Scoring reshapes the slices as (words, k) and breaks ties by cluster id.
+    """
+
+    words: tuple[str, ...]  # sorted and unique, as `build` makes them
+    k: int
+    clusters: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)  # word -> its ids
+    owner: dict[int, str] = field(init=False, repr=False, compare=False)  # id -> its word
 
     def __post_init__(self):
-        # Scoring reshapes the slices as (words, k) and breaks ties by cluster id.
-        k = len(next(iter(self.clusters.values()), ()))
-        for word, fs in self.clusters.items():
-            if not fs:
-                raise ValueError(f"word {word!r} has no clusters")
-            if len(fs) != k:
-                raise ValueError(f"word {word!r} has {len(fs)} clusters, the first word {k}")
-            if list(fs) != sorted(fs):
-                raise ValueError(f"word {word!r} has cluster ids out of order")
-        ids = sorted(f for fs in self.clusters.values() for f in fs)
-        if ids != list(range(len(ids))):
-            raise ValueError("cluster ids must be 0..n-1, each used once")
-        object.__setattr__(self, "owner", {f: word for word, fs in self.clusters.items() for f in fs})
+        clusters = {word: tuple(range(n * self.k, (n + 1) * self.k)) for n, word in enumerate(self.words)}
+        object.__setattr__(self, "clusters", clusters)
+        object.__setattr__(self, "owner", {f: word for word, fs in clusters.items() for f in fs})
 
     @classmethod
     def build(cls, word_types: Iterable[str], k: int) -> "ClusterInventory":
-        words = sorted(set(word_types))
-        return cls({word: tuple(range(n * k, (n + 1) * k)) for n, word in enumerate(words)})
+        return cls(tuple(sorted(set(word_types))), k)
 
     @property
     def n_clusters(self) -> int:
@@ -84,8 +77,6 @@ class ModelParams:
     variant: str = "deficient"
 
     def __post_init__(self):
-        check_lam(self.lam)
-        check_variant(self.variant)
         u = np.asarray(self.u, dtype=np.float64)
         n = self.inventory.n_clusters
         if u.shape != (n,):
@@ -177,63 +168,3 @@ def save_params(params: ModelParams, path: Path | str, frame_shift_ms: float) ->
         ],
     }
     atomic_write_text(path, json.dumps(payload))
-
-
-_NUMBER = (int, float)
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", _NUMBER: "a number"}
-
-
-def _checked(value, name: str, kind):
-    """`value` if it has the JSON type `kind` (a boolean is not a number); else ValueError naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"checkpoint field {name} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
-    return value
-
-
-def _field(obj: dict, key: str, kind, name: str | None = None):
-    """`obj[key]`, checked to have the JSON type `kind`; the message names the field as `name`."""
-    name = name or key
-    if key not in obj:
-        raise ValueError(f"checkpoint field {name} is missing")
-    return _checked(obj[key], name, kind)
-
-
-def _numbers(values: list, name: str) -> list:
-    """`values` once every item is a JSON number or a list of them; shapes are checked where used."""
-    for value in values:
-        if isinstance(value, list):
-            _numbers(value, name)
-        else:
-            _checked(value, name, _NUMBER)
-    return values
-
-
-def load_params(path: Path | str) -> ModelParams:
-    """Parameters from a `save_params` file; a missing or mistyped field is a ValueError naming it."""
-    with open(path, encoding="utf-8") as handle:
-        payload = _checked(json.load(handle), "(top level)", dict)
-    version = _field(payload, "format_version", int)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}")
-    clusters = {}
-    for word, ids in _field(payload, "clusters", dict).items():
-        name = f"clusters.{word}"
-        clusters[word] = tuple(_checked(f, name, int) for f in _checked(ids, name, list))
-    prototypes = []
-    for n, entry in enumerate(_field(payload, "prototypes", list)):
-        if entry is not None:
-            name = f"prototypes[{n}]"
-            entry = _checked(entry, name, dict)
-            check_frame_shift(_field(entry, "frame_shift_ms", _NUMBER, f"{name}.frame_shift_ms"))
-            entry = _numbers(_field(entry, "frames", list, f"{name}.frames"), f"{name}.frames")
-        prototypes.append(entry)
-    distortion = _field(payload, "distortion", dict)
-    if (p0 := _field(distortion, "p0", _NUMBER, "distortion.p0")) != 0:
-        raise ValueError(f"checkpoint field distortion.p0 must be 0 (no span is null), got {p0!r}")
-    return ModelParams(
-        inventory=ClusterInventory(clusters),
-        u=np.array(_numbers(_field(payload, "u", list), "u"), dtype=np.float64),
-        prototypes=prototypes,
-        lam=_field(distortion, "lambda", _NUMBER, "distortion.lambda"),
-        variant=_field(payload, "variant", str),
-    )

@@ -54,7 +54,7 @@ class SegmentationConfig:
 def detect_silence(
     energy: np.ndarray,
     frame_shift_ms: float,
-    config: SegmentationConfig = SegmentationConfig(),
+    config: SegmentationConfig,
 ) -> SilenceSpans:
     """Find low-energy runs: smooth, threshold at a ratio of the peak, keep long runs.
 

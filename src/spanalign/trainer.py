@@ -25,6 +25,7 @@ everything.
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -391,8 +392,14 @@ def train(
     """Initialization followed by `iterations` rounds of (E-step, M-step)."""
     state = initialize(corpus, config, tables)
     if checkpoint_dir is not None:
-        Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-        save_params(state.params, Path(checkpoint_dir) / "checkpoint_iter00.json", corpus.frame_shift_ms)
+        checkpoint_dir = Path(checkpoint_dir)
+        checkpoint_dir.mkdir(parents=True, exist_ok=True)
+        # A longer earlier run's checkpoints would sit beside this run's as if they were its own.
+        written = {f"checkpoint_iter{it:02d}.json" for it in range(config.iterations + 1)}
+        for path in checkpoint_dir.glob("checkpoint_iter*.json"):
+            if path.name not in written and re.fullmatch(r"checkpoint_iter[0-9]+\.json", path.name):
+                path.unlink()
+        save_params(state.params, checkpoint_dir / "checkpoint_iter00.json", corpus.frame_shift_ms)
 
     params = state.params
     assignments = state.assignments
@@ -405,7 +412,7 @@ def train(
         params = m_step(corpus, assignments, config, params, prev_assignments=prev_assignments)
         log.append(IterationStats(it, total, time.perf_counter() - started))
         if checkpoint_dir is not None:
-            save_params(params, Path(checkpoint_dir) / f"checkpoint_iter{it:02d}.json", corpus.frame_shift_ms)
+            save_params(params, checkpoint_dir / f"checkpoint_iter{it:02d}.json", corpus.frame_shift_ms)
     return TrainState(params=params, assignments=assignments, iteration_log=tuple(log), delta=state.delta)
 
 

@@ -161,6 +161,22 @@ def test_synth_no_bounds_removes_stale_sidecars(tmp_path):
     assert (_align(tmp_path, out) / "alignments.tsv").exists()
 
 
+def test_align_rerun_removes_stale_checkpoints(tmp_path):
+    # A longer earlier run's checkpoints would read as this run's; other files stay.
+    corpus_dir = _synth(tmp_path)
+    run_dir = _align(tmp_path, corpus_dir, "--iterations", "4")
+    assert len(list(run_dir.glob("checkpoint_iter*.json"))) == 5
+    (run_dir / "notes.txt").write_text("kept\n")
+    (run_dir / "checkpoint_iter_best.json").write_text("{}\n")
+    _align(tmp_path, corpus_dir, "--iterations", "1")
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "alignments.tsv", "checkpoint.json", "checkpoint_iter00.json", "checkpoint_iter01.json",
+        "checkpoint_iter_best.json", "iteration_log.tsv", "notes.txt",
+    ]
+    assert (run_dir / "notes.txt").read_text() == "kept\n"
+    assert (run_dir / "checkpoint.json").read_bytes() == (run_dir / "checkpoint_iter01.json").read_bytes()
+
+
 def test_align_then_eval_end_to_end(tmp_path, capsys):
     corpus_dir = _synth(tmp_path)
     run_dir = _align(tmp_path, corpus_dir)

@@ -1,13 +1,15 @@
 """Every module-level import in the package is used by its module, every
-module-level function and class is referenced somewhere, no function
-imports a package module (a deferred import hides an import cycle), the
-leaf modules `corpus`, `distortion` and `dtw` import no package module at
-all (`dtw` and `distortion` work on arrays and integers, below the corpus
-types), each module imports exactly the package modules that
-`IMPORT_GRAPH` lists and that table has no cycle, no parameter defaults to a `*Config` attribute (the setting would
-get a second home that skips the config's validation), every function
-parameter is read in its body, and `align` runs without importing
-`numpy.ma`."""
+module-level function and class is referenced in the package, the
+benchmark or `pyproject.toml` (a name that only tests use is not part of
+the program), no function imports a package module (a deferred import
+hides an import cycle), the leaf modules `corpus`, `distortion` and
+`dtw` import no package module at all (`dtw` and `distortion` work on
+arrays and integers, below the corpus types), each module imports
+exactly the package modules that `IMPORT_GRAPH` lists and that table has
+no cycle, no parameter defaults to a `*Config` attribute or instance
+(the setting would get a second home that skips the config's
+validation), every function parameter is read in its body, and `align`
+runs without importing `numpy.ma`."""
 
 import ast
 import graphlib
@@ -24,7 +26,7 @@ from spanalign.cli import main
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spanalign"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 ROOT = PACKAGE.parents[1]
-SEARCHED = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+SEARCHED = [*(p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))), ROOT / "pyproject.toml"]
 LEAF_MODULES = ("corpus.py", "distortion.py", "dtw.py")
 # The package modules each module imports.  A new edge is added here on
 # purpose, and `test_import_graph_has_no_cycle` keeps the table acyclic.
@@ -107,7 +109,7 @@ def _deferred_package_imports(source: str) -> list[int]:
 
 
 def _config_attribute_defaults(source: str) -> list[str]:
-    """`function.parameter` for each default that reads an attribute of a `*Config` class."""
+    """`function.parameter` for each default that reads an attribute of a `*Config` class or calls one."""
     found = []
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -121,6 +123,9 @@ def _config_attribute_defaults(source: str) -> list[str]:
                 isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
                 and node.value.id.endswith("Config")
+                or isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id.endswith("Config")
                 for node in ast.walk(default)
             ):
                 found.append(f"{func.name}.{arg.arg}")
@@ -152,8 +157,8 @@ def test_module_imports_are_used(module):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_definitions_are_referenced(module):
-    # A name counts as referenced if it appears anywhere else as a word, in code,
-    # a string (perfbench hooks name their targets) or a comment.
+    # A name counts as referenced if it appears anywhere else in SEARCHED as a word,
+    # in code, a string (perfbench hooks name their targets) or a comment.
     texts = [path.read_text(encoding="utf-8") for path in SEARCHED]
     assert _unreferenced_definitions((PACKAGE / module).read_text(encoding="utf-8"), texts) == []
 
@@ -252,7 +257,7 @@ def test_config_attribute_default_is_reported():
         "def f(x, ratio=SegmentationConfig.threshold_ratio, *, k=TrainConfig.k + 1, c=SegmentationConfig()):\n"
         "    def g(shift=FeatureSequence.frame_shift_ms, n=SynthConfig.sentences):\n        pass\n"
     )
-    assert _config_attribute_defaults(source) == ["f.ratio", "f.k", "g.n"]
+    assert _config_attribute_defaults(source) == ["f.ratio", "f.k", "f.c", "g.n"]
 
 
 def test_unread_parameter_is_reported():

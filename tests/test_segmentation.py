@@ -30,31 +30,31 @@ def make_pair(m, energy=None, utt_id="u1", boundaries=()):
 def test_detect_silence_seven_frame_run():
     e = np.ones(30)
     e[10:17] = 0.01
-    assert detect_silence(e, 10.0) == ((11, 18),)
+    assert detect_silence(e, 10.0, SegmentationConfig()) == ((11, 18),)
 
 
 def test_detect_silence_four_frames_too_short():
     e = np.ones(30)
     e[10:14] = 0.01
-    assert detect_silence(e, 10.0) == ()
+    assert detect_silence(e, 10.0, SegmentationConfig()) == ()
 
 
 def test_detect_silence_all_zero_track():
-    assert detect_silence(np.zeros(25), 10.0) == ()
+    assert detect_silence(np.zeros(25), 10.0, SegmentationConfig()) == ()
 
 
 def test_detect_silence_multiple_runs():
     e = np.ones(60)
     e[5:12] = 0.0
     e[30:40] = 0.0
-    assert detect_silence(e, 10.0) == ((6, 13), (31, 41))
+    assert detect_silence(e, 10.0, SegmentationConfig()) == ((6, 13), (31, 41))
 
 
 def test_detect_silence_min_ms_scales_with_shift():
     e = np.ones(30)
     e[10:14] = 0.0
     # 4 frames at 20 ms/frame = 80 ms >= 50 ms
-    assert detect_silence(e, frame_shift_ms=20.0) == ((11, 15),)
+    assert detect_silence(e, frame_shift_ms=20.0, config=SegmentationConfig()) == ((11, 15),)
 
 
 def test_boundaries_grid_endpoints():
