@@ -4,18 +4,15 @@ Subcommands: align (train and write alignments), eval (score an
 alignment file against gold), grid (lambda sweep on a dev split) and
 synth (write a synthetic corpus).
 
-Settings come from a flat key-value config file (`key = value`, each
-key once; `#` starts a comment at the start of a line or after
-whitespace) and same-named command-line flags; flags win.  Output files
-are written atomically.  Alignment rows are 0-indexed with exclusive
-ends: utt_id, word_index, word, cluster_id, start_frame, end_frame,
-log_score.
+Settings are command-line flags only, and argparse holds their
+defaults, read from the config dataclasses.  Output files are written
+atomically.  Alignment rows are 0-indexed with exclusive ends: utt_id,
+word_index, word, cluster_id, start_frame, end_frame, log_score.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, fields
@@ -37,15 +34,6 @@ from .model import save_params
 from .segmentation import SegmentationConfig
 from .synth import SynthConfig, synth_generate
 from .trainer import TrainConfig, TrainError, build_tables, final_alignments, train
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -122,51 +110,9 @@ _SYNTH_OPTIONS = [
 def _add_options(parser: argparse.ArgumentParser, options: list[Option]) -> None:
     for opt in options:
         flag = "--" + opt.name.replace("_", "-")
-        help_text = f"{opt.help} (default: {opt.default})"
-        if opt.kind is bool:
-            parser.add_argument(
-                flag, dest=opt.name, action=argparse.BooleanOptionalAction, default=None, help=help_text
-            )
-        else:
-            parser.add_argument(flag, dest=opt.name, type=opt.kind, default=None, help=help_text)
-
-
-def _read_config_file(path: str, options: list[Option]) -> dict:
-    by_name = {opt.name: opt for opt in options}
-    values = {}
-    first: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # `run#1` keeps its `#`
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in by_name:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if first.setdefault(key, lineno) != lineno:
-                raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {first[key]}")
-            opt = by_name[key]
-            try:
-                values[key] = _parse_bool(value) if opt.kind is bool else opt.kind(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return values
-
-
-def _resolve(args: argparse.Namespace, options: list[Option]) -> dict:
-    """Defaults, then config file values, then explicit flags."""
-    values = {opt.name: opt.default for opt in options}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config, options))
-    for opt in options:
-        flag_value = getattr(args, opt.name)
-        if flag_value is not None:
-            values[opt.name] = flag_value
-    return values
+        help_text = opt.help if opt.default is None else f"{opt.help} (default: {opt.default})"
+        parse = {"action": argparse.BooleanOptionalAction} if opt.kind is bool else {"type": opt.kind}
+        parser.add_argument(flag, dest=opt.name, default=opt.default, help=help_text, **parse)
 
 
 def _require(values: dict, names: list[str], command: str) -> None:
@@ -206,20 +152,15 @@ def _load_tables(values: dict, seg_config: SegmentationConfig):
     return corpus, out_dir, build_tables(corpus, seg_config)
 
 
-def _run_training(corpus: Corpus, config: TrainConfig, tables, checkpoint_dir: Path | None = None):
-    state = train(corpus, config, tables, checkpoint_dir=checkpoint_dir)
-    alignments = final_alignments(corpus, state, tables)
-    return state, alignments
-
-
 def cmd_align(args: argparse.Namespace) -> int:
-    values = _resolve(args, _ALIGN_OPTIONS)
+    values = vars(args)
     _require(values, ["manifest", "features", "translations", "output"], "align")
     config = _config(TrainConfig, values, lam=values["lambda"])
     seg_config = _config(SegmentationConfig, values)
     check_frame_shift(values["frame_shift_ms"])
     corpus, out_dir, tables = _load_tables(values, seg_config)
-    state, alignments = _run_training(corpus, config, tables, out_dir)
+    state = train(corpus, config, tables, checkpoint_dir=out_dir)
+    alignments = final_alignments(corpus, state, tables)
     atomic_write_text(out_dir / "alignments.tsv", _alignment_rows(corpus, alignments))
     save_params(state.params, out_dir / "checkpoint.json", corpus.frame_shift_ms)
 
@@ -285,13 +226,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    values = _resolve(args, _GRID_OPTIONS)
+    values = vars(args)
     _require(
         values,
         ["manifest", "features", "translations", "gold", "output", "dev_manifest", "test_manifest"],
         "grid",
     )
-    text = str(values["lambda_grid"])
+    text = values["lambda_grid"]
     try:
         grid = [float(v) for v in text.split(",")]
     except ValueError:
@@ -322,7 +263,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     best = None
     for config in configs:
         lam = config.lam
-        _, alignments = _run_training(corpus, config, tables)
+        alignments = final_alignments(corpus, train(corpus, config, tables), tables)
         dev_f = evaluate(alignments, corpus.gold, dev).f_score
         rows.append(f"{lam!r}\t{dev_f!r}")
         print(f"lambda {lam}: dev f_score {dev_f:.6f}")
@@ -339,7 +280,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    values = _resolve(args, _SYNTH_OPTIONS)
+    values = vars(args)
     _require(values, ["output"], "synth")
     corpus, true_params = synth_generate(_config(SynthConfig, values))
     out_dir = Path(values["output"])
@@ -358,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_align = sub.add_parser("align", allow_abbrev=False, help="train on a corpus and write alignments")
-    p_align.add_argument("--config", help="flat key-value config file; flags override it")
     _add_options(p_align, _ALIGN_OPTIONS)
     p_align.set_defaults(func=cmd_align)
 
@@ -369,12 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_grid = sub.add_parser("grid", allow_abbrev=False, help="sweep lambda, select on dev, report test")
-    p_grid.add_argument("--config", help="flat key-value config file; flags override it")
     _add_options(p_grid, _GRID_OPTIONS)
     p_grid.set_defaults(func=cmd_grid)
 
     p_synth = sub.add_parser("synth", allow_abbrev=False, help="generate a synthetic corpus with gold links")
-    p_synth.add_argument("--config", help="flat key-value config file; flags override it")
     _add_options(p_synth, _SYNTH_OPTIONS)
     p_synth.set_defaults(func=cmd_synth)
 

@@ -114,7 +114,10 @@ class SentencePair:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """An ordered collection of sentence pairs, optional gold links, and their one frame shift."""
+    """An ordered collection of sentence pairs, optional gold links, and their one frame shift.
+
+    Every pair has the first pair's feature dimension, as prototypes and span costs need.
+    """
 
     pairs: tuple[SentencePair, ...]
     gold: dict[str, frozenset[tuple[int, int]]] | None = None  # utt_id -> 0-indexed (word, frame) links
@@ -127,6 +130,12 @@ class Corpus:
             if pair.utt_id in seen:
                 raise CorpusError(f"duplicate utterance id {pair.utt_id!r}")
             seen.add(pair.utt_id)
+            first = self.pairs[0]
+            if pair.frames.shape[1] != first.frames.shape[1]:
+                raise CorpusError(
+                    f"{pair.utt_id}: feature dimension {pair.frames.shape[1]} differs from "
+                    f"{first.utt_id}'s {first.frames.shape[1]}"
+                )
         if self.gold is not None:
             by_id = {p.utt_id: p for p in self.pairs}
             for utt_id, links in self.gold.items():

@@ -353,8 +353,7 @@ def initialize(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainStat
     """
     tables.check(corpus)
     started = time.perf_counter()
-    word_types = sorted({w for pair in corpus for w in pair.target_words})
-    inventory = ClusterInventory.build(word_types, config.k)
+    inventory = ClusterInventory.build((w for pair in corpus for w in pair.target_words), config.k)
     rng = np.random.default_rng(config.seed)
     delta = distortion_rows(tables, config.lam)
 

@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 from spanalign.cli import (
-    _ALIGN_OPTIONS,
-    _SYNTH_OPTIONS,
     _alignment_rows,
     _config,
-    _parse_bool,
     _read_alignment_file,
-    _read_config_file,
-    _resolve,
     build_parser,
     main,
 )
@@ -58,80 +53,33 @@ def _align(tmp_path, corpus_dir, *extra):
     return out
 
 
-def test_parse_bool_accepts_common_spellings():
-    assert _parse_bool("true") and _parse_bool("Yes") and _parse_bool("1") and _parse_bool("on")
-    assert not (_parse_bool("false") or _parse_bool("No") or _parse_bool("0") or _parse_bool("off"))
-    with pytest.raises(ValueError, match="not a boolean"):
-        _parse_bool("maybe")
-
-
-def test_config_file_parsing(tmp_path):
-    path = tmp_path / "run.conf"
-    path.write_text(
-        "# comment line\n"
-        "\n"
-        "seed = 5   # trailing comment\n"
-        "bounds = off\n"
-        "frame_shift_ms = 12.5\n"
-        "output = run#1  # a '#' starts a comment only after whitespace\n"
-    )
-    values = _read_config_file(str(path), _SYNTH_OPTIONS)
-    assert values == {"seed": 5, "bounds": False, "frame_shift_ms": 12.5, "output": "run#1"}
-
-
-def test_config_file_rejects_repeated_key(tmp_path):
-    path = tmp_path / "run.conf"
-    path.write_text("seed = 1\nbounds = off\nseed = 2\n")
-    with pytest.raises(ValueError, match=f"{path}:3: config key 'seed' repeats line 1"):
-        _read_config_file(str(path), _SYNTH_OPTIONS)
-
-
-def test_config_file_rejects_unknown_key(tmp_path):
-    path = tmp_path / "run.conf"
-    path.write_text("sede = 5\n")
-    with pytest.raises(ValueError, match="unknown config key"):
-        _read_config_file(str(path), _SYNTH_OPTIONS)
-
-
-def test_config_file_rejects_missing_equals(tmp_path):
-    path = tmp_path / "run.conf"
-    path.write_text("seed 5\n")
-    with pytest.raises(ValueError, match="expected 'key = value'"):
-        _read_config_file(str(path), _SYNTH_OPTIONS)
-
-
-@pytest.mark.parametrize(
-    "line, message",
-    [("seed = x", "invalid literal for int()"), ("normalize = maybe", "not a boolean")],
-    ids=["int", "bool"],
-)
-def test_config_file_bad_value_names_file_and_line(tmp_path, capsys, line, message):
-    path = tmp_path / "run.conf"
-    path.write_text(f"# comment line\n{line}\n")
-    code = main(["align", "--config", str(path), "--output", str(tmp_path / "run")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert f"{path}:2: " in err and message in err
-
-
-def test_flags_override_config_file(tmp_path):
-    path = tmp_path / "run.conf"
-    path.write_text("seed = 5\nvocab_size = 9\n")
-    parser = build_parser()
-    args = parser.parse_args(["synth", "--config", str(path), "--seed", "7"])
-    values = _resolve(args, _SYNTH_OPTIONS)
-    assert values["seed"] == 7          # flag beats config
-    assert values["vocab_size"] == 9    # config beats default
-    assert values["sentences"] == 50    # untouched default
-
-
 def test_bare_commands_use_config_defaults():
-    values = _resolve(build_parser().parse_args(["align"]), _ALIGN_OPTIONS)
+    values = vars(build_parser().parse_args(["align"]))
     assert _config(TrainConfig, values, lam=values["lambda"]) == TrainConfig()
     assert _config(SegmentationConfig, values) == SegmentationConfig()
-    values = _resolve(build_parser().parse_args(["synth"]), _SYNTH_OPTIONS)
+    values = vars(build_parser().parse_args(["synth"]))
     assert _config(SynthConfig, values) == SynthConfig()
-    assert {f.name for f in fields(SynthConfig)} == set(values) - {"output"}
+    assert {f.name for f in fields(SynthConfig)} == set(values) - {"output", "command", "func"}
+
+
+@pytest.mark.parametrize("command", ["align", "grid", "synth"])
+def test_help_shows_only_real_defaults(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    assert "(default: None)" not in text
+    if command != "synth":
+        assert "EM iterations (default: 3)" in text
+
+
+@pytest.mark.parametrize("command", ["align", "grid", "synth"])
+def test_config_file_option_is_gone(tmp_path, capsys, command):
+    path = tmp_path / "run.conf"
+    path.write_text("seed = 5\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_synth_writes_corpus_layout(tmp_path):
@@ -323,16 +271,12 @@ def test_bad_settings_rejected_before_reading_files(tmp_path, capsys, command, s
      # No candidate span is null, so a null-span mass would only shift every score.
      ("align", "p0", "0.3"), ("grid", "p0", "0.3")],
 )
-def test_command_rejects_settings_it_does_not_read(tmp_path, capsys, command, name, value):
+def test_command_rejects_settings_it_does_not_read(capsys, command, name, value):
     flag = "--" + name.replace("_", "-")
     with pytest.raises(SystemExit) as exc:
         main([command, flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-    path = tmp_path / "run.conf"
-    path.write_text(f"{name} = {value}\n")
-    assert main([command, "--config", str(path)]) == 1
-    assert f"{path}:1: unknown config key {name!r}" in capsys.readouterr().err
 
 
 def test_non_default_frame_shift_is_stamped_on_every_prototype(tmp_path):
@@ -513,17 +457,15 @@ def test_grid_rejects_bad_lambda_grid(tmp_path, capsys, grid, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["align", "grid"])
-def test_short_utterance_rejected_while_corpus_loads(tmp_path, capsys, monkeypatch, command):
-    # u2 has 2 frames for 3 words, so no word-per-span alignment exists; the
-    # corpus load refuses it before any candidate span or output directory.
+def _run_on_refused_corpus(tmp_path, monkeypatch, command, shapes, translations):
+    """Run align or grid on utterances u1, u2 of the given frame shapes; return (exit code, spans built for)."""
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
     rng = np.random.default_rng(0)
-    write_feature_file(corpus_dir / "u1.feat", rng.normal(size=(8, 2)))
-    write_feature_file(corpus_dir / "u2.feat", rng.normal(size=(2, 2)))
+    for utt_id, shape in zip(("u1", "u2"), shapes):
+        write_feature_file(corpus_dir / f"{utt_id}.feat", rng.normal(size=shape))
     (corpus_dir / "manifest.txt").write_text("u1\nu2\n")
-    (corpus_dir / "translations.txt").write_text("aa bb\naa bb cc\n")
+    (corpus_dir / "translations.txt").write_text(translations)
     (corpus_dir / "gold.tsv").write_text("u1\t0\t0\t4\nu1\t1\t4\t8\n")
     (tmp_path / "dev.txt").write_text("u1\n")
     (tmp_path / "test.txt").write_text("u2\n")
@@ -547,7 +489,25 @@ def test_short_utterance_rejected_while_corpus_loads(tmp_path, capsys, monkeypat
             *(splits if command == "grid" else []),
         ]
     )
+    return code, spans_for
+
+
+@pytest.mark.parametrize("command", ["align", "grid"])
+def test_short_utterance_rejected_while_corpus_loads(tmp_path, capsys, monkeypatch, command):
+    # u2 has 2 frames for 3 words, so no word-per-span alignment exists; the
+    # corpus load refuses it before any candidate span or output directory.
+    code, spans_for = _run_on_refused_corpus(tmp_path, monkeypatch, command, [(8, 2), (2, 2)], "aa bb\naa bb cc\n")
     assert code == 1
     assert "u2: 2 frames cannot cover 3 words" in capsys.readouterr().err
+    assert spans_for == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["align", "grid"])
+def test_mixed_feature_dimension_rejected_while_corpus_loads(tmp_path, capsys, monkeypatch, command):
+    # With no word in common, the deficient model would train a prototype of each width.
+    code, spans_for = _run_on_refused_corpus(tmp_path, monkeypatch, command, [(8, 12), (8, 13)], "aa bb\ncc dd\n")
+    assert code == 1
+    assert "u2: feature dimension 13 differs from u1's 12" in capsys.readouterr().err
     assert spans_for == []
     assert not (tmp_path / "run").exists()
