@@ -10,7 +10,8 @@ end b then follow two softmax families peaked near the diagonal:
 
 Both h values are evaluated through the integer-exact numerator
 |i*(m - mu) - l*(j - shift)| so that argmax ties resolve identically
-to exact arithmetic.
+to exact arithmetic.  They need 0 < mu_i < m; a single word, whose
+budget is all m frames, is scored with mu = m - 1.
 """
 
 from __future__ import annotations
@@ -76,12 +77,17 @@ def log_softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
     return x - (peak + np.log(np.exp(x - peak).sum(axis=axis, keepdims=True)))
 
 
-def _log_delta(i: int, l: int, m: int, mu_i: int, lam: float, shift: int) -> np.ndarray:
+def _log_delta(i: int, l: int, m: int, mu_i: int, lam: float, end: bool) -> np.ndarray:
     """log delta over j = 0..m: -inf at 0, where no span starts or ends, then log_softmax(lam * h)."""
     if l < 1 or not (1 <= i <= l):
         raise ValueError(f"word index i={i} out of range for l={l}")
+    if l == 1:
+        # A single word is granted all m frames, where the h slope is
+        # undefined; m - 1 keeps the distortion well-formed.
+        mu_i = min(mu_i, m - 1)
     if not (0 < mu_i < m):
         raise ValueError(f"mu_i={mu_i} must satisfy 0 < mu_i < m={m}")
+    shift = mu_i if end else 0
     j = np.arange(1, m + 1, dtype=np.int64)
     num = np.abs(i * (m - mu_i) - l * (j - shift))
     h = -num.astype(np.float64) / float(l * (m - mu_i))
@@ -94,9 +100,9 @@ def _log_delta(i: int, l: int, m: int, mu_i: int, lam: float, shift: int) -> np.
 
 def log_delta_a(i: int, l: int, m: int, mu_i: int, lam: float) -> np.ndarray:
     """Log probabilities over span starts j = 0..m (slot 0 is -inf)."""
-    return _log_delta(i, l, m, mu_i, lam, shift=0)
+    return _log_delta(i, l, m, mu_i, lam, end=False)
 
 
 def log_delta_b(i: int, l: int, m: int, mu_i: int, lam: float) -> np.ndarray:
     """Log probabilities over span ends j = 0..m (slot 0 is -inf), shifted right by mu_i."""
-    return _log_delta(i, l, m, mu_i, lam, shift=mu_i)
+    return _log_delta(i, l, m, mu_i, lam, end=True)

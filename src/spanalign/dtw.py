@@ -3,7 +3,8 @@
 Every sequence here is an (m, d) float64 array of frames, and the
 module imports nothing from the rest of the package: callers pass an
 utterance's `SentencePair.frames` or a prototype array, or a row slice
-of one for a span.
+of one for a span.  `dtw_distance` takes the distance matrix of two
+such arrays instead, as `frame_distances` or a slice of it.
 
 The accumulated cost follows the three-way recurrence
 
@@ -69,23 +70,16 @@ def frame_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None)
     return np.sqrt(lanes[0], out=out)
 
 
-def dtw_distance(
-    x: np.ndarray, y: np.ndarray, distances: np.ndarray | None = None
-) -> tuple[float, tuple[tuple[int, int], ...]]:
-    """Align two (m, d) frame arrays: the normalized cost and one optimal 1-indexed path.
+def dtw_distance(distances: np.ndarray) -> tuple[float, tuple[tuple[int, int], ...]]:
+    """Normalized DTW cost and one optimal 1-indexed path over an (n, m) `frame_distances` matrix.
 
     The full (n+1) x (m+1) accumulated cost table is built as Python
     lists: plain float arithmetic keeps the inner loop fast enough at
     segment scale without pulling in a compiled kernel.  The backtrace
-    prefers the diagonal, then (i-1, j), then (i, j-1).  `distances`,
-    when given, is `frame_distances(x, y)` computed by the caller, for
-    instance as a slice of one larger block.
+    prefers the diagonal, then (i-1, j), then (i, j-1).  `distances` may
+    be a slice of a larger block, as in `dba_centroid`.
     """
-    n, m = x.shape[0], y.shape[0]
-    if distances is None:
-        distances = frame_distances(x, y)
-    elif distances.shape != (n, m):
-        raise ValueError(f"distances must have shape {(n, m)}, got {distances.shape}")
+    n, m = distances.shape
     rows = distances.tolist()
     w = [[_INF] * (m + 1) for _ in range(n + 1)]
     w[0][0] = 0.0
@@ -237,8 +231,10 @@ def candidate_span_costs(
 def dba_centroid(members: Sequence[np.ndarray], iterations: int) -> tuple[np.ndarray, list[float]]:
     """DTW barycenter averaging over (m, d) member frame arrays: (centroid, history).
 
-    The centroid is an (m, d) array; `history` holds the objective below
-    for the starting skeleton and after each accepted update.
+    `members` is non-empty, its arrays share one feature dimension, and
+    `iterations` >= 1, as `m_step` passes them.  The
+    centroid is an (m, d) array; `history` holds the objective below for
+    the starting skeleton and after each accepted update.
 
     The skeleton starts as a median-length member (upper median; ties go
     to the lowest member index) and each iteration replaces every
@@ -253,15 +249,6 @@ def dba_centroid(members: Sequence[np.ndarray], iterations: int) -> tuple[np.nda
     along the old paths, not the normalized path cost itself, and can
     overshoot.
     """
-    if not members:
-        raise ValueError("dba_centroid needs at least one member")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    dim = members[0].shape[1]
-    for mem in members:
-        if mem.shape[1] != dim:
-            raise ValueError("members must share the feature dimension")
-
     lengths = [mem.shape[0] for mem in members]
     target = sorted(lengths)[len(lengths) // 2]
     skeleton = members[lengths.index(target)].copy()
@@ -274,8 +261,8 @@ def dba_centroid(members: Sequence[np.ndarray], iterations: int) -> tuple[np.nda
         paths = []
         # One distance block per pass; each member's DTW reads its own columns.
         block = frame_distances(skel, stacked)
-        for mem, cols in zip(members, columns):
-            cost, path = dtw_distance(skel, mem, block[:, cols])
+        for cols in columns:
+            cost, path = dtw_distance(block[:, cols])
             total += cost * cost
             paths.append(path)
         return total, paths

@@ -65,10 +65,12 @@ def detect_silence(
     smear them: a window centered on the first quiet frame already holds
     a majority of quiet values.  Frames whose smoothed value falls below
     config.threshold_ratio * max(smoothed) count as silent, and maximal
-    silent runs of at least ceil(config.min_silence_ms / frame_shift_ms)
-    frames are returned.  An all-zero track has peak 0 and thus no
-    silences.  `energy` is a `SentencePair.energy_track`, which holds the
-    track's rule: one finite, non-negative value per frame.
+    silent runs that last at least config.min_silence_ms are returned:
+    a run's frame count is compared with the float min_silence_ms /
+    frame_shift_ms, exactly for any run length, so a ratio that
+    overflows to inf keeps no run.  An all-zero track has peak 0 and
+    thus no silences.  `energy` is a `SentencePair.energy_track`, which
+    holds the track's rule: one finite, non-negative value per frame.
     """
     half = config.smooth_frames // 2
     padded = np.pad(energy, half, mode="edge")
@@ -77,7 +79,7 @@ def detect_silence(
 
     threshold = config.threshold_ratio * smoothed.max()
     mask = smoothed < threshold
-    min_frames = math.ceil(config.min_silence_ms / frame_shift_ms)
+    min_frames = config.min_silence_ms / frame_shift_ms
 
     # The padded mask changes at the first frame of each run and just past
     # its last, so the changes pair up as [s, t) runs, here made 1-indexed.

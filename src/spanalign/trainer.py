@@ -7,7 +7,8 @@ a per-word independent argmax (E) with relative-frequency priors and
 DBA prototypes (M).
 
 Words are scored on one path.  A corpus's `Tables` hold what does not
-depend on lambda: each utterance's candidate spans and mu, and the DTW
+depend on lambda: each utterance's candidate spans and mu (as
+`allocate_mu` grants it; `distortion` holds mu's rule), and the DTW
 cost rows of the live clusters.  Lambda enters only through the
 distortion (Dyer et al. 2013), so `distortion_rows` builds each
 utterance's (words x candidate spans) distortion matrix once per run,
@@ -170,18 +171,11 @@ def distortion_rows(tables: Tables, lam: float) -> dict[str, np.ndarray]:
         if pair.m > 1:
             starts, ends = np.array(spans).T
             for i, mu_i in enumerate(tables.mu[pair.utt_id], start=1):
-                mu = effective_mu(mu_i, pair.l, pair.m)
-                la = log_delta_a(i, pair.l, pair.m, mu, lam)
-                lb = log_delta_b(i, pair.l, pair.m, mu, lam)
+                la = log_delta_a(i, pair.l, pair.m, mu_i, lam)
+                lb = log_delta_b(i, pair.l, pair.m, mu_i, lam)
                 rows[i - 1] = la[starts] + lb[ends]
         delta[pair.utt_id] = rows
     return delta
-
-
-def effective_mu(mu_i: int, l: int, m: int) -> int:
-    # mu_i = m only happens for single-word sentences, where the h slope
-    # is undefined; clamp to m - 1 so the distortion stays well-formed.
-    return min(mu_i, m - 1) if l == 1 else mu_i
 
 
 def _utterance_scores(

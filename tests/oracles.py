@@ -13,7 +13,7 @@ from itertools import accumulate
 import numpy as np
 
 from spanalign.distortion import allocate_mu, log_delta_a, log_delta_b
-from spanalign.dtw import dtw_distance
+from spanalign.dtw import dtw_distance, frame_distances
 from spanalign.segmentation import NoCandidateSpansError
 
 
@@ -110,7 +110,7 @@ def dba_centroid_reference(members, iterations: int = 3, return_history: bool = 
         total = 0.0
         paths = []
         for mem in members:
-            cost, path = dtw_distance(skel, mem)
+            cost, path = dtw_distance(frame_distances(skel, mem))
             total += cost * cost
             paths.append(path)
         return total, paths
@@ -155,7 +155,7 @@ def analytic_delta_argmax(i: int, l: int, m: int, mu_i: int, shifted: bool) -> i
 def _span_costs(proto, pair, candidates) -> np.ndarray:
     """Normalized DTW cost of the prototype against each candidate span, one DP each."""
     frames = pair.frames
-    return np.array([dtw_distance(proto, frames[a - 1 : b])[0] for a, b in candidates])
+    return np.array([dtw_distance(frame_distances(proto, frames[a - 1 : b]))[0] for a, b in candidates])
 
 
 def log_s_deficient(f, a, b, pair, candidates, prototypes) -> float:

@@ -21,7 +21,7 @@ import pytest
 from spanalign.cli import _file_report, main
 from spanalign.corpus import load_corpus
 from spanalign.distortion import log_delta_a, log_delta_b
-from spanalign.dtw import dba_centroid, dtw_distance
+from spanalign.dtw import dba_centroid, dtw_distance, frame_distances
 from spanalign.evalkit import evaluate
 from spanalign.segmentation import SegmentationConfig
 from spanalign.trainer import (
@@ -117,7 +117,7 @@ def test_dtw_cost_matches_exhaustive_oracle():
         dim = int(rng.integers(1, 4))
         x = rng.standard_normal((m, dim))
         y = rng.standard_normal((mp, dim))
-        got, _ = dtw_distance(x, y)
+        got, _ = dtw_distance(frame_distances(x, y))
         want = exhaustive_dtw(x, y)
         assert abs(got - want) <= 1e-12
     assert time.perf_counter() - started < 5.0

@@ -287,6 +287,31 @@ def test_non_default_frame_shift_is_stamped_on_every_prototype(tmp_path):
         assert shifts == {25.0}, path
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [("align", ["--frame-shift-ms", "1e-310"]),
+     ("align", ["--min-silence-ms", "1e308", "--frame-shift-ms", "0.001"]),
+     ("align", ["--frame-shift-ms", "1e308"]),
+     ("align", ["--min-silence-ms", "5e-324"]),
+     ("align", ["--threshold-ratio", "5e-324"]),
+     ("align", ["--span-min-len", "1000000000000", "--span-max-len", "1000000000000"]),
+     ("align", ["--grid-stride", "0"]),
+     ("align", ["--iterations", "0"]),
+     ("grid", ["--frame-shift-ms", "1e-310"])],
+    ids=["tiny_shift", "silence_ratio_overflows", "huge_shift", "tiny_silence", "tiny_threshold",
+         "huge_spans", "no_grid", "no_iterations", "grid_tiny_shift"],
+)
+def test_extreme_valid_settings_run(tmp_path, capsys, command, flags):
+    # Any valid value runs; --smooth-frames and --k are left out, as their memory grows with the value.
+    if command == "align":
+        _align(tmp_path, _synth(tmp_path), *flags)
+        err = capsys.readouterr().err
+    else:
+        code, err = _grid_on_splits(tmp_path, capsys, "{0}\n{1}\n", "{2}\n{3}\n{4}\n", "--iterations", "1", *flags)
+        assert code == 0
+    assert "Traceback" not in err
+
+
 def test_align_reads_translation_with_unicode_line_separator(tmp_path):
     corpus_dir = _synth(tmp_path, "--sentences", "3")
     translations = corpus_dir / "translations.txt"

@@ -75,6 +75,18 @@ def test_argument_validation():
         log_delta_a(i=1, l=3, m=10, mu_i=10, lam=0.5)
 
 
+def test_single_word_budget_is_scored_as_m_minus_one():
+    # allocate_mu grants a single word all m frames, where the h slope is undefined.
+    for m in (2, 3, 10, 37):
+        for fn in (log_delta_a, log_delta_b):
+            assert np.array_equal(fn(1, 1, m, m, 0.5), fn(1, 1, m, m - 1, 0.5))
+    # A smaller single-word budget is kept, and only a single word is clamped.
+    for fn in (log_delta_a, log_delta_b):
+        assert not np.array_equal(fn(1, 1, 10, 3, 0.5), fn(1, 1, 10, 9, 0.5))
+    with pytest.raises(ValueError, match="0 < mu_i < m"):
+        log_delta_b(i=2, l=2, m=10, mu_i=10, lam=0.5)
+
+
 def test_check_lam_rejects_negative_or_non_finite():
     for lam in (0.0, 0.5, 40.0):
         check_lam(lam)

@@ -7,7 +7,7 @@ import pytest
 
 from spanalign.corpus import Corpus, CorpusError, SentencePair
 from spanalign.distortion import log_delta_a, log_delta_b
-from spanalign.dtw import candidate_span_costs, dtw_distance
+from spanalign.dtw import candidate_span_costs, dtw_distance, frame_distances
 from spanalign import model, trainer
 from spanalign.model import (
     ClusterInventory,
@@ -17,7 +17,7 @@ from spanalign.model import (
     save_params,
     span_cost_rows,
 )
-from spanalign.trainer import Tables, _utterance_scores, distortion_rows, effective_mu
+from spanalign.trainer import Tables, _utterance_scores, distortion_rows
 
 from oracles import span_log_delta, word_log_score
 
@@ -86,7 +86,7 @@ def test_deficient_table_is_softmax_of_neg_squared_costs():
     pair, params, candidates = make_setup()
     proto = params.prototypes[0]
     table = deficient_log_s_table(span_cost_rows([proto], [pair], [candidates])[0]["u1"])
-    costs = np.asarray([dtw_distance(proto, pair.frames[a - 1 : b])[0] for a, b in candidates])
+    costs = np.asarray([dtw_distance(frame_distances(proto, pair.frames[a - 1 : b]))[0] for a, b in candidates])
     expected = -(costs**2)
     expected = expected - math.log(np.exp(expected - expected.max()).sum()) - expected.max()
     np.testing.assert_allclose(table, expected, atol=1e-12)
@@ -102,7 +102,7 @@ def test_documented_two_span_softmax():
     )
     proto = fs([[0.0], [0.0]])
     candidates = ((1, 2), (3, 4))
-    c2, _ = dtw_distance(proto, pair.frames[2:4])
+    c2, _ = dtw_distance(frame_distances(proto, pair.frames[2:4]))
     assert c2 == pytest.approx(1.0)  # |1-0| + |3-0| over (2+2) frames
     table = np.exp(deficient_log_s_table(span_cost_rows([proto], [pair], [candidates])[0]["u"]))
     z = math.e**0 + math.e**-1
@@ -229,12 +229,6 @@ def test_span_cost_rows_without_pairs_are_empty(monkeypatch):
     clusters, scores = _utterance_scores(pair, params, tables, delta)
     assert clusters == [(2,), (0,)]  # foo, bar; baz (cluster 1) is scored on no utterance
     assert np.isfinite(scores).all()
-
-
-def test_effective_mu_clamps_only_single_word():
-    assert effective_mu(10, 1, 10) == 9
-    assert effective_mu(10, 2, 10) == 10
-    assert effective_mu(3, 1, 10) == 3
 
 
 def test_span_log_delta_single_frame_sentence():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -523,8 +524,30 @@ def _degenerate_corpus():
     ))
 
 
+# sha256 of `_degenerate_digest_text` for each variant.  Like the golden
+# digests, these assume the host's numpy `exp`/`log` dispatch.
+DEGENERATE_DIGESTS = {
+    "deficient": "a25ebfaf2102fd13c2d34a7b05ace6f5cfa7e8f79e545e08e5c1c6b7a775ddd2",
+    "proper": "6218318ba959d3f1f5ac48fe4a59499c2f81f05c609032603e65fd6429819885",
+}
+
+
+def _degenerate_digest_text(alignments, state):
+    """Every scored word (utt_id, cluster, a, b, score) and every iteration's objective, floats in hex."""
+    lines = [
+        f"{utt_id}\t{f}\t{a}\t{b}\t{float(score).hex()}"
+        for utt_id, words in alignments.items()
+        for f, a, b, score in words
+    ]
+    lines += [float(st.total_log_score).hex() for st in state.iteration_log]
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("variant", ["deficient", "proper"])
 def test_degenerate_utterances_end_to_end(variant):
+    # The only corpus here with one-frame, two-frame and one-word
+    # utterances: its digest pins the single-word mu clamp and the
+    # one-frame distortion rows bit for bit.
     corpus = _degenerate_corpus()
     config = TrainConfig(iterations=3, variant=variant)
 
@@ -549,6 +572,8 @@ def test_degenerate_utterances_end_to_end(variant):
     assert [st.total_log_score for st in again.iteration_log] == [
         st.total_log_score for st in state.iteration_log
     ]
+    digest = hashlib.sha256(_degenerate_digest_text(alignments, state).encode()).hexdigest()
+    assert digest == DEGENERATE_DIGESTS[variant]
 
 
 def _repeated_type_corpus():
