@@ -13,6 +13,7 @@ word_index, word, cluster_id, start_frame, end_frame, log_score.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, fields
@@ -153,16 +154,29 @@ def _load_tables(values: dict, seg_config: SegmentationConfig):
 
 
 def cmd_align(args: argparse.Namespace) -> int:
+    """Train, then write every output of the run.
+
+    Removes every checkpoint_iter<digits>.json this run will not write and
+    no other file, then writes checkpoint_iterNN.json per iteration_log row,
+    checkpoint.json (the last row's), alignments.tsv and iteration_log.tsv.
+    """
     values = vars(args)
     _require(values, ["manifest", "features", "translations", "output"], "align")
     config = _config(TrainConfig, values, lam=values["lambda"])
     seg_config = _config(SegmentationConfig, values)
     check_frame_shift(values["frame_shift_ms"])
     corpus, out_dir, tables = _load_tables(values, seg_config)
-    state = train(corpus, config, tables, checkpoint_dir=out_dir)
+    state = train(corpus, config, tables)
     alignments = final_alignments(corpus, state, tables)
-    atomic_write_text(out_dir / "alignments.tsv", _alignment_rows(corpus, alignments))
+    # A longer earlier run's checkpoints would sit beside this run's as if they were its own.
+    written = {f"checkpoint_iter{stat.iteration:02d}.json": stat.params for stat in state.iteration_log}
+    for path in out_dir.glob("checkpoint_iter*.json"):
+        if path.name not in written and re.fullmatch(r"checkpoint_iter[0-9]+\.json", path.name):
+            path.unlink()
+    for name, params in written.items():
+        save_params(params, out_dir / name, corpus.frame_shift_ms)
     save_params(state.params, out_dir / "checkpoint.json", corpus.frame_shift_ms)
+    atomic_write_text(out_dir / "alignments.tsv", _alignment_rows(corpus, alignments))
 
     log_lines = [
         f"# variant = {state.params.variant}",

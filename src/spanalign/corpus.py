@@ -165,7 +165,7 @@ def _read_lines(path: Path | str, keep: int = 0) -> list[str]:
 
     Trailing blank lines are dropped, except any among the first `keep` lines.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         text = handle.read()
     lines = text.removesuffix("\n").split("\n") if text else []
     while len(lines) > keep and not lines[-1].strip():
@@ -175,7 +175,7 @@ def _read_lines(path: Path | str, keep: int = 0) -> list[str]:
 
 def _nonblank_lines(path: Path | str) -> Iterator[tuple[int, str]]:
     """(lineno, line) for each non-blank line, numbered from 1, without its newline."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.strip():
                 yield lineno, line.rstrip("\n")

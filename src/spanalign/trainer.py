@@ -26,10 +26,8 @@ everything.
 from __future__ import annotations
 
 import math
-import re
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -42,7 +40,6 @@ from .model import (
     check_variant,
     deficient_log_s_table,
     proper_log_s_rows,
-    save_params,
     span_cost_rows,
 )
 from .segmentation import SegmentationConfig, candidate_spans
@@ -82,6 +79,7 @@ class IterationStats:
     iteration: int
     total_log_score: float
     seconds: float
+    params: ModelParams = field(compare=False, repr=False)  # the parameters this iteration ends with
 
 
 class Tables:
@@ -372,28 +370,17 @@ def initialize(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainStat
     total = 0.0
     for words in _score_assignments(corpus, params, tables, delta, assignments).values():
         total += sum(score for _, _, _, score in words)
-    log = IterationStats(0, total, time.perf_counter() - started)
+    log = IterationStats(0, total, time.perf_counter() - started, params)
     return TrainState(params=params, assignments=assignments, iteration_log=(log,), delta=delta)
 
 
-def train(
-    corpus: Corpus,
-    config: TrainConfig,
-    tables: Tables,
-    checkpoint_dir: Path | str | None = None,
-) -> TrainState:
-    """Initialization followed by `iterations` rounds of (E-step, M-step)."""
-    state = initialize(corpus, config, tables)
-    if checkpoint_dir is not None:
-        checkpoint_dir = Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        # A longer earlier run's checkpoints would sit beside this run's as if they were its own.
-        written = {f"checkpoint_iter{it:02d}.json" for it in range(config.iterations + 1)}
-        for path in checkpoint_dir.glob("checkpoint_iter*.json"):
-            if path.name not in written and re.fullmatch(r"checkpoint_iter[0-9]+\.json", path.name):
-                path.unlink()
-        save_params(state.params, checkpoint_dir / "checkpoint_iter00.json", corpus.frame_shift_ms)
+def train(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainState:
+    """Initialization followed by `iterations` rounds of (E-step, M-step).
 
+    Touches no file: each `iteration_log` row carries the parameters its
+    iteration ends with, for the caller to write.
+    """
+    state = initialize(corpus, config, tables)
     params = state.params
     assignments = state.assignments
     log = list(state.iteration_log)
@@ -403,9 +390,7 @@ def train(
         # perfbench's e_step hook binds four positional arguments, then prev_assignments by name
         assignments, total = e_step(corpus, params, tables, state.delta, prev_assignments=prev_assignments)
         params = m_step(corpus, assignments, config, params, prev_assignments=prev_assignments)
-        log.append(IterationStats(it, total, time.perf_counter() - started))
-        if checkpoint_dir is not None:
-            save_params(params, checkpoint_dir / f"checkpoint_iter{it:02d}.json", corpus.frame_shift_ms)
+        log.append(IterationStats(it, total, time.perf_counter() - started, params))
     return TrainState(params=params, assignments=assignments, iteration_log=tuple(log), delta=state.delta)
 
 

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from spanalign import cli
 from spanalign.cli import (
     _alignment_rows,
     _config,
@@ -13,7 +14,7 @@ from spanalign.cli import (
     main,
 )
 from spanalign.corpus import Corpus, SentencePair, write_feature_file
-from spanalign.evalkit import alignment_to_links
+from spanalign.evalkit import EvalReport, alignment_to_links
 from spanalign.segmentation import SegmentationConfig
 from spanalign.synth import SynthConfig
 from spanalign import trainer
@@ -123,6 +124,36 @@ def test_align_rerun_removes_stale_checkpoints(tmp_path):
     ]
     assert (run_dir / "notes.txt").read_text() == "kept\n"
     assert (run_dir / "checkpoint.json").read_bytes() == (run_dir / "checkpoint_iter01.json").read_bytes()
+
+
+def test_align_writes_checkpoints(tmp_path, monkeypatch):
+    # One checkpoint per iteration_log row, written by align from the parameters train returns.
+    states = []
+
+    def recorded_train(*args, **kwargs):
+        states.append(trainer.train(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(cli, "train", recorded_train)
+    run_dir = _align(tmp_path, _synth(tmp_path))
+    names = sorted(p.name for p in run_dir.glob("checkpoint*.json"))
+    assert names == ["checkpoint.json", "checkpoint_iter00.json", "checkpoint_iter01.json", "checkpoint_iter02.json"]
+    (state,) = states
+    for stat in state.iteration_log:
+        saved = json.loads((run_dir / f"checkpoint_iter{stat.iteration:02d}.json").read_text())
+        assert saved["u"] == stat.params.u.tolist()
+    assert (run_dir / "checkpoint.json").read_bytes() == (run_dir / "checkpoint_iter02.json").read_bytes()
+
+
+def test_align_zero_iterations_removes_stale_checkpoint(tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "checkpoint_iter01.json").write_text("{}\n")
+    _align(tmp_path, _synth(tmp_path), "--iterations", "0")
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "alignments.tsv", "checkpoint.json", "checkpoint_iter00.json", "iteration_log.tsv",
+    ]
+    assert (run_dir / "checkpoint.json").read_bytes() == (run_dir / "checkpoint_iter00.json").read_bytes()
 
 
 def test_align_then_eval_end_to_end(tmp_path, capsys):
@@ -321,6 +352,33 @@ def test_align_reads_translation_with_unicode_line_separator(tmp_path):
     _align(tmp_path, corpus_dir)
 
 
+def test_byte_order_marks_are_ignored(tmp_path, capsys):
+    # A leading UTF-8 BOM on any text input changes no output of align or eval.
+    corpus_dir = _synth(tmp_path)
+    bom_dir = tmp_path / "bom" / "corpus"
+    bom_dir.mkdir(parents=True)
+    for path in corpus_dir.iterdir():
+        if path.suffix in (".txt", ".feat", ".energy", ".bounds", ".tsv"):
+            (bom_dir / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    runs = [_align(tmp_path, corpus_dir), _align(tmp_path / "bom", bom_dir)]
+    for name in ["alignments.tsv", "checkpoint.json", "checkpoint_iter00.json", "checkpoint_iter02.json"]:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    logs = [[row.split("\t")[:2] for row in (run / "iteration_log.tsv").read_text().splitlines()] for run in runs]
+    assert logs[0] == logs[1]  # seconds aside
+
+    bom_alignments = tmp_path / "bom" / "alignments.tsv"
+    bom_alignments.write_bytes(b"\xef\xbb\xbf" + (runs[0] / "alignments.tsv").read_bytes())
+    capsys.readouterr()
+    reports = []
+    for alignments, gold, out in [
+        (runs[0] / "alignments.tsv", corpus_dir / "gold.tsv", tmp_path / "report"),
+        (bom_alignments, bom_dir / "gold.tsv", tmp_path / "bom" / "report"),
+    ]:
+        assert main(["eval", str(alignments), str(gold), "--output", str(out)]) == 0
+        reports.append([capsys.readouterr().out] + [(out / n).read_bytes() for n in ("report.txt", "report.tsv")])
+    assert reports[0] == reports[1]
+
+
 def test_align_requires_output(tmp_path, capsys):
     code = main(["align", "--manifest", str(tmp_path / "m.txt")])
     assert code == 1
@@ -359,6 +417,19 @@ def test_grid_selects_lambda_on_dev(tmp_path, capsys):
     assert rows[4].startswith("test_f\t")
     selected = float(rows[3].split("\t")[1])
     assert selected in (0.3, 0.5)
+
+
+@pytest.mark.parametrize("grid", ["0.3,0.5", "0.5,0.3"])
+def test_grid_tie_selects_first_lambda(tmp_path, capsys, monkeypatch, grid):
+    # A later lambda replaces the best only with a strictly higher dev F.
+    monkeypatch.setattr(cli, "evaluate", lambda *args: EvalReport(0.5, 0.5, 0.5, {}, {}))
+    code, _ = _grid_on_splits(
+        tmp_path, capsys, "{0}\n{1}\n", "{2}\n{3}\n{4}\n", "--lambda-grid", grid, "--iterations", "1"
+    )
+    assert code == 0
+    rows = (tmp_path / "grid" / "grid_report.tsv").read_text().splitlines()
+    first, second = grid.split(",")
+    assert rows == ["lambda\tdev_f", f"{first}\t0.5", f"{second}\t0.5", f"selected\t{first}", "test_f\t0.5"]
 
 
 def test_grid_does_lambda_independent_work_once(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
+import builtins
 import dataclasses
 import hashlib
-import json
+import io
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -463,14 +466,31 @@ def test_train_zero_iterations_is_initialization_only():
     assert state.assignments == ref.assignments
 
 
-def test_train_writes_checkpoints(tmp_path):
+def test_train_touches_no_file(monkeypatch):
+    # train is a pure computation: each iteration_log row carries its
+    # parameters, and cli.cmd_align alone writes them.
     corpus = _small_corpus(sentences=4)
     tables = build_tables(corpus, SegmentationConfig())
-    state = train(corpus, TrainConfig(iterations=2), tables=tables, checkpoint_dir=tmp_path)
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == ["checkpoint_iter00.json", "checkpoint_iter01.json", "checkpoint_iter02.json"]
-    final = json.loads((tmp_path / "checkpoint_iter02.json").read_text())
-    assert final["u"] == state.params.u.tolist()
+    config = TrainConfig(iterations=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("train touched the filesystem")
+
+    for target, name in [
+        (builtins, "open"), (io, "open"), (os, "open"), (os, "replace"), (os, "rename"),
+        (os, "unlink"), (os, "remove"), (os, "mkdir"), (os, "makedirs"), (os, "scandir"),
+        (pathlib.Path, "mkdir"), (pathlib.Path, "unlink"), (pathlib.Path, "touch"), (pathlib.Path, "glob"),
+    ]:
+        monkeypatch.setattr(target, name, refuse)
+    state = train(corpus, config, tables=tables)
+    monkeypatch.undo()
+
+    assert [st.iteration for st in state.iteration_log] == [0, 1, 2]
+    assert all(isinstance(st.params, ModelParams) for st in state.iteration_log)
+    assert state.iteration_log[-1].params is state.params
+    initial = initialize(corpus, config, tables).params
+    assert np.array_equal(state.iteration_log[0].params.u, initial.u)
+    assert not np.array_equal(initial.u, state.params.u)
 
 
 def test_final_alignments_scores_are_finite():
