@@ -8,6 +8,8 @@ Settings are command-line flags only, and argparse holds their
 defaults, read from the config dataclasses.  Output files are written
 atomically.  Alignment rows are 0-indexed with exclusive ends: utt_id,
 word_index, word, cluster_id, start_frame, end_frame, log_score.
+In-memory spans are 1-indexed inclusive: `_alignment_rows` converts
+them for the file, `_split_f` into grid's (word, frame) links.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .corpus import (
     read_manifest,
     save_corpus,
 )
-from .evalkit import EvalReport, evaluate, format_report, report_rows, score_links
+from .evalkit import EvalReport, format_report, report_rows, score_links
 from .model import save_params
 from .segmentation import SegmentationConfig
 from .synth import SynthConfig, synth_generate
@@ -239,6 +241,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _split_f(alignments: dict, gold: dict, ids: list[str]) -> float:
+    """F over the pooled links of utterances `ids`; span (a, b) links its word to frames a-1 .. b-1."""
+    pred = {(u, w, j - 1) for u in ids for w, (_, a, b, _) in enumerate(alignments[u]) for j in range(a, b + 1)}
+    gold_links = {(u, w, j) for u in ids for w, j in gold.get(u, ())}  # no gold rows: no gold links
+    return score_links(pred, gold_links).f_score
+
+
 def cmd_grid(args: argparse.Namespace) -> int:
     values = vars(args)
     _require(
@@ -269,23 +278,20 @@ def cmd_grid(args: argparse.Namespace) -> int:
             if utt_id not in known:
                 raise CorpusError(f"{values[name]}:{lineno}: split utterance {utt_id!r} not in the corpus")
     corpus, out_dir, tables = _load_tables(values, seg_config)
-    by_id = {p.utt_id: p for p in corpus.pairs}
-    dev = Corpus(tuple(by_id[u] for u in dev_ids))
-    test = Corpus(tuple(by_id[u] for u in test_ids))
 
     rows = ["lambda\tdev_f"]
     best = None
     for config in configs:
         lam = config.lam
         alignments = final_alignments(corpus, train(corpus, config, tables), tables)
-        dev_f = evaluate(alignments, corpus.gold, dev).f_score
+        dev_f = _split_f(alignments, corpus.gold, dev_ids)
         rows.append(f"{lam!r}\t{dev_f!r}")
         print(f"lambda {lam}: dev f_score {dev_f:.6f}")
         if best is None or dev_f > best[1]:
             best = (lam, dev_f, alignments)
 
     lam, dev_f, alignments = best
-    test_f = evaluate(alignments, corpus.gold, test).f_score
+    test_f = _split_f(alignments, corpus.gold, test_ids)
     rows.append(f"selected\t{lam!r}")
     rows.append(f"test_f\t{test_f!r}")
     atomic_write_text(out_dir / "grid_report.tsv", "\n".join(rows) + "\n")

@@ -175,10 +175,7 @@ def _read_lines(path: Path | str, keep: int = 0) -> list[str]:
 
 def _nonblank_lines(path: Path | str) -> Iterator[tuple[int, str]]:
     """(lineno, line) for each non-blank line, numbered from 1, without its newline."""
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.strip():
-                yield lineno, line.rstrip("\n")
+    return ((n, line) for n, line in enumerate(_read_lines(path), 1) if line.strip())
 
 
 def read_feature_file(path: Path | str) -> np.ndarray:

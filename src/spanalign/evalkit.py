@@ -1,20 +1,16 @@
-"""Frame-level alignment evaluation against gold links.
+"""Frame-level alignment scores over link sets, and the report formats.
 
-Links are (word_index, frame_index) pairs, both 0-indexed; spans inside
-the package are 1-indexed inclusive, so conversion happens here.  All
-corpus-level figures are micro-averages over links pooled across
-utterances.
+Links are (utt_id, word_index, frame_index) triples, both indices
+0-indexed.  `cli` builds them: `_file_report` from alignment and gold
+files for eval, and `_split_f` from grid's in-memory 1-indexed
+inclusive spans.  All corpus-level figures are micro-averages over
+links pooled across utterances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
-
-from .corpus import Corpus, SentencePair
-
-Link = tuple[int, int]
-Word = tuple[int, int, int, float]  # (cluster, span start, span end, log score)
 
 
 class Scores(NamedTuple):
@@ -30,16 +26,6 @@ class EvalReport:
     f_score: float
     per_utterance: dict[str, Scores]
     per_word_type: dict[str, Scores]
-
-
-def alignment_to_links(words: tuple[Word, ...], pair: SentencePair) -> set[Link]:
-    """Expand the words' inclusive 1-indexed spans on `pair` into 0-indexed (word, frame) links."""
-    links = set()
-    for w_idx, (_, a, b, _) in enumerate(words):
-        if not (1 <= a <= b <= pair.m):
-            raise ValueError(f"{pair.utt_id}: span ({a}, {b}) outside [1, {pair.m}]")
-        links.update((w_idx, j - 1) for j in range(a, b + 1))
-    return links
 
 
 def score_links(predicted: set, gold: set) -> Scores:
@@ -59,23 +45,6 @@ def score_links(predicted: set, gold: set) -> Scores:
         recall = 1.0 if not predicted else 0.0
     f_score = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return Scores(precision, recall, f_score)
-
-
-def evaluate(
-    alignments: dict[str, tuple[Word, ...]],
-    gold: dict[str, frozenset[Link]],
-    corpus: Corpus,
-) -> Scores:
-    """Micro-averaged scores over the links of `corpus`; a missing side counts as empty."""
-    pooled_pred = set()
-    pooled_gold = set()
-    for pair in corpus:
-        if pair.utt_id in alignments:
-            links = alignment_to_links(alignments[pair.utt_id], pair)
-            pooled_pred.update((pair.utt_id, w, j) for w, j in links)
-        if pair.utt_id in gold:
-            pooled_gold.update((pair.utt_id, w, j) for w, j in gold[pair.utt_id])
-    return score_links(pooled_pred, pooled_gold)
 
 
 def format_report(report: EvalReport) -> str:

@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spanalign.cli import _file_report, main
+from spanalign.cli import _file_report, _split_f, main
 from spanalign.corpus import load_corpus
 from spanalign.distortion import log_delta_a, log_delta_b
 from spanalign.dtw import dba_centroid, dtw_distance, frame_distances
-from spanalign.evalkit import evaluate
 from spanalign.segmentation import SegmentationConfig
 from spanalign.trainer import (
     Tables,
@@ -35,6 +34,7 @@ from spanalign.trainer import (
     train,
 )
 
+from corpus_flags import corpus_flags
 from oracles import (
     analytic_delta_argmax,
     brute_force_word_argmax,
@@ -54,10 +54,7 @@ def _align(corpus_dir, out_dir, *extra):
     code = main(
         [
             "align",
-            "--manifest", str(corpus_dir / "manifest.txt"),
-            "--features", str(corpus_dir),
-            "--translations", str(corpus_dir / "translations.txt"),
-            "--gold", str(corpus_dir / "gold.tsv"),
+            *corpus_flags(corpus_dir, gold=True),
             "--output", str(out_dir),
             *extra,
         ]
@@ -177,9 +174,10 @@ def test_noiseless_corpus_recovered_exactly(clean_corpus_dir, tmp_path):
 def test_noisy_recovery_beats_character_length_baseline(noisy_run):
     started = time.perf_counter()
     corpus, _, _, alignments, train_seconds = noisy_run
-    model_f = evaluate(alignments, corpus.gold, corpus).f_score
+    ids = [pair.utt_id for pair in corpus]
+    model_f = _split_f(alignments, corpus.gold, ids)
     naive = {pair.utt_id: naive_baseline(pair) for pair in corpus}
-    naive_f = evaluate(naive, corpus.gold, corpus).f_score
+    naive_f = _split_f(naive, corpus.gold, ids)
     assert model_f >= 0.85
     assert model_f > naive_f
     assert train_seconds + time.perf_counter() - started < 300.0
@@ -195,7 +193,7 @@ def test_deficient_variant_outscores_proper_with_shared_prototypes(noisy_run):
         )
         probe = TrainState(params=params, assignments=assignments, iteration_log=(), delta=state.delta)
         alignments = final_alignments(corpus, probe, tables)
-        return evaluate(alignments, corpus.gold, corpus).f_score
+        return _split_f(alignments, corpus.gold, [pair.utt_id for pair in corpus])
 
     deficient_f = realign_f(state.params)
     proper_f = realign_f(dataclasses.replace(state.params, variant="proper"))

@@ -4,15 +4,14 @@ perfbench counts DP cells, pairwise DTW calls, DBA members, span-cost
 calls and span tables from call arguments and results, and per EM
 iteration the assignments changed and the live clusters.  A change that
 only makes the same work faster must leave every one of these counts
-as it is; this test installs the benchmark's tracer in-process on the
-8-sentence seed-0 smoke corpora and compares them with recorded values.
+as it is; this test reads them from the benchmark's tracer, installed
+in-process on the 8-sentence seed-0 smoke corpora by the run it shares
+with test_bench_hooks, and compares them with recorded values.
 """
 
 import pytest
 
-from spanalign import cli
-
-from test_bench_hooks import MODULES, child, run
+from test_bench_hooks import traced_smoke_run
 
 EXPECTED = {
     "smoke": {
@@ -43,23 +42,8 @@ PER_ITERATION = {
 
 
 @pytest.mark.parametrize("workload", sorted(EXPECTED))
-def test_traced_work_counts(tmp_path, workload):
-    spec = run.WORKLOADS[workload]
-    corpus = tmp_path / "corpus"
-    assert cli.main(["synth", "--output", str(corpus), "--seed", "0", *spec.synth]) == 0
-    saved = {key: getattr(MODULES[key[0]], key[1]) for key in [*child.TIMED, *child.COUNTED]}
-    tracer = child.Tracer()
-    try:
-        tracer.install(MODULES)
-        assert cli.main([
-            "align", "--manifest", str(corpus / "manifest.txt"), "--features", str(corpus),
-            "--translations", str(corpus / "translations.txt"), "--output", str(tmp_path / "run"),
-            "--threads", "1", *spec.align,
-        ]) == 0
-    finally:
-        for (mod, attr), fn in saved.items():
-            setattr(MODULES[mod], attr, fn)
-
+def test_traced_work_counts(workload):
+    tracer, _ = traced_smoke_run(workload)
     counts = {
         name: tracer.counts[name]
         for name in ("dtw.dp_cells", "dtw.repeat_rows", "dtw.dba_members", "model.span_tables")

@@ -9,16 +9,19 @@ from spanalign import cli
 from spanalign.cli import (
     _alignment_rows,
     _config,
+    _file_report,
     _read_alignment_file,
+    _split_f,
     build_parser,
     main,
 )
 from spanalign.corpus import Corpus, SentencePair, write_feature_file
-from spanalign.evalkit import EvalReport, alignment_to_links
 from spanalign.segmentation import SegmentationConfig
 from spanalign.synth import SynthConfig
 from spanalign import trainer
 from spanalign.trainer import TrainConfig
+
+from corpus_flags import corpus_flags
 
 SYNTH_SMALL = [
     "--vocab-size", "5",
@@ -40,10 +43,7 @@ def _align(tmp_path, corpus_dir, *extra):
     code = main(
         [
             "align",
-            "--manifest", str(corpus_dir / "manifest.txt"),
-            "--features", str(corpus_dir),
-            "--translations", str(corpus_dir / "translations.txt"),
-            "--gold", str(corpus_dir / "gold.tsv"),
+            *corpus_flags(corpus_dir, gold=True),
             "--output", str(out),
             "--iterations", "2",
             "--threads", "1",
@@ -205,8 +205,7 @@ def test_alignment_rows_round_trip(tmp_path):
     path = tmp_path / "alignments.tsv"
     path.write_text(text)
     links, names = _read_alignment_file(str(path))
-    expected = {("u1", w, j) for w, j in alignment_to_links(words, pair)}
-    assert links == expected
+    assert links == {("u1", 0, 0), ("u1", 0, 1), ("u1", 1, 2)}
     assert names == {("u1", 0): "aa", ("u1", 1): "b"}
 
 
@@ -397,10 +396,7 @@ def test_grid_selects_lambda_on_dev(tmp_path, capsys):
     code = main(
         [
             "grid",
-            "--manifest", str(corpus_dir / "manifest.txt"),
-            "--features", str(corpus_dir),
-            "--translations", str(corpus_dir / "translations.txt"),
-            "--gold", str(corpus_dir / "gold.tsv"),
+            *corpus_flags(corpus_dir, gold=True),
             "--output", str(out),
             "--dev-manifest", str(dev),
             "--test-manifest", str(test),
@@ -422,7 +418,7 @@ def test_grid_selects_lambda_on_dev(tmp_path, capsys):
 @pytest.mark.parametrize("grid", ["0.3,0.5", "0.5,0.3"])
 def test_grid_tie_selects_first_lambda(tmp_path, capsys, monkeypatch, grid):
     # A later lambda replaces the best only with a strictly higher dev F.
-    monkeypatch.setattr(cli, "evaluate", lambda *args: EvalReport(0.5, 0.5, 0.5, {}, {}))
+    monkeypatch.setattr(cli, "_split_f", lambda *args: 0.5)
     code, _ = _grid_on_splits(
         tmp_path, capsys, "{0}\n{1}\n", "{2}\n{3}\n{4}\n", "--lambda-grid", grid, "--iterations", "1"
     )
@@ -430,6 +426,56 @@ def test_grid_tie_selects_first_lambda(tmp_path, capsys, monkeypatch, grid):
     rows = (tmp_path / "grid" / "grid_report.tsv").read_text().splitlines()
     first, second = grid.split(",")
     assert rows == ["lambda\tdev_f", f"{first}\t0.5", f"{second}\t0.5", f"selected\t{first}", "test_f\t0.5"]
+
+
+def _words(*spans):
+    """An utterance's alignment: cluster 0 and log score 0.0 on each 1-indexed inclusive span."""
+    return tuple((0, a, b, 0.0) for a, b in spans)
+
+
+def test_split_f_expands_inclusive_spans():
+    # Span (1, 3) covers frames 0-2 and (5, 5) frame 4; any other reading misses gold links.
+    gold = {"u": frozenset({(0, 0), (0, 1), (0, 2), (1, 4)})}
+    assert _split_f({"u": _words((1, 3), (5, 5))}, gold, ["u"]) == 1.0
+
+
+def test_split_f_pools_links_across_utterances():
+    # 3 predicted and 4 gold links, 2 hits: P = 2/3, R = 1/2.  The mean of the
+    # utterances' F (2/3 and 1/2) is 7/12, and links without their utterance id would give 4/5.
+    gold = {"u1": frozenset({(0, 0)}), "u2": frozenset({(0, 0), (0, 1), (0, 2)})}
+    alignments = {"u1": _words((1, 2)), "u2": _words((1, 1)), "u3": _words((1, 4))}
+    assert _split_f(alignments, gold, ["u1", "u2"]) == pytest.approx(4 / 7)
+
+
+def test_split_f_utterance_without_gold_counts_as_empty_gold():
+    # u2 has no gold rows, so its 2 predicted links are all misses: P = 1/3, R = 1.
+    gold = {"u1": frozenset({(0, 0)})}
+    assert _split_f({"u1": _words((1, 1)), "u2": _words((1, 2))}, gold, ["u1", "u2"]) == pytest.approx(0.5)
+
+
+def test_grid_test_f_equals_eval_f(tmp_path):
+    # grid scores its test split on in-memory alignments; eval reads the
+    # same alignments from align's file.  Both must give the same F bits.
+    corpus_dir = tmp_path / "corpus"
+    assert main(["synth", "--output", str(corpus_dir), "--sentences", "20", "--no-bounds",
+                 "--silence-prob", "0.3"]) == 0
+    ids = (corpus_dir / "manifest.txt").read_text().split()
+    (tmp_path / "dev.txt").write_text("\n".join(ids[:8]) + "\n")
+    (tmp_path / "test.txt").write_text("\n".join(ids[8:]) + "\n")
+    splits = ["--dev-manifest", str(tmp_path / "dev.txt"), "--test-manifest", str(tmp_path / "test.txt")]
+    assert main(["grid", *corpus_flags(corpus_dir, gold=True), "--output", str(tmp_path / "grid"),
+                 *splits, "--lambda-grid", "0.5"]) == 0
+    assert main(["align", *corpus_flags(corpus_dir, gold=True), "--output", str(tmp_path / "run"),
+                 "--lambda", "0.5"]) == 0
+    rows = (tmp_path / "grid" / "grid_report.tsv").read_text().splitlines()
+    assert rows[-1].startswith("test_f\t")
+
+    test_ids = set(ids[8:])
+    for name, path in [("pred.tsv", tmp_path / "run" / "alignments.tsv"), ("gold.tsv", corpus_dir / "gold.tsv")]:
+        kept = [row for row in path.read_text().splitlines() if row.split("\t")[0] in test_ids]
+        (tmp_path / name).write_text("\n".join(kept) + "\n")
+    report = _file_report(str(tmp_path / "pred.tsv"), str(tmp_path / "gold.tsv"))
+    assert report.f_score == float(rows[-1].split("\t")[1])
 
 
 def test_grid_does_lambda_independent_work_once(tmp_path, monkeypatch):
@@ -456,10 +502,7 @@ def test_grid_does_lambda_independent_work_once(tmp_path, monkeypatch):
     code = main(
         [
             "grid",
-            "--manifest", str(corpus_dir / "manifest.txt"),
-            "--features", str(corpus_dir),
-            "--translations", str(corpus_dir / "translations.txt"),
-            "--gold", str(corpus_dir / "gold.tsv"),
+            *corpus_flags(corpus_dir, gold=True),
             "--output", str(tmp_path / "grid"),
             "--dev-manifest", str(tmp_path / "dev.txt"),
             "--test-manifest", str(tmp_path / "test.txt"),
@@ -482,10 +525,7 @@ def _grid_on_splits(tmp_path, capsys, dev_text, test_text, *extra):
     code = main(
         [
             "grid",
-            "--manifest", str(corpus_dir / "manifest.txt"),
-            "--features", str(corpus_dir),
-            "--translations", str(corpus_dir / "translations.txt"),
-            "--gold", str(corpus_dir / "gold.tsv"),
+            *corpus_flags(corpus_dir, gold=True),
             "--output", str(tmp_path / "grid"),
             "--dev-manifest", str(tmp_path / "dev.txt"),
             "--test-manifest", str(tmp_path / "test.txt"),
@@ -577,10 +617,7 @@ def _run_on_refused_corpus(tmp_path, monkeypatch, command, shapes, translations)
     code = main(
         [
             command,
-            "--manifest", str(corpus_dir / "manifest.txt"),
-            "--features", str(corpus_dir),
-            "--translations", str(corpus_dir / "translations.txt"),
-            "--gold", str(corpus_dir / "gold.tsv"),
+            *corpus_flags(corpus_dir, gold=True),
             "--output", str(tmp_path / "run"),
             *(splits if command == "grid" else []),
         ]

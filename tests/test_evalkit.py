@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from spanalign.corpus import Corpus, SentencePair
-from spanalign.evalkit import (
-    EvalReport,
-    Scores,
-    alignment_to_links,
-    evaluate,
-    format_report,
-    report_rows,
-    score_links,
-)
+from spanalign.corpus import SentencePair
+from spanalign.evalkit import EvalReport, Scores, format_report, report_rows, score_links
 
 from oracles import naive_baseline
 
@@ -22,22 +14,6 @@ def _pair(utt_id, words, m):
         rng.standard_normal((m, 2)),
         tuple(words),
     )
-
-
-def _words(spans):
-    return tuple((0, a, b, 0.0) for a, b in spans)
-
-
-def test_alignment_to_links_expands_inclusive_spans():
-    pair = _pair("u", ["ab", "cd"], m=6)
-    links = alignment_to_links(_words([(1, 3), (5, 5)]), pair)
-    assert links == {(0, 0), (0, 1), (0, 2), (1, 4)}
-
-
-def test_alignment_to_links_rejects_out_of_range():
-    pair = _pair("u", ["ab"], m=4)
-    with pytest.raises(ValueError, match=r"u: span \(2, 5\) outside \[1, 4\]"):
-        alignment_to_links(_words([(2, 5)]), pair)
 
 
 def test_score_links_hand_example():
@@ -52,33 +28,6 @@ def test_score_links_empty_conventions():
     assert score_links(set(), {1}) == (0.0, 0.0, 0.0)
     assert score_links({1}, set()) == (0.0, 0.0, 0.0)
     assert score_links({1}, {1}) == (1.0, 1.0, 1.0)
-
-
-def test_evaluate_pools_links_across_utterances():
-    pairs = (_pair("u1", ["aa"], m=4), _pair("u2", ["aa"], m=4))
-    gold = {
-        "u1": frozenset({(0, 0)}),
-        "u2": frozenset({(0, 0), (0, 1)}),
-    }
-    corpus = Corpus(pairs, gold)
-    alignments = {
-        "u1": _words([(1, 2)]),
-        "u2": _words([(1, 1)]),
-    }
-    report = evaluate(alignments, gold, corpus)
-
-    # Pooled: 3 predicted links, 3 gold links, 2 hits.
-    assert report.precision == pytest.approx(2 / 3)
-    assert report.recall == pytest.approx(2 / 3)
-    assert report.f_score == pytest.approx(2 / 3)
-
-
-def test_evaluate_missing_prediction_counts_as_empty():
-    pair = _pair("u1", ["aa"], m=3)
-    gold = {"u1": frozenset({(0, 0)})}
-    report = evaluate({}, gold, Corpus((pair,), gold))
-    assert report.precision == 0.0
-    assert report.recall == 0.0
 
 
 def test_naive_baseline_tiles_the_utterance():

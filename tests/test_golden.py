@@ -12,6 +12,8 @@ import pytest
 
 from spanalign.cli import main
 
+from corpus_flags import corpus_flags
+
 GOLDEN = {
     "deficient": {
         "alignments.tsv": "e29e0c01c611713c60caf1cd5e9f33a215b55af97d03560177355a04983af16e",
@@ -98,10 +100,7 @@ def test_outputs_match_golden_digests(corpus_dir, tmp_path, variant):
     code = main(
         [
             "align",
-            "--manifest", str(corpus_dir / "manifest.txt"),
-            "--features", str(corpus_dir),
-            "--translations", str(corpus_dir / "translations.txt"),
-            "--gold", str(corpus_dir / "gold.tsv"),
+            *corpus_flags(corpus_dir, gold=True),
             "--output", str(run),
             "--threads", "1",
             "--variant", variant,
@@ -127,10 +126,7 @@ def test_grid_report_matches_golden_digest(tmp_path):
     code = main(
         [
             "grid",
-            "--manifest", str(corpus / "manifest.txt"),
-            "--features", str(corpus),
-            "--translations", str(corpus / "translations.txt"),
-            "--gold", str(corpus / "gold.tsv"),
+            *corpus_flags(corpus, gold=True),
             "--output", str(tmp_path / "grid"),
             "--dev-manifest", str(tmp_path / "dev.txt"),
             "--test-manifest", str(tmp_path / "test.txt"),

@@ -2,9 +2,10 @@
 module-level function and class is referenced in the package, the
 benchmark or `pyproject.toml` (a name that only tests use is not part of
 the program), no function imports a package module (a deferred import
-hides an import cycle), the leaf modules `corpus`, `distortion` and
-`dtw` import no package module at all (`dtw` and `distortion` work on
-arrays and integers, below the corpus types), each module imports
+hides an import cycle), the leaf modules `corpus`, `distortion`, `dtw`
+and `evalkit` import no package module at all (`dtw` and `distortion`
+work on arrays and integers, below the corpus types, and `evalkit` on
+link sets), each module imports
 exactly the package modules that `IMPORT_GRAPH` lists and that table has
 no cycle, no parameter defaults to a `*Config` attribute or instance
 (the setting would get a second home that skips the config's
@@ -23,11 +24,13 @@ import pytest
 
 from spanalign.cli import main
 
+from corpus_flags import corpus_flags
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spanalign"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 ROOT = PACKAGE.parents[1]
 SEARCHED = [*(p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))), ROOT / "pyproject.toml"]
-LEAF_MODULES = ("corpus.py", "distortion.py", "dtw.py")
+LEAF_MODULES = ("corpus.py", "distortion.py", "dtw.py", "evalkit.py")
 # The package modules each module imports.  A new edge is added here on
 # purpose, and `test_import_graph_has_no_cycle` keeps the table acyclic.
 IMPORT_GRAPH = {
@@ -38,7 +41,7 @@ IMPORT_GRAPH = {
     "segmentation.py": ("corpus",),
     "model.py": ("corpus", "distortion", "dtw"),
     "synth.py": ("corpus", "model"),
-    "evalkit.py": ("corpus",),
+    "evalkit.py": (),
     "trainer.py": ("corpus", "distortion", "dtw", "model", "segmentation"),
     "cli.py": ("corpus", "evalkit", "model", "segmentation", "synth", "trainer"),
 }
@@ -205,10 +208,7 @@ def test_align_does_not_import_numpy_ma(tmp_path):
         "code = main(sys.argv[1:])\n"
         "print('numpy.ma' in sys.modules, code)\n"
     )
-    argv = [
-        "align", "--manifest", str(corpus / "manifest.txt"), "--features", str(corpus),
-        "--translations", str(corpus / "translations.txt"), "--output", str(tmp_path / "run"),
-    ]
+    argv = ["align", *corpus_flags(corpus), "--output", str(tmp_path / "run")]
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr

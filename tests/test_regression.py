@@ -13,6 +13,8 @@ import pytest
 
 from spanalign.cli import main
 
+from corpus_flags import corpus_flags
+
 NO_SILENCE = ["--silence-prob", "0", "--noise-std", "0.3"]
 
 # name -> (synth flags, F floor), measured at seed 0
@@ -40,8 +42,7 @@ def _f_score(tmp_path, capsys, name, synth):
     assert main(["synth", "--output", str(corpus), "--no-bounds", *synth]) == 0
     assert not list(corpus.glob("*.bounds"))
     run = tmp_path / f"{name}_run"
-    assert main(["align", "--manifest", str(corpus / "manifest.txt"), "--features", str(corpus),
-                 "--translations", str(corpus / "translations.txt"), "--output", str(run)]) == 0
+    assert main(["align", *corpus_flags(corpus), "--output", str(run)]) == 0
     capsys.readouterr()
     assert main(["eval", str(run / "alignments.tsv"), str(corpus / "gold.tsv")]) == 0
     f_line = capsys.readouterr().out.splitlines()[2]
