@@ -105,7 +105,6 @@ _SYNTH_OPTIONS = [
            "probability of a silence at each word junction"),
     Option("silence_len_min", int, _SYNTH.silence_len_min, "minimum silence length in frames"),
     Option("silence_len_max", int, _SYNTH.silence_len_max, "maximum silence length in frames"),
-    Option("frame_shift_ms", float, _SYNTH.frame_shift_ms, "frame shift in milliseconds"),
     Option("bounds", bool, _SYNTH.bounds, "write <utt_id>.bounds sidecars with the true word edges"),
 ]
 

@@ -116,10 +116,11 @@ class SpanLanes(tuple):
     """A tuple of (a, b) spans over one frame array, with the kernel's lane layout.
 
     `candidate_span_costs` runs one lane per distinct start a, over the
-    frames a..a + width - 1 of the widest span from a.  None of the
-    layout depends on the prototype, so a caller that scores several
-    prototypes against the same spans builds it once.  It holds the
-    packed covered frames, so it should not outlive that caller.
+    frames a..a + width - 1 of the widest span from a, and takes its
+    spans only in this form.  None of the layout depends on the
+    prototype, so the caller builds it once for every prototype it
+    scores against the same spans.  It holds the packed covered frames,
+    so it should not outlive that caller.
     """
 
     def __new__(cls, frames: np.ndarray, spans: Sequence[tuple[int, int]]):
@@ -160,29 +161,27 @@ class SpanLanes(tuple):
         return self
 
 
-def candidate_span_costs(
-    proto: np.ndarray, frames: np.ndarray, spans: Sequence[tuple[int, int]]
-) -> np.ndarray:
+def candidate_span_costs(proto: np.ndarray, frames: np.ndarray, spans: SpanLanes) -> np.ndarray:
     """Normalized DTW cost from a prototype to each (a, b) span, in the order given.
 
-    Spans are 1-indexed inclusive.  Pass a `SpanLanes` built on this
-    `frames` array to reuse its layout; any other sequence of spans gets
-    its layout built here.  Lane l holds the DP table of the prototype
-    against the frames of its start a, and row n of that table yields
-    every span (a, b), because column b - a + 1 only depends on the
-    columns before it.  All lanes advance together, one anti-diagonal
-    i + j = k per step over (rows, lanes) arrays, and each cell is the
-    same `d + min(diag, up, left)` as in the table of `dtw_distance`, so
-    the costs equal `dtw_distance` on each span bit for bit (Sakoe &
-    Chiba 1978).  That also needs the same frame distances: one
-    `frame_distances` call fills the prototype against every covered
-    frame, and its fixed two-lane summation order (module docstring)
-    gives each cell the value `dtw_distance` computes for that frame
-    pair, whatever the shape of the block.  One call over the whole
-    matrix beat column blocks of 512 or 2048 frames.
+    Spans are 1-indexed inclusive, and `spans` is the `SpanLanes` built
+    on this `frames` array, as `model.span_cost_rows` builds it; any
+    other sequence is refused.  Lane l holds the DP table of the
+    prototype against the frames of its start a, and row n of that table
+    yields every span (a, b), because column b - a + 1 only depends on
+    the columns before it.  All lanes advance together, one
+    anti-diagonal i + j = k per step over (rows, lanes) arrays, and each
+    cell is the same `d + min(diag, up, left)` as in the table of
+    `dtw_distance`, so the costs equal `dtw_distance` on each span bit
+    for bit (Sakoe & Chiba 1978).  That also needs the same frame
+    distances: one `frame_distances` call fills the prototype against
+    every covered frame, and its fixed two-lane summation order (module
+    docstring) gives each cell the value `dtw_distance` computes for
+    that frame pair, whatever the shape of the block.  One call over the
+    whole matrix beat column blocks of 512 or 2048 frames.
     """
     if not (isinstance(spans, SpanLanes) and spans.frames is frames):
-        spans = SpanLanes(frames, spans)
+        raise ValueError("spans must be a SpanLanes built on this frames array")
     n = proto.shape[0]
     packed, base = spans.packed, spans.base
 

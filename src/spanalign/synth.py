@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, SentencePair, check_frame_shift
+from .corpus import Corpus, SentencePair
 from .model import ClusterInventory, ModelParams
 
 
@@ -23,6 +23,8 @@ class SynthConfig:
     from [proto_len_min, proto_len_max]; sentences are emitted as
     (optionally reordered) prototype concatenations with silences at word
     junctions.  With `bounds`, each pair carries its true word edges.
+    The corpus keeps the default frame shift: `align --frame-shift-ms`
+    sets the shift of a run, and no corpus file records one.
     """
 
     seed: int = 0
@@ -41,7 +43,6 @@ class SynthConfig:
     silence_prob: float = 1.0
     silence_len_min: int = 9
     silence_len_max: int = 14
-    frame_shift_ms: float = Corpus.frame_shift_ms
     bounds: bool = True
 
     def __post_init__(self):
@@ -63,7 +64,6 @@ class SynthConfig:
         for name in ("reorder_prob", "silence_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        check_frame_shift(self.frame_shift_ms)
 
 
 # Tokens have one fixed length because the mu split allocates frames by
@@ -164,7 +164,7 @@ def synth_generate(config: SynthConfig) -> tuple[Corpus, ModelParams]:
             (word, frame) for word, (s, e) in spans.items() for frame in range(s, e)
         )
 
-    corpus = Corpus(tuple(pairs), gold, config.frame_shift_ms)
+    corpus = Corpus(tuple(pairs), gold)
 
     inventory = ClusterInventory.build(tokens, k=1)
     u = np.full(config.vocab_size, 1.0 / config.vocab_size)

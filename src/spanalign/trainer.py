@@ -90,10 +90,12 @@ class Tables:
 
     A deficient cluster is scored on the utterances that contain its
     word; a proper cluster on every utterance, since the normalizer runs
-    over all live clusters.  `refresh` computes the rows of each cluster
-    whose prototype object changed, one `span_cost_rows` call per group
-    of clusters sharing an utterance list, drops clusters that are no
-    longer live, and drops every row when the variant changes.
+    over all live clusters.  Those lists are built in one pass over the
+    corpus; a word that no utterance has gets none.  `refresh` computes
+    the rows of each cluster whose prototype object changed, one
+    `span_cost_rows` call per group of clusters sharing an utterance
+    list, drops clusters that are no longer live, and drops every row
+    when the variant changes.
     """
 
     def __init__(self, corpus: Corpus, candidates: dict[str, tuple[tuple[int, int], ...]]):
@@ -102,8 +104,11 @@ class Tables:
         self.mu = {pair.utt_id: allocate_mu(pair.char_lengths, pair.m) for pair in corpus}
         self.live: dict[int, None] = {}  # live clusters in id order
         self._variant: str | None = None
-        # group key (word, or None for every utterance) -> its pairs
-        self._groups: dict[str | None, tuple[SentencePair, ...]] = {}
+        # group key (word, or None for every utterance) -> its pairs, in corpus order
+        self._groups: dict[str | None, list[SentencePair]] = {None: list(corpus)}
+        for pair in corpus:
+            for word in dict.fromkeys(pair.target_words):
+                self._groups.setdefault(word, []).append(pair)
         # cluster -> (prototype the rows belong to, utt_id -> cost row)
         self._entries: dict[int, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
 
@@ -111,11 +116,6 @@ class Tables:
         """Refuse a corpus whose pairs are not the ones these tables were built for."""
         if corpus.pairs is not self.corpus.pairs:
             raise ValueError("tables were built for another corpus")
-
-    def _group(self, key: str | None) -> tuple[SentencePair, ...]:
-        if key not in self._groups:
-            self._groups[key] = tuple(p for p in self.corpus if key is None or key in p.target_words)
-        return self._groups[key]
 
     def refresh(self, params: ModelParams) -> None:
         """Make `row` and `live` answer for `params`, computing only what changed."""
@@ -131,7 +131,7 @@ class Tables:
                 key = None if params.variant == "proper" else params.inventory.owner[f]
                 stale.setdefault(key, []).append(f)
         for key, fs in stale.items():
-            pairs = self._group(key)
+            pairs = self._groups.get(key, ())
             protos = [params.prototypes[f] for f in fs]
             cands = [self.candidates[pair.utt_id] for pair in pairs]
             for f, proto, rows in zip(fs, protos, span_cost_rows(protos, pairs, cands)):
@@ -246,8 +246,10 @@ def _score_assignments(
 ) -> dict[str, tuple[ScoredAssignment, ...]]:
     """Score every utterance's fixed assignment under `params`, in corpus order.
 
-    Another word's cluster, a dead cluster or a span outside the candidate
-    set scores -inf.
+    Each word's score is read at its span's candidate index and its
+    cluster's slot in the word's slice, so a dead cluster scores -inf.
+    Training makes no other assignment: another word's cluster or a span
+    outside the candidate set raises.
     """
     tables.check(corpus)
     tables.refresh(params)
@@ -256,10 +258,9 @@ def _score_assignments(
         assignment = assignments[pair.utt_id]
         clusters, scores = _utterance_scores(pair, params, tables, delta[pair.utt_id])
         index = {span: s for s, span in enumerate(tables.candidates[pair.utt_id])}
-        spans = np.array([index.get((a, b), -1) for _, a, b in assignment])
-        hit = np.array(clusters) == np.array([f for f, _, _ in assignment])[:, None]
-        picked = scores[np.arange(pair.l), spans, hit.argmax(axis=1)]
-        picked = np.where(hit.any(axis=1) & (spans >= 0), picked, -np.inf).tolist()
+        spans = [index[a, b] for _, a, b in assignment]
+        slots = [fs.index(f) for fs, (f, _, _) in zip(clusters, assignment)]
+        picked = scores[np.arange(pair.l), spans, slots].tolist()
         out[pair.utt_id] = tuple((*word, score) for word, score in zip(assignment, picked))
     return out
 

@@ -296,7 +296,7 @@ def test_bad_settings_rejected_before_reading_files(tmp_path, capsys, command, s
 
 @pytest.mark.parametrize(
     "command, name, value",
-    [("align", "lambda_grid", "abc"), ("align", "dev_manifest", "nope"),
+    [("synth", "frame_shift_ms", "25"), ("align", "lambda_grid", "abc"), ("align", "dev_manifest", "nope"),
      ("align", "test_manifest", "nope"), ("grid", "lambda", "0.5"),
      # No candidate span is null, so a null-span mass would only shift every score.
      ("align", "p0", "0.3"), ("grid", "p0", "0.3")],
@@ -310,11 +310,13 @@ def test_command_rejects_settings_it_does_not_read(capsys, command, name, value)
 
 
 def test_non_default_frame_shift_is_stamped_on_every_prototype(tmp_path):
-    corpus_dir = _synth(tmp_path, "--frame-shift-ms", "25")
+    # align sets a run's frame shift; synth has none and records the default.
+    corpus_dir = _synth(tmp_path)
     run = _align(tmp_path, corpus_dir, "--frame-shift-ms", "25")
-    for path in (corpus_dir / "true_params.json", run / "checkpoint.json", *run.glob("checkpoint_iter*.json")):
+    for path, want in [(corpus_dir / "true_params.json", 10.0), (run / "checkpoint.json", 25.0),
+                       *((path, 25.0) for path in run.glob("checkpoint_iter*.json"))]:
         shifts = {p["frame_shift_ms"] for p in json.loads(path.read_text())["prototypes"] if p is not None}
-        assert shifts == {25.0}, path
+        assert shifts == {want}, path
 
 
 @pytest.mark.parametrize(
@@ -376,6 +378,18 @@ def test_byte_order_marks_are_ignored(tmp_path, capsys):
         assert main(["eval", str(alignments), str(gold), "--output", str(out)]) == 0
         reports.append([capsys.readouterr().out] + [(out / n).read_bytes() for n in ("report.txt", "report.tsv")])
     assert reports[0] == reports[1]
+
+
+def test_eval_files_gold_of_unnamed_words_under_one_type(tmp_path, capsys):
+    # The alignments name only word 0 of u1; word 1's gold frames are misses filed under "<unnamed>".
+    pred, gold, out = tmp_path / "alignments.tsv", tmp_path / "gold.tsv", tmp_path / "report"
+    pred.write_text("u1\t0\tfoo\t0\t0\t3\t-1.0\n")
+    gold.write_text("u1\t0\t0\t3\nu1\t1\t3\t5\n")
+    assert main(["eval", str(pred), str(gold), "--output", str(out)]) == 0
+    assert "recall\t0.600000" in capsys.readouterr().out
+    rows = (out / "report.tsv").read_text().splitlines()
+    assert rows[1].split("\t")[:4] == ["corpus", "-", "1.0", "0.6"]
+    assert rows[3:] == ["word_type\t<unnamed>\t0.0\t0.0\t0.0", "word_type\tfoo\t1.0\t1.0\t1.0"]
 
 
 def test_align_requires_output(tmp_path, capsys):

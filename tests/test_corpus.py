@@ -85,7 +85,8 @@ def test_corpus_rejects_bad_frame_shift(shift):
 
 
 def test_load_corpus_sets_frame_shift(tmp_path):
-    corpus, _ = synth_generate(SynthConfig(seed=1, vocab_size=4, sentences=3, frame_shift_ms=25.0))
+    synthetic, _ = synth_generate(SynthConfig(seed=1, vocab_size=4, sentences=3))
+    corpus = Corpus(synthetic.pairs, synthetic.gold, frame_shift_ms=25.0)
     assert corpus.frame_shift_ms == 25.0
     save_corpus(corpus, tmp_path)
     paths = (tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")

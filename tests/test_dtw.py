@@ -54,8 +54,9 @@ def test_single_frame_pair():
 
 def test_dimension_mismatch_rejected():
     for proto_dim, frame_dim in ((2, 3), (3, 2)):
+        frames = np.zeros((5, frame_dim))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            candidate_span_costs(np.zeros((2, proto_dim)), np.zeros((5, frame_dim)), [(1, 3)])
+            candidate_span_costs(np.zeros((2, proto_dim)), frames, SpanLanes(frames, [(1, 3)]))
     with pytest.raises(ValueError, match="dimension mismatch"):
         frame_distances(np.zeros((2, 9)), np.zeros((2, 8)))
 
@@ -160,7 +161,7 @@ def _kernel_cases():
 
 def test_candidate_span_costs_matches_loop():
     for proto, frames, spans in _kernel_cases():
-        batched = candidate_span_costs(proto, frames, spans)
+        batched = candidate_span_costs(proto, frames, SpanLanes(frames, spans))
         assert batched.shape == (len(spans),)
         for k, (a, b) in enumerate(spans):
             # bitwise: the wavefront kernel must be the same arithmetic
@@ -182,27 +183,30 @@ def test_shared_layout_matches_fresh_calls():
         for n in range(1, 13):
             proto = rng.normal(size=(n, case_frames.shape[1]))
             shared = candidate_span_costs(proto, case_frames, lanes)
-            assert np.array_equal(shared, candidate_span_costs(proto, case_frames, case_spans))
+            fresh = candidate_span_costs(proto, case_frames, SpanLanes(case_frames, case_spans))
+            assert np.array_equal(shared, fresh)
             for k, (a, b) in enumerate(case_spans):
                 want, _ = dtw_distance(frame_distances(fs(proto), fs(case_frames[a - 1 : b])))
                 assert shared[k] == want
 
 
 def test_layout_of_other_frames_is_not_reused():
+    # The kernel takes only the layout built on its own frames, as span_cost_rows passes it.
     rng = np.random.default_rng(23)
     spans = ((1, 3), (2, 6), (4, 4))
     lanes = SpanLanes(rng.normal(size=(6, 2)), spans)
     frames = rng.normal(size=(6, 2))
     proto = rng.normal(size=(3, 2))
-    want = candidate_span_costs(proto, frames, spans)
-    assert np.array_equal(candidate_span_costs(proto, frames, lanes), want)
+    for other in (lanes, spans, list(spans), SpanLanes(frames.copy(), spans)):
+        with pytest.raises(ValueError, match="SpanLanes built on this frames array"):
+            candidate_span_costs(proto, frames, other)
+    assert candidate_span_costs(proto, frames, SpanLanes(frames, spans)).shape == (3,)
 
 
 def test_candidate_span_costs_no_spans():
     frames = np.zeros((4, 2))
-    for spans in ([], (), SpanLanes(frames, [])):
-        costs = candidate_span_costs(np.ones((3, 2)), frames, spans)
-        assert costs.shape == (0,) and costs.dtype == np.float64
+    costs = candidate_span_costs(np.ones((3, 2)), frames, SpanLanes(frames, []))
+    assert costs.shape == (0,) and costs.dtype == np.float64
 
 
 def test_dba_matches_reference():

@@ -7,7 +7,7 @@ import pytest
 
 from spanalign.corpus import Corpus, CorpusError, SentencePair
 from spanalign.distortion import log_delta_a, log_delta_b
-from spanalign.dtw import candidate_span_costs, dtw_distance, frame_distances
+from spanalign.dtw import SpanLanes, candidate_span_costs, dtw_distance, frame_distances
 from spanalign import model, trainer
 from spanalign.model import (
     ClusterInventory,
@@ -178,7 +178,7 @@ def test_span_cost_rows_equal_per_utterance_calls():
     for proto, costs in zip(protos, rows):
         assert list(costs) == [pair.utt_id for pair in pairs]
         for pair, cands in zip(pairs, candidates):
-            want = candidate_span_costs(proto, pair.frames, cands)
+            want = candidate_span_costs(proto, pair.frames, SpanLanes(pair.frames, cands))
             # bitwise: laying utterances end to end must not change any cost
             assert np.array_equal(costs[pair.utt_id], want)
 
@@ -200,9 +200,9 @@ def test_span_cost_rows_share_one_layout(monkeypatch):
     assert all(called is proto for (called, _, _), proto in zip(seen, protos))
     assert all(frames is seen[0][1] and spans is seen[0][2] for _, frames, spans in seen)
     assert tuple(seen[0][2]) == ((1, 2), (1, 5), (3, 4), (7, 13), (9, 11))
-    frames, spans = seen[0][1], tuple(seen[0][2])
+    frames, spans = seen[0][1], seen[0][2]
     for proto, costs in zip(protos, rows):
-        want = candidate_span_costs(proto, frames, spans)
+        want = candidate_span_costs(proto, frames, SpanLanes(frames, spans))
         assert np.array_equal(costs["u0"], want[:3])
         assert np.array_equal(costs["u1"], want[3:])
 

@@ -16,7 +16,7 @@ from spanalign.corpus import (
 )
 from spanalign.distortion import allocate_mu
 from spanalign import trainer as trainer_module
-from spanalign.dtw import candidate_span_costs
+from spanalign.dtw import SpanLanes, candidate_span_costs
 from spanalign.model import ClusterInventory, ModelParams
 from spanalign.segmentation import SegmentationConfig
 from spanalign.synth import SynthConfig, synth_generate
@@ -102,8 +102,9 @@ def test_e_step_matches_brute_force(variant):
 
 @pytest.mark.parametrize("variant", ["deficient", "proper"])
 def test_final_alignments_scores_match_reference(variant):
-    # Every cluster of the inventory on every candidate span: the word's
-    # own clusters, other words' clusters and dead clusters alike.
+    # Every slot of each word's own slice on every candidate span, dead
+    # clusters included.  Another word's cluster or a span outside the
+    # candidates is no assignment training makes, and it raises.
     rng = np.random.default_rng(21 if variant == "deficient" else 22)
     seen = set()
     for _ in range(25):
@@ -111,21 +112,33 @@ def test_final_alignments_scores_match_reference(variant):
         corpus = Corpus((pair,))
         tables = Tables(corpus, {"tiny": candidates})
         delta = distortion_rows(tables, params.lam)
-        for f in range(params.inventory.n_clusters):
+        slices = [params.inventory.clusters[word] for word in pair.target_words]
+        for j in range(params.inventory.k):
             for a, b in candidates:
-                state = TrainState(params, {"tiny": ((f, a, b),) * pair.l}, (), delta)
+                state = TrainState(params, {"tiny": tuple((fs[j], a, b) for fs in slices)}, (), delta)
                 alignment = final_alignments(corpus, state, tables)["tiny"]
-                for i, (word, (_, _, _, score)) in enumerate(zip(pair.target_words, alignment), start=1):
+                for i, (word, (f, _, _, score)) in enumerate(zip(pair.target_words, alignment), start=1):
                     want = word_log_score(i, word, f, a, b, pair, params, candidates, mu[i - 1])
-                    if f not in params.inventory.clusters[word]:
-                        seen.add("other word")
-                        assert want == score == -np.inf
-                    elif f not in params.live_clusters():
+                    if f not in params.live_clusters():
                         seen.add("dead")
                         assert want == score == -np.inf
                     else:
                         assert abs(score - want) <= 1e-12
-    assert seen == {"other word", "dead"}
+        a, b = candidates[0]
+        own = tuple((fs[0], a, b) for fs in slices)
+        other = [f for f in range(params.inventory.n_clusters) if f not in slices[0]]
+        if other:
+            seen.add("other word")
+            state = TrainState(params, {"tiny": ((other[0], a, b), *own[1:])}, (), delta)
+            with pytest.raises(ValueError):
+                final_alignments(corpus, state, tables)
+        outside = [(a, b) for a in range(1, pair.m + 1) for b in range(a, pair.m + 1) if (a, b) not in candidates]
+        if outside:
+            seen.add("outside")
+            state = TrainState(params, {"tiny": ((slices[0][0], *outside[0]), *own[1:])}, (), delta)
+            with pytest.raises(KeyError):
+                final_alignments(corpus, state, tables)
+    assert seen == {"other word", "dead", "outside"}
 
 
 def _small_corpus(seed=1, sentences=6):
@@ -358,7 +371,7 @@ def test_cost_rows_follow_prototype_objects(monkeypatch, variant):
         spans = tables.candidates[pair.utt_id]
         for g in live:
             if variant == "proper" or params.inventory.owner[g] in pair.target_words:
-                want = candidate_span_costs(changed.prototypes[g], pair.frames, spans)
+                want = candidate_span_costs(changed.prototypes[g], pair.frames, SpanLanes(pair.frames, spans))
                 assert np.array_equal(store.row(g, pair.utt_id), want)
 
     # A cluster that dies is dropped, so its rows are recomputed if it lives again.
