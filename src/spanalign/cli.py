@@ -25,7 +25,6 @@ from .corpus import (
     Corpus,
     CorpusError,
     atomic_write_text,
-    check_frame_shift,
     load_corpus,
     read_gold_file,
     read_interval_rows,
@@ -58,8 +57,7 @@ _RUN_OPTIONS = [
     Option("gold", str, None,
            "gold alignment file: align only checks it against the corpus, grid scores dev and test with it"),
     Option("output", str, None, "output directory"),
-    Option("frame_shift_ms", float, Corpus.frame_shift_ms,
-           "frame shift of the features in milliseconds"),
+    Option("frame_shift_ms", float, _SEG.frame_shift_ms, "frame shift of the features in milliseconds"),
     Option("normalize", bool, True, "normalize each utterance to zero mean, unit variance"),
     Option("threshold_ratio", float, _SEG.threshold_ratio,
            "silence threshold as a ratio of the smoothed peak"),
@@ -146,7 +144,6 @@ def _load_tables(values: dict, seg_config: SegmentationConfig):
         values["features"],
         values["translations"],
         values["gold"],
-        frame_shift_ms=values["frame_shift_ms"],
         normalize=values["normalize"],
     )
     out_dir = Path(values["output"])
@@ -165,7 +162,6 @@ def cmd_align(args: argparse.Namespace) -> int:
     _require(values, ["manifest", "features", "translations", "output"], "align")
     config = _config(TrainConfig, values, lam=values["lambda"])
     seg_config = _config(SegmentationConfig, values)
-    check_frame_shift(values["frame_shift_ms"])
     corpus, out_dir, tables = _load_tables(values, seg_config)
     state = train(corpus, config, tables)
     alignments = final_alignments(corpus, state, tables)
@@ -175,8 +171,8 @@ def cmd_align(args: argparse.Namespace) -> int:
         if path.name not in written and re.fullmatch(r"checkpoint_iter[0-9]+\.json", path.name):
             path.unlink()
     for name, params in written.items():
-        save_params(params, out_dir / name, corpus.frame_shift_ms)
-    save_params(state.params, out_dir / "checkpoint.json", corpus.frame_shift_ms)
+        save_params(params, out_dir / name, seg_config.frame_shift_ms)
+    save_params(state.params, out_dir / "checkpoint.json", seg_config.frame_shift_ms)
     atomic_write_text(out_dir / "alignments.tsv", _alignment_rows(corpus, alignments))
 
     log_lines = [
@@ -264,7 +260,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
             raise ValueError(f"lambda_grid repeats {lam}")
     configs = [_config(TrainConfig, values, lam=lam) for lam in grid]  # each checks its lam
     seg_config = _config(SegmentationConfig, values)
-    check_frame_shift(values["frame_shift_ms"])
     dev_ids = read_manifest(values["dev_manifest"])
     test_ids = read_manifest(values["test_manifest"])
     in_dev = set(dev_ids)
@@ -304,7 +299,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     corpus, true_params = synth_generate(_config(SynthConfig, values))
     out_dir = Path(values["output"])
     save_corpus(corpus, out_dir)
-    save_params(true_params, out_dir / "true_params.json", corpus.frame_shift_ms)
+    save_params(true_params, out_dir / "true_params.json", _SEG.frame_shift_ms)
     print(f"wrote {len(corpus)} utterances to {out_dir}")
     return 0
 

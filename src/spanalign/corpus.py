@@ -44,12 +44,6 @@ def atomic_write_text(path: Path | str, text: str) -> None:
         raise
 
 
-def check_frame_shift(frame_shift_ms: float) -> None:
-    """Reject a frame shift that is not a positive, finite number of milliseconds."""
-    if not (frame_shift_ms > 0 and math.isfinite(frame_shift_ms)):
-        raise CorpusError(f"frame_shift_ms must be positive and finite, got {frame_shift_ms}")
-
-
 def frame_array(frames: np.ndarray) -> np.ndarray:
     """`frames` as a read-only (m >= 1, d >= 1) array of finite values; contiguous float64 is not copied."""
     arr = np.ascontiguousarray(frames, dtype=np.float64)
@@ -114,17 +108,15 @@ class SentencePair:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """An ordered collection of sentence pairs, optional gold links, and their one frame shift.
+    """An ordered collection of sentence pairs and optional gold links.
 
     Every pair has the first pair's feature dimension, as prototypes and span costs need.
     """
 
     pairs: tuple[SentencePair, ...]
     gold: dict[str, frozenset[tuple[int, int]]] | None = None  # utt_id -> 0-indexed (word, frame) links
-    frame_shift_ms: float = 10.0
 
     def __post_init__(self):
-        check_frame_shift(self.frame_shift_ms)
         seen = set()
         for pair in self.pairs:
             if pair.utt_id in seen:
@@ -325,7 +317,6 @@ def load_corpus(
     feature_dir: Path | str,
     translations_path: Path | str,
     gold_path: Path | str | None = None,
-    frame_shift_ms: float = Corpus.frame_shift_ms,
     normalize: bool = False,
 ) -> Corpus:
     """Load a corpus from the external file layout, validating as it goes.
@@ -362,7 +353,7 @@ def load_corpus(
         )
 
     gold = read_gold_file(gold_path) if gold_path is not None else None
-    return Corpus(tuple(pairs), gold, frame_shift_ms)
+    return Corpus(tuple(pairs), gold)
 
 
 def save_corpus(corpus: Corpus, out_dir: Path | str) -> None:

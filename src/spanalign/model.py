@@ -152,7 +152,7 @@ def proper_log_s_rows(costs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
 def save_params(params: ModelParams, path: Path | str, frame_shift_ms: float) -> None:
     """Dump parameters as versioned JSON; floats round-trip via repr.
 
-    Every prototype records `frame_shift_ms`, the frame shift of the corpus.
+    Every prototype records `frame_shift_ms`, the run's frame shift.
     """
     payload = {
         "format_version": CHECKPOINT_VERSION,

@@ -37,6 +37,7 @@ class SegmentationConfig:
     grid_stride: int = 5
     span_min_len: int = 3
     span_max_len: int = 150
+    frame_shift_ms: float = 10.0  # the features' frame shift; turns min_silence_ms into frames
 
     def __post_init__(self):
         if not (0.0 < self.threshold_ratio < 1.0):
@@ -49,13 +50,11 @@ class SegmentationConfig:
             raise ValueError("grid_stride must be >= 0 (0 disables the grid)")
         if not (1 <= self.span_min_len <= self.span_max_len):
             raise ValueError("need 1 <= span_min_len <= span_max_len")
+        if not (self.frame_shift_ms > 0 and math.isfinite(self.frame_shift_ms)):
+            raise ValueError(f"frame_shift_ms must be positive and finite, got {self.frame_shift_ms}")
 
 
-def detect_silence(
-    energy: np.ndarray,
-    frame_shift_ms: float,
-    config: SegmentationConfig,
-) -> SilenceSpans:
+def detect_silence(energy: np.ndarray, config: SegmentationConfig) -> SilenceSpans:
     """Find low-energy runs: smooth, threshold at a ratio of the peak, keep long runs.
 
     The track is smoothed with a centered running median of
@@ -67,9 +66,9 @@ def detect_silence(
     config.threshold_ratio * max(smoothed) count as silent, and maximal
     silent runs that last at least config.min_silence_ms are returned:
     a run's frame count is compared with the float min_silence_ms /
-    frame_shift_ms, exactly for any run length, so a ratio that
-    overflows to inf keeps no run.  An all-zero track has peak 0 and
-    thus no silences.  `energy` is a `SentencePair.energy_track`, which
+    frame_shift_ms of `config`, exactly for any run length, so a ratio
+    that overflows to inf keeps no run.  An all-zero track has peak 0
+    and thus no silences.  `energy` is a `SentencePair.energy_track`, which
     holds the track's rule: one finite, non-negative value per frame.
     """
     half = config.smooth_frames // 2
@@ -79,7 +78,7 @@ def detect_silence(
 
     threshold = config.threshold_ratio * smoothed.max()
     mask = smoothed < threshold
-    min_frames = config.min_silence_ms / frame_shift_ms
+    min_frames = config.min_silence_ms / config.frame_shift_ms
 
     # The padded mask changes at the first frame of each run and just past
     # its last, so the changes pair up as [s, t) runs, here made 1-indexed.
@@ -145,11 +144,14 @@ def enumerate_spans(
 
 
 def candidate_spans(
-    pair: SentencePair, config: SegmentationConfig, frame_shift_ms: float
+    pair: SentencePair, config: SegmentationConfig
 ) -> tuple[tuple[tuple[int, int], ...], SilenceSpans]:
-    """Full per-utterance pipeline, with one fallback guaranteeing a non-empty set."""
+    """Full per-utterance pipeline, with one fallback guaranteeing a non-empty set.
+
+    Silences come from the pair's energy track, if any, at config.frame_shift_ms.
+    """
     if pair.energy_track is not None:
-        silences = detect_silence(pair.energy_track, frame_shift_ms, config)
+        silences = detect_silence(pair.energy_track, config)
     else:
         silences = ()
 

@@ -23,8 +23,9 @@ class SynthConfig:
     from [proto_len_min, proto_len_max]; sentences are emitted as
     (optionally reordered) prototype concatenations with silences at word
     junctions.  With `bounds`, each pair carries its true word edges.
-    The corpus keeps the default frame shift: `align --frame-shift-ms`
-    sets the shift of a run, and no corpus file records one.
+    No corpus file records a frame shift: `synth` stamps the default
+    segmentation setting on true_params.json, and `align --frame-shift-ms`
+    sets the shift of a run.
     """
 
     seed: int = 0

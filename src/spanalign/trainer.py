@@ -153,7 +153,7 @@ class TrainState:
 
 def build_tables(corpus: Corpus, seg_config: SegmentationConfig) -> Tables:
     """The corpus's tables: candidate spans and mu allocations per utterance."""
-    candidates = {p.utt_id: candidate_spans(p, seg_config, corpus.frame_shift_ms)[0] for p in corpus}
+    candidates = {p.utt_id: candidate_spans(p, seg_config)[0] for p in corpus}
     return Tables(corpus, candidates)
 
 
@@ -368,9 +368,13 @@ def initialize(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainStat
     )
     params = m_step(corpus, assignments, config, blank)
 
+    # Plain left-to-right adds: from Python 3.12, sum() of floats is compensated and can differ.
     total = 0.0
     for words in _score_assignments(corpus, params, tables, delta, assignments).values():
-        total += sum(score for _, _, _, score in words)
+        utterance = 0.0
+        for _, _, _, score in words:
+            utterance += score
+        total += utterance
     log = IterationStats(0, total, time.perf_counter() - started, params)
     return TrainState(params=params, assignments=assignments, iteration_log=(log,), delta=delta)
 

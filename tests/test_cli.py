@@ -319,6 +319,29 @@ def test_non_default_frame_shift_is_stamped_on_every_prototype(tmp_path):
         assert shifts == {want}, path
 
 
+def test_frame_shift_flag_reaches_silence_detection(tmp_path, monkeypatch):
+    # synth's silences last 9-14 frames; 150 ms is 7.5 frames at 20 ms per frame and 15 at 10 ms.
+    corpus_dir = _synth(tmp_path)
+    silences, candidate_spans = [], trainer.candidate_spans
+
+    def recorded(pair, config):
+        spans, found = candidate_spans(pair, config)
+        silences.append(found)
+        return spans, found
+
+    monkeypatch.setattr(trainer, "candidate_spans", recorded)
+    tables = {}
+    for shift in ("10", "20"):
+        argv = ["align", *corpus_flags(corpus_dir), "--output", str(tmp_path / "run"),
+                "--min-silence-ms", "150", "--frame-shift-ms", shift]
+        values = vars(build_parser().parse_args(argv))
+        _, _, tables[shift] = cli._load_tables(values, _config(SegmentationConfig, values))
+    at_10, at_20 = silences[:5], silences[5:]
+    assert at_10 == [()] * 5
+    assert all(at_20) and {t - s for runs in at_20 for s, t in runs} <= set(range(9, 15))
+    assert tables["10"].candidates != tables["20"].candidates
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [("align", ["--frame-shift-ms", "1e-310"]),

@@ -27,6 +27,7 @@ from spanalign.corpus import (
     write_gold_file,
 )
 from spanalign import corpus as corpus_module
+from spanalign.segmentation import SegmentationConfig
 from spanalign.synth import SynthConfig, synth_generate
 
 
@@ -78,22 +79,23 @@ def test_sentence_pair_keeps_contiguous_float64_frames_without_copy():
     assert converted.dtype == np.float64 and converted.flags.c_contiguous and not converted.flags.writeable
 
 
+# The frame shift is a segmentation setting: a corpus carries none.
 @pytest.mark.parametrize("shift", [0.0, -10.0, math.nan, math.inf])
 def test_corpus_rejects_bad_frame_shift(shift):
-    with pytest.raises(CorpusError, match="frame_shift_ms must be positive and finite"):
-        Corpus((make_pair(),), frame_shift_ms=shift)
+    with pytest.raises(ValueError, match="frame_shift_ms must be positive and finite"):
+        SegmentationConfig(frame_shift_ms=shift)
 
 
 def test_load_corpus_sets_frame_shift(tmp_path):
     synthetic, _ = synth_generate(SynthConfig(seed=1, vocab_size=4, sentences=3))
-    corpus = Corpus(synthetic.pairs, synthetic.gold, frame_shift_ms=25.0)
-    assert corpus.frame_shift_ms == 25.0
-    save_corpus(corpus, tmp_path)
+    assert SegmentationConfig(frame_shift_ms=25.0).frame_shift_ms == 25.0
+    save_corpus(synthetic, tmp_path)
     paths = (tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")
-    assert load_corpus(*paths).frame_shift_ms == 10.0
-    assert load_corpus(*paths, frame_shift_ms=12.5).frame_shift_ms == 12.5
-    with pytest.raises(CorpusError, match="frame_shift_ms must be positive and finite, got 0.0"):
-        load_corpus(*paths, frame_shift_ms=0.0)
+    assert not hasattr(load_corpus(*paths), "frame_shift_ms")
+    assert SegmentationConfig().frame_shift_ms == 10.0
+    assert SegmentationConfig(frame_shift_ms=12.5).frame_shift_ms == 12.5
+    with pytest.raises(ValueError, match="frame_shift_ms must be positive and finite, got 0.0"):
+        SegmentationConfig(frame_shift_ms=0.0)
 
 
 def test_feature_file_round_trip(tmp_path):

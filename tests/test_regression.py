@@ -36,13 +36,16 @@ SEED_FLOORS = {0: 0.893, 1: 0.892, 2: 0.898, 3: 0.896, 4: 0.882}
 # The variable-lengths recipe spreads widely over seeds; seed 0 is in CORPORA.
 VARIABLE_LENGTHS_SEED_FLOORS = {1: 0.732, 2: 0.701, 3: 0.789, 4: 0.731}
 
+# The proper variant on the sparse-silences recipe; seed -> F floor.
+PROPER_SEED_FLOORS = {0: 0.751, 1: 0.730, 2: 0.757, 3: 0.754, 4: 0.763}
 
-def _f_score(tmp_path, capsys, name, synth):
+
+def _f_score(tmp_path, capsys, name, synth, align=()):
     corpus = tmp_path / name
     assert main(["synth", "--output", str(corpus), "--no-bounds", *synth]) == 0
     assert not list(corpus.glob("*.bounds"))
     run = tmp_path / f"{name}_run"
-    assert main(["align", *corpus_flags(corpus), "--output", str(run)]) == 0
+    assert main(["align", *corpus_flags(corpus), "--output", str(run), *align]) == 0
     capsys.readouterr()
     assert main(["eval", str(run / "alignments.tsv"), str(corpus / "gold.tsv")]) == 0
     f_line = capsys.readouterr().out.splitlines()[2]
@@ -68,3 +71,10 @@ def test_no_bounds_f_floor_per_seed(tmp_path, capsys, seed):
 def test_variable_lengths_f_floor_per_seed(tmp_path, capsys, seed):
     synth = [*CORPORA["variable_lengths"][0], "--seed", str(seed)]
     assert _f_score(tmp_path, capsys, "corpus", synth) >= VARIABLE_LENGTHS_SEED_FLOORS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(PROPER_SEED_FLOORS))
+def test_proper_no_bounds_f_floor_per_seed(tmp_path, capsys, seed):
+    synth = [*CORPORA["sparse_silences"][0], "--seed", str(seed)]
+    f_score = _f_score(tmp_path, capsys, "corpus", synth, align=["--variant", "proper"])
+    assert f_score >= PROPER_SEED_FLOORS[seed]

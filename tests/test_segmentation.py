@@ -30,31 +30,31 @@ def make_pair(m, energy=None, utt_id="u1", boundaries=()):
 def test_detect_silence_seven_frame_run():
     e = np.ones(30)
     e[10:17] = 0.01
-    assert detect_silence(e, 10.0, SegmentationConfig()) == ((11, 18),)
+    assert detect_silence(e, SegmentationConfig()) == ((11, 18),)
 
 
 def test_detect_silence_four_frames_too_short():
     e = np.ones(30)
     e[10:14] = 0.01
-    assert detect_silence(e, 10.0, SegmentationConfig()) == ()
+    assert detect_silence(e, SegmentationConfig()) == ()
 
 
 def test_detect_silence_all_zero_track():
-    assert detect_silence(np.zeros(25), 10.0, SegmentationConfig()) == ()
+    assert detect_silence(np.zeros(25), SegmentationConfig()) == ()
 
 
 def test_detect_silence_multiple_runs():
     e = np.ones(60)
     e[5:12] = 0.0
     e[30:40] = 0.0
-    assert detect_silence(e, 10.0, SegmentationConfig()) == ((6, 13), (31, 41))
+    assert detect_silence(e, SegmentationConfig()) == ((6, 13), (31, 41))
 
 
 def test_detect_silence_min_ms_scales_with_shift():
     e = np.ones(30)
     e[10:14] = 0.0
     # 4 frames at 20 ms/frame = 80 ms >= 50 ms
-    assert detect_silence(e, frame_shift_ms=20.0, config=SegmentationConfig()) == ((11, 15),)
+    assert detect_silence(e, SegmentationConfig(frame_shift_ms=20.0)) == ((11, 15),)
 
 
 def test_boundaries_grid_endpoints():
@@ -118,7 +118,7 @@ def test_candidate_spans_full_pipeline_snaps_to_word():
     # be among the candidates once silences are detected exactly.
     energy = np.concatenate([np.full(10, 0.01), np.ones(8), np.full(10, 0.01)])
     pair = make_pair(28, energy=energy)
-    cands, silences = candidate_spans(pair, SegmentationConfig(), 10.0)
+    cands, silences = candidate_spans(pair, SegmentationConfig())
     assert silences == ((1, 11), (19, 29))
     assert (11, 18) in cands
     for a, b in cands:
@@ -130,7 +130,7 @@ def test_candidate_spans_fallback_whole_utterance():
     # passes fail and the terminal fallback is the whole utterance.
     pair = make_pair(4)
     cfg = SegmentationConfig(span_min_len=10, span_max_len=20)
-    cands, _ = candidate_spans(pair, cfg, 10.0)
+    cands, _ = candidate_spans(pair, cfg)
     assert cands == ((1, 4),)
 
 
@@ -140,7 +140,7 @@ def test_candidate_spans_fallback_unrestricted_grid():
     # every in-range span.
     pair = make_pair(20)
     cfg = SegmentationConfig(grid_stride=0, span_min_len=3, span_max_len=10)
-    cands, _ = candidate_spans(pair, cfg, 10.0)
+    cands, _ = candidate_spans(pair, cfg)
     assert all(3 <= b - a + 1 <= 10 for a, b in cands)
     assert (1, 10) in cands and (11, 20) in cands
 
@@ -156,7 +156,7 @@ def test_candidate_spans_silence_follows_config(settings, expected):
     energy = np.ones(40)
     energy[8:12] = 0.01
     energy[24:31] = 0.2
-    cands, silences = candidate_spans(make_pair(40, energy=energy), SegmentationConfig(**settings), 10.0)
+    cands, silences = candidate_spans(make_pair(40, energy=energy), SegmentationConfig(**settings))
     assert silences == expected
     for a, b in cands:
         assert not any(max(a, s) <= min(b, t - 1) for s, t in expected)
@@ -164,7 +164,7 @@ def test_candidate_spans_silence_follows_config(settings, expected):
 
 def test_candidate_spans_no_energy_skips_silence():
     pair = make_pair(20)
-    cands, silences = candidate_spans(pair, SegmentationConfig(), 10.0)
+    cands, silences = candidate_spans(pair, SegmentationConfig())
     assert silences == ()
     assert (1, 20) in cands
 
@@ -235,7 +235,7 @@ def test_detect_silence_runs_match_frame_loop():
         ratio = float(rng.uniform(0.05, 0.95))
         min_ms = float(rng.integers(1, 7) * 10)
         config = SegmentationConfig(threshold_ratio=ratio, min_silence_ms=min_ms, smooth_frames=1)
-        got = detect_silence(energy, 10.0, config)
+        got = detect_silence(energy, config)
         mask = energy < ratio * energy.max()
         assert got == tuple(silence_runs_reference(mask, math.ceil(min_ms / 10.0)))
         assert all(type(v) is int for span in got for v in span)
@@ -255,4 +255,4 @@ def test_detect_silence_smooths_with_running_median(width):
         ratio = float(rng.uniform(0.05, 0.95))
         config = SegmentationConfig(threshold_ratio=ratio, min_silence_ms=10.0, smooth_frames=width)
         mask = smoothed < ratio * smoothed.max()
-        assert detect_silence(energy, 10.0, config) == tuple(silence_runs_reference(mask, 1))
+        assert detect_silence(energy, config) == tuple(silence_runs_reference(mask, 1))

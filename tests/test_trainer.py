@@ -2,6 +2,7 @@ import builtins
 import dataclasses
 import hashlib
 import io
+import math
 import os
 import pathlib
 
@@ -184,6 +185,25 @@ def test_initialize_is_deterministic():
     assert s1.assignments == s2.assignments
     assert np.array_equal(s1.params.u, s2.params.u)
     assert s1.iteration_log[0].total_log_score == s2.iteration_log[0].total_log_score
+
+
+def test_initialize_total_adds_each_utterance_left_to_right(monkeypatch):
+    # From Python 3.12 the builtin sum() of floats is compensated; fsum stands in for it here,
+    # and on this corpus it changes the total, so iteration 0 must not call sum().
+    monkeypatch.setattr(trainer_module, "sum", math.fsum, raising=False)
+    corpus = _small_corpus(sentences=50)
+    tables = build_tables(corpus, SegmentationConfig())
+    state = initialize(corpus, TrainConfig(), tables)
+    scored = trainer_module._score_assignments(corpus, state.params, tables, state.delta, state.assignments)
+    plain = compensated = 0.0
+    for words in scored.values():
+        utterance = 0.0
+        for _, _, _, score in words:
+            utterance += score
+        plain += utterance
+        compensated += math.fsum(score for _, _, _, score in words)
+    assert state.iteration_log[0].total_log_score == plain
+    assert compensated != plain
 
 
 def test_e_step_never_decreases_word_scores():
