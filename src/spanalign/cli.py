@@ -58,7 +58,6 @@ _RUN_OPTIONS = [
            "gold alignment file: align only checks it against the corpus, grid scores dev and test with it"),
     Option("output", str, None, "output directory"),
     Option("frame_shift_ms", float, _SEG.frame_shift_ms, "frame shift of the features in milliseconds"),
-    Option("normalize", bool, True, "normalize each utterance to zero mean, unit variance"),
     Option("threshold_ratio", float, _SEG.threshold_ratio,
            "silence threshold as a ratio of the smoothed peak"),
     Option("min_silence_ms", float, _SEG.min_silence_ms, "minimum silence duration in milliseconds"),
@@ -70,7 +69,6 @@ _RUN_OPTIONS = [
     Option("iterations", int, _TRAIN.iterations, "EM iterations"),
     Option("seed", int, _TRAIN.seed, "random seed for initialization"),
     Option("k", int, _TRAIN.k, "clusters per word type"),
-    Option("dba_iterations", int, _TRAIN.dba_iterations, "barycenter averaging iterations per M-step"),
     Option("variant", str, _TRAIN.variant, "span likelihood variant: deficient or proper"),
     Option("threads", int, 1, "has no effect: training runs on one thread (accepted so old command lines run)"),
 ]
@@ -96,13 +94,10 @@ _SYNTH_OPTIONS = [
            "maximum sentence length in words, capped at vocab_size (a sentence never repeats a type)"),
     Option("proto_len_min", int, _SYNTH.proto_len_min, "minimum prototype length in frames"),
     Option("proto_len_max", int, _SYNTH.proto_len_max, "maximum prototype length in frames"),
-    Option("dim", int, _SYNTH.dim, "feature dimensions"),
     Option("noise_std", float, _SYNTH.noise_std, "white noise standard deviation"),
     Option("reorder_prob", float, _SYNTH.reorder_prob, "probability of swapping adjacent words"),
     Option("silence_prob", float, _SYNTH.silence_prob,
            "probability of a silence at each word junction"),
-    Option("silence_len_min", int, _SYNTH.silence_len_min, "minimum silence length in frames"),
-    Option("silence_len_max", int, _SYNTH.silence_len_max, "maximum silence length in frames"),
     Option("bounds", bool, _SYNTH.bounds, "write <utt_id>.bounds sidecars with the true word edges"),
 ]
 
@@ -138,13 +133,9 @@ def _alignment_rows(corpus: Corpus, alignments: dict) -> str:
 
 
 def _load_tables(values: dict, seg_config: SegmentationConfig):
-    """Load (and normalize) the corpus, make the output directory, build the candidate tables."""
+    """Load the corpus (each utterance normalized), make the output directory, build the candidate tables."""
     corpus = load_corpus(
-        values["manifest"],
-        values["features"],
-        values["translations"],
-        values["gold"],
-        normalize=values["normalize"],
+        values["manifest"], values["features"], values["translations"], values["gold"], normalize=True
     )
     out_dir = Path(values["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -176,9 +167,9 @@ def cmd_align(args: argparse.Namespace) -> int:
     atomic_write_text(out_dir / "alignments.tsv", _alignment_rows(corpus, alignments))
 
     log_lines = [
-        f"# variant = {state.params.variant}",
-        f"# seed = {values['seed']}",
-        f"# lambda = {values['lambda']}",
+        f"# variant = {config.variant}",
+        f"# seed = {config.seed}",
+        f"# lambda = {config.lam}",
         "iteration\ttotal_log_score\tseconds",
     ]
     for stat in state.iteration_log:

@@ -19,10 +19,11 @@ from .model import ClusterInventory, ModelParams
 class SynthConfig:
     """Settings of the `synth` command: corpora sampled from the model family itself.
 
-    Each word type gets a fixed prototype whose length is drawn uniformly
-    from [proto_len_min, proto_len_max]; sentences are emitted as
-    (optionally reordered) prototype concatenations with silences at word
-    junctions.  With `bounds`, each pair carries its true word edges.
+    Each word type gets a fixed prototype of 12-dimensional frames whose
+    length is drawn uniformly from [proto_len_min, proto_len_max];
+    sentences are emitted as (optionally reordered) prototype
+    concatenations with 9-14-frame silences at word junctions.  With
+    `bounds`, each pair carries its true word edges.
     No corpus file records a frame shift: `synth` stamps the default
     segmentation setting on true_params.json, and `align --frame-shift-ms`
     sets the shift of a run.
@@ -38,21 +39,18 @@ class SynthConfig:
     # mismatched length-to-char ratios bias the span prior off the truth.
     proto_len_min: int = 8
     proto_len_max: int = 8
-    dim: int = 12
     noise_std: float = 0.0
     reorder_prob: float = 0.0
     silence_prob: float = 1.0
-    silence_len_min: int = 9
-    silence_len_max: int = 14
     bounds: bool = True
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("vocab_size", "sentences", "dim"):
+        for name in ("vocab_size", "sentences"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("sentence_len", "proto_len", "silence_len"):
+        for name in ("sentence_len", "proto_len"):
             lo, hi = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
             if not 1 <= lo <= hi:
                 raise ValueError(f"need 1 <= {name}_min <= {name}_max, got {lo} and {hi}")
@@ -70,6 +68,8 @@ class SynthConfig:
 # Tokens have one fixed length because the mu split allocates frames by
 # character count, while every word's true slot is its prototype's length.
 _TOKEN_CHARS = 5
+_DIM = 12  # feature dimensions
+_SILENCE_LEN_MIN, _SILENCE_LEN_MAX = 9, 14  # silence length range in frames
 
 
 def _sample_vocab(config: SynthConfig, rng: np.random.Generator) -> list[str]:
@@ -99,9 +99,7 @@ def synth_generate(config: SynthConfig) -> tuple[Corpus, ModelParams]:
     lengths = np.random.default_rng([config.seed, 1]).integers(
         config.proto_len_min, config.proto_len_max + 1, size=len(tokens)
     )
-    prototypes = {
-        tok: rng.normal(0.0, 1.0, size=(int(n), config.dim)) for tok, n in zip(tokens, lengths)
-    }
+    prototypes = {tok: rng.normal(0.0, 1.0, size=(int(n), _DIM)) for tok, n in zip(tokens, lengths)}
 
     pairs = []
     gold: dict[str, frozenset[tuple[int, int]]] = {}
@@ -128,12 +126,12 @@ def synth_generate(config: SynthConfig) -> tuple[Corpus, ModelParams]:
         def maybe_silence():
             nonlocal cursor
             if rng.random() < config.silence_prob:
-                n_sil = int(rng.integers(config.silence_len_min, config.silence_len_max + 1))
+                n_sil = int(rng.integers(_SILENCE_LEN_MIN, _SILENCE_LEN_MAX + 1))
                 # Silence is low ENERGY, not low feature magnitude: pauses
                 # carry loud non-repeating junk (breaths, clicks) so that a
                 # span absorbing pause frames pays a real warping cost
                 # instead of matching a repeatable near-constant chunk.
-                chunks.append(3.0 * rng.standard_normal((n_sil, config.dim)))
+                chunks.append(3.0 * rng.standard_normal((n_sil, _DIM)))
                 energies.append(rng.uniform(0.0, 0.02, size=n_sil))
                 cursor += n_sil
 

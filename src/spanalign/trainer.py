@@ -47,6 +47,8 @@ from .segmentation import SegmentationConfig, candidate_spans
 Assignment = tuple[int, int, int]  # (cluster id, span start, span end)
 ScoredAssignment = tuple[int, int, int, float]  # an Assignment with its log score
 
+DBA_ITERATIONS = 3  # barycenter averaging passes per M-step, in every run
+
 
 class TrainError(RuntimeError):
     pass
@@ -57,8 +59,7 @@ class TrainConfig:
     iterations: int = 3
     seed: int = 0
     k: int = 2
-    dba_iterations: int = 3
-    variant: str = "deficient"
+    variant: str = ModelParams.variant
     lam: float = ModelParams.lam
 
     def __post_init__(self):
@@ -68,8 +69,6 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.dba_iterations < 1:
-            raise ValueError("dba_iterations must be >= 1")
         check_variant(self.variant)
         check_lam(self.lam)
 
@@ -301,7 +300,6 @@ def _members(
 def m_step(
     corpus: Corpus,
     assignments: dict[str, tuple[Assignment, ...]],
-    config: TrainConfig,
     prev_params: ModelParams,
     *,
     prev_assignments: dict[str, tuple[Assignment, ...]] | None = None,
@@ -327,7 +325,7 @@ def m_step(
     for f in sorted(members):
         if members[f] != prev_members.get(f):
             spans = [frames[utt_id][a - 1 : b] for utt_id, a, b in members[f]]
-            prototypes[f], _ = dba_centroid(spans, iterations=config.dba_iterations)
+            prototypes[f], _ = dba_centroid(spans, iterations=DBA_ITERATIONS)
     return ModelParams(
         inventory=prev_params.inventory,
         u=u,
@@ -366,7 +364,7 @@ def initialize(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainStat
         lam=config.lam,
         variant=config.variant,
     )
-    params = m_step(corpus, assignments, config, blank)
+    params = m_step(corpus, assignments, blank)
 
     # Plain left-to-right adds: from Python 3.12, sum() of floats is compensated and can differ.
     total = 0.0
@@ -394,7 +392,7 @@ def train(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainState:
         prev_assignments = assignments
         # perfbench's e_step hook binds four positional arguments, then prev_assignments by name
         assignments, total = e_step(corpus, params, tables, state.delta, prev_assignments=prev_assignments)
-        params = m_step(corpus, assignments, config, params, prev_assignments=prev_assignments)
+        params = m_step(corpus, assignments, params, prev_assignments=prev_assignments)
         log.append(IterationStats(it, total, time.perf_counter() - started, params))
     return TrainState(params=params, assignments=assignments, iteration_log=tuple(log), delta=state.delta)
 

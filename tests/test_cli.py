@@ -55,9 +55,14 @@ def _align(tmp_path, corpus_dir, *extra):
 
 
 def test_bare_commands_use_config_defaults():
-    values = vars(build_parser().parse_args(["align"]))
-    assert _config(TrainConfig, values, lam=values["lambda"]) == TrainConfig()
-    assert _config(SegmentationConfig, values) == SegmentationConfig()
+    # align and grid read every config field but lam, plus the settings that name files or threads.
+    run = {f.name for f in [*fields(TrainConfig), *fields(SegmentationConfig)] if f.name != "lam"}
+    run |= {"manifest", "features", "translations", "gold", "output", "threads"}
+    for command, own in [("align", {"lambda"}), ("grid", {"lambda_grid", "dev_manifest", "test_manifest"})]:
+        values = vars(build_parser().parse_args([command]))
+        assert _config(TrainConfig, values, lam=values.get("lambda", TrainConfig.lam)) == TrainConfig()
+        assert _config(SegmentationConfig, values) == SegmentationConfig()
+        assert set(values) - {"command", "func"} == run | own
     values = vars(build_parser().parse_args(["synth"]))
     assert _config(SynthConfig, values) == SynthConfig()
     assert {f.name for f in fields(SynthConfig)} == set(values) - {"output", "command", "func"}
@@ -299,14 +304,19 @@ def test_bad_settings_rejected_before_reading_files(tmp_path, capsys, command, s
     [("synth", "frame_shift_ms", "25"), ("align", "lambda_grid", "abc"), ("align", "dev_manifest", "nope"),
      ("align", "test_manifest", "nope"), ("grid", "lambda", "0.5"),
      # No candidate span is null, so a null-span mass would only shift every score.
-     ("align", "p0", "0.3"), ("grid", "p0", "0.3")],
+     ("align", "p0", "0.3"), ("grid", "p0", "0.3"),
+     # Fixed in every run: each utterance is normalized, and an M-step runs 3 DBA passes.
+     ("align", "dba_iterations", "3"), ("grid", "dba_iterations", "3"),
+     ("align", "no_normalize", None), ("grid", "no_normalize", None),
+     # Fixed in every synth corpus: 12 feature dimensions and 9-14-frame silences.
+     ("synth", "dim", "12"), ("synth", "silence_len_min", "9"), ("synth", "silence_len_max", "14")],
 )
 def test_command_rejects_settings_it_does_not_read(capsys, command, name, value):
-    flag = "--" + name.replace("_", "-")
+    argv = ["--" + name.replace("_", "-"), *([] if value is None else [value])]
     with pytest.raises(SystemExit) as exc:
-        main([command, flag, value])
+        main([command, *argv])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
 
 def test_non_default_frame_shift_is_stamped_on_every_prototype(tmp_path):

@@ -33,6 +33,10 @@ SEEDED = ["--sentences", "200", "--vocab-size", "40", "--noise-std", "0.1", "--r
           "--silence-prob", "0.3"]
 SEED_FLOORS = {0: 0.893, 1: 0.892, 2: 0.898, 3: 0.896, 4: 0.882}
 
+# The same recipe on a boundary grid twice as fine (`align --grid-stride 2`),
+# the candidate for a new default stride; seed -> F floor.
+GRID_STRIDE_2_SEED_FLOORS = {0: 0.938, 1: 0.932, 2: 0.928, 3: 0.943, 4: 0.949}
+
 # The variable-lengths recipe spreads widely over seeds; seed 0 is in CORPORA.
 VARIABLE_LENGTHS_SEED_FLOORS = {1: 0.732, 2: 0.701, 3: 0.789, 4: 0.731}
 
@@ -65,6 +69,12 @@ def test_no_bounds_f_floors(tmp_path, capsys):
 def test_no_bounds_f_floor_per_seed(tmp_path, capsys, seed):
     f_score = _f_score(tmp_path, capsys, "corpus", [*SEEDED, "--seed", str(seed)])
     assert f_score >= SEED_FLOORS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GRID_STRIDE_2_SEED_FLOORS))
+def test_grid_stride_2_f_floor_per_seed(tmp_path, capsys, seed):
+    f_score = _f_score(tmp_path, capsys, "corpus", [*SEEDED, "--seed", str(seed)], align=["--grid-stride", "2"])
+    assert f_score >= GRID_STRIDE_2_SEED_FLOORS[seed]
 
 
 @pytest.mark.parametrize("seed", sorted(VARIABLE_LENGTHS_SEED_FLOORS))

@@ -295,7 +295,7 @@ def test_m_step_relative_frequencies():
         "u1": ((0, 1, 3), (2, 4, 6)),
         "u2": ((0, 1, 2), (0, 3, 5)),
     }
-    params = m_step(corpus, assignments, TrainConfig(), blank)
+    params = m_step(corpus, assignments, blank)
 
     assert np.allclose(params.u, [0.75, 0.0, 0.25, 0.0])
     # Cluster 2 has one member, and the centroid of a singleton is the
@@ -333,9 +333,9 @@ def test_m_step_keeps_prototype_of_unchanged_cluster(monkeypatch):
     after[pair.utt_id] = ((g, a, b),) + before[pair.utt_id][1:]
 
     dba_calls = _count_calls(monkeypatch, "dba_centroid")
-    reused = m_step(corpus, after, TrainConfig(), state.params, prev_assignments=before)
+    reused = m_step(corpus, after, state.params, prev_assignments=before)
     assert len(dba_calls) == 2
-    rebuilt = m_step(corpus, after, TrainConfig(), state.params)
+    rebuilt = m_step(corpus, after, state.params)
     assert len(dba_calls) == 2 + len(reused.live_clusters())
     for h in range(state.params.inventory.n_clusters):
         if h in (f, g):
@@ -348,7 +348,7 @@ def test_m_step_keeps_prototype_of_unchanged_cluster(monkeypatch):
 
     # Nothing changed: no DBA at all, and every prototype object survives.
     del dba_calls[:]
-    same = m_step(corpus, before, TrainConfig(), state.params, prev_assignments=before)
+    same = m_step(corpus, before, state.params, prev_assignments=before)
     assert dba_calls == []
     assert same.prototypes == state.params.prototypes
 
@@ -417,7 +417,7 @@ def test_train_reuse_matches_recomputing_everything(variant):
     totals = [ref.iteration_log[0].total_log_score]
     for _ in range(config.iterations):
         assignments, total = e_step(corpus, params, fresh_tables(), ref.delta, prev_assignments=assignments)
-        params = m_step(corpus, assignments, config, params)
+        params = m_step(corpus, assignments, params)
         totals.append(total)
     assert state.assignments == assignments
     assert [st.total_log_score for st in state.iteration_log] == totals
@@ -545,7 +545,6 @@ def test_final_alignments_scores_are_finite():
     [
         dict(iterations=-1),
         dict(k=0),
-        dict(dba_iterations=0),
         dict(variant="soft"),
         dict(seed=-1),
         dict(lam=float("inf")),
