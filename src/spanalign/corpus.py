@@ -156,9 +156,15 @@ def _read_lines(path: Path | str, keep: int = 0) -> list[str]:
     """The file's lines, split at newlines only (`str.splitlines` also splits at U+0085 and kin).
 
     Trailing blank lines are dropped, except any among the first `keep` lines.
+    A byte that is not UTF-8 is a `CorpusError` naming its line.
     """
-    with open(path, encoding="utf-8-sig") as handle:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         text = handle.read()
+    try:
+        text.encode()  # fails at the lone surrogate that stands for a byte that is not UTF-8
+    except UnicodeEncodeError as exc:
+        line = text.count("\n", 0, exc.start) + 1
+        raise CorpusError(f"{path}:{line}: not UTF-8 text") from None
     lines = text.removesuffix("\n").split("\n") if text else []
     while len(lines) > keep and not lines[-1].strip():
         lines.pop()

@@ -54,6 +54,8 @@ class SynthConfig:
             lo, hi = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
             if not 1 <= lo <= hi:
                 raise ValueError(f"need 1 <= {name}_min <= {name}_max, got {lo} and {hi}")
+        if self.vocab_size > 26**_TOKEN_CHARS:  # types are distinct lowercase tokens
+            raise ValueError(f"vocab_size must be <= {26**_TOKEN_CHARS}, the number of {_TOKEN_CHARS}-letter tokens")
         if self.sentence_len_min > self.vocab_size:  # a sentence never repeats a type
             raise ValueError(
                 f"sentence_len_min must be <= vocab_size, got {self.sentence_len_min} and {self.vocab_size}"

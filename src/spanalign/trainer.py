@@ -7,20 +7,20 @@ a per-word independent argmax (E) with relative-frequency priors and
 DBA prototypes (M).
 
 Words are scored on one path.  A corpus's `Tables` hold what does not
-depend on lambda: each utterance's candidate spans and mu (as
-`allocate_mu` grants it; `distortion` holds mu's rule), and the DTW
-cost rows of the live clusters.  Lambda enters only through the
-distortion (Dyer et al. 2013), so `distortion_rows` builds each
-utterance's (words x candidate spans) distortion matrix once per run,
-and it rides on `TrainState`.  `_utterance_scores` adds both into one
-(words x spans x clusters) array per utterance, which the E-step's
-argmax and final scoring read; the initializer reads the distortion.
+depend on lambda: each utterance's candidate spans, and the DTW cost
+rows of the live clusters, which `Tables.rows` answers for given
+parameters.  Lambda enters only through the distortion (Dyer et al.
+2013), so `distortion_rows` builds each utterance's (words x candidate
+spans) distortion matrix once per run, and it rides on `TrainState`.
+`_utterance_scores` adds both into one (words x spans x clusters)
+array per utterance, which the E-step's argmax and final scoring read;
+the initializer reads the distortion.
 
 Work that cannot change is not redone: a cluster whose member list is
 unchanged keeps its prototype object (DBA is deterministic in its
 members), and the tables keep each cluster's DTW cost rows while its
-prototype object is the same.  Outputs are the same as recomputing
-everything.
+prototype object and utterance group are the same.  Outputs are the
+same as recomputing everything.
 """
 
 from __future__ import annotations
@@ -82,63 +82,56 @@ class IterationStats:
 
 
 class Tables:
-    """One corpus's candidate spans and mu, and the DTW cost rows of its live clusters.
+    """One corpus's candidate spans, and the DTW cost rows of its live clusters.
 
     Nothing here depends on lambda, so every run on the corpus can share
     one `Tables`; `distortion_rows` builds the per-lambda part.
 
     A deficient cluster is scored on the utterances that contain its
     word; a proper cluster on every utterance, since the normalizer runs
-    over all live clusters.  Those lists are built in one pass over the
-    corpus; a word that no utterance has gets none.  `refresh` computes
-    the rows of each cluster whose prototype object changed, one
-    `span_cost_rows` call per group of clusters sharing an utterance
-    list, drops clusters that are no longer live, and drops every row
-    when the variant changes.
+    over all live clusters.  Those utterance groups are built in one
+    pass over the corpus; a word that no utterance has gets none.  A
+    cluster's rows are kept while its prototype object and its group are
+    the same.
     """
 
     def __init__(self, corpus: Corpus, candidates: dict[str, tuple[tuple[int, int], ...]]):
         self.corpus = corpus
         self.candidates = candidates
-        self.mu = {pair.utt_id: allocate_mu(pair.char_lengths, pair.m) for pair in corpus}
-        self.live: dict[int, None] = {}  # live clusters in id order
-        self._variant: str | None = None
         # group key (word, or None for every utterance) -> its pairs, in corpus order
         self._groups: dict[str | None, list[SentencePair]] = {None: list(corpus)}
         for pair in corpus:
             for word in dict.fromkeys(pair.target_words):
                 self._groups.setdefault(word, []).append(pair)
-        # cluster -> (prototype the rows belong to, utt_id -> cost row)
-        self._entries: dict[int, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
+        # cluster -> (prototype, group key, utt_id -> cost row) of its last rows
+        self._entries: dict[int, tuple[np.ndarray, str | None, dict[str, np.ndarray]]] = {}
 
-    def check(self, corpus: Corpus) -> None:
-        """Refuse a corpus whose pairs are not the ones these tables were built for."""
+    def rows(self, corpus: Corpus, params: ModelParams) -> dict[int, dict[str, np.ndarray]]:
+        """The live clusters of `params` in id order, each with its utt_id -> cost row map.
+
+        Refuses a corpus whose pairs are not the ones these tables were
+        built for.  Computes the rows of each cluster whose prototype
+        object or group changed, one `span_cost_rows` call per group.
+        """
         if corpus.pairs is not self.corpus.pairs:
             raise ValueError("tables were built for another corpus")
-
-    def refresh(self, params: ModelParams) -> None:
-        """Make `row` and `live` answer for `params`, computing only what changed."""
-        live = self.live = dict.fromkeys(params.live_clusters())
-        entries = self._entries if params.variant == self._variant else {}
-        self._variant = params.variant
-        self._entries = {
-            f: entries[f] for f in live if f in entries and entries[f][0] is params.prototypes[f]
-        }
+        entries = {}
         stale: dict[str | None, list[int]] = {}
-        for f in live:
-            if f not in self._entries:
-                key = None if params.variant == "proper" else params.inventory.owner[f]
+        for f in params.live_clusters():
+            key = None if params.variant == "proper" else params.inventory.owner[f]
+            entry = self._entries.get(f)
+            if entry is not None and entry[0] is params.prototypes[f] and entry[1] == key:
+                entries[f] = entry
+            else:
                 stale.setdefault(key, []).append(f)
         for key, fs in stale.items():
             pairs = self._groups.get(key, ())
             protos = [params.prototypes[f] for f in fs]
             cands = [self.candidates[pair.utt_id] for pair in pairs]
             for f, proto, rows in zip(fs, protos, span_cost_rows(protos, pairs, cands)):
-                self._entries[f] = (proto, rows)
-
-    def row(self, f: int, utt_id: str) -> np.ndarray:
-        """Costs of cluster f on the candidate spans of one utterance."""
-        return self._entries[f][1][utt_id]
+                entries[f] = (proto, key, rows)
+        self._entries = entries
+        return {f: entries[f][2] for f in sorted(entries)}
 
 
 @dataclass(frozen=True)
@@ -151,7 +144,7 @@ class TrainState:
 
 
 def build_tables(corpus: Corpus, seg_config: SegmentationConfig) -> Tables:
-    """The corpus's tables: candidate spans and mu allocations per utterance."""
+    """The corpus's tables: each utterance's candidate spans, and no cost rows yet."""
     candidates = {p.utt_id: candidate_spans(p, seg_config)[0] for p in corpus}
     return Tables(corpus, candidates)
 
@@ -167,7 +160,7 @@ def distortion_rows(tables: Tables, lam: float) -> dict[str, np.ndarray]:
         rows = np.zeros((pair.l, len(spans)))  # a single frame admits a single span
         if pair.m > 1:
             starts, ends = np.array(spans).T
-            for i, mu_i in enumerate(tables.mu[pair.utt_id], start=1):
+            for i, mu_i in enumerate(allocate_mu(pair.char_lengths, pair.m), start=1):
                 la = log_delta_a(i, pair.l, pair.m, mu_i, lam)
                 lb = log_delta_b(i, pair.l, pair.m, mu_i, lam)
                 rows[i - 1] = la[starts] + lb[ends]
@@ -176,7 +169,7 @@ def distortion_rows(tables: Tables, lam: float) -> dict[str, np.ndarray]:
 
 
 def _utterance_scores(
-    pair: SentencePair, params: ModelParams, tables: Tables, delta: np.ndarray
+    pair: SentencePair, params: ModelParams, live: dict[int, dict[str, np.ndarray]], delta: np.ndarray
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Each word's clusters, and its scores on every (candidate span, cluster).
 
@@ -186,19 +179,19 @@ def _utterance_scores(
     or log s(f | a, b) + log delta (proper, normalized over every live
     cluster on this utterance).  Dead clusters score -inf.  Spans are
     major and clusters minor, so a first argmax over word i's (s, j)
-    prefers the smaller start, then end, then cluster id.  `tables` must
-    be refreshed for `params`, and `delta` is this utterance's
+    prefers the smaller start, then end, then cluster id.  `live` is
+    `Tables.rows` for `params`, and `delta` is this utterance's
     distortion rows.
     """
     clusters = [params.inventory.clusters[word] for word in pair.target_words]
     if params.variant == "proper":
-        rows = proper_log_s_rows({f: tables.row(f, pair.utt_id) for f in tables.live}) if tables.live else {}
+        rows = proper_log_s_rows({f: live[f][pair.utt_id] for f in live}) if live else {}
     else:
         rows = {
-            f: math.log(params.u[f]) + deficient_log_s_table(tables.row(f, pair.utt_id))
+            f: math.log(params.u[f]) + deficient_log_s_table(live[f][pair.utt_id])
             for fs in dict.fromkeys(clusters)
             for f in fs
-            if f in tables.live
+            if f in live
         }
     dead = np.full(delta.shape[1], -np.inf)
     table = np.stack([rows.get(f, dead) for fs in clusters for f in fs])  # (words * k, spans)
@@ -209,6 +202,7 @@ def _align_pair(
     pair: SentencePair,
     params: ModelParams,
     tables: Tables,
+    live: dict[int, dict[str, np.ndarray]],
     delta: np.ndarray,
     prev: tuple[Assignment, ...] | None,
 ) -> tuple[tuple[Assignment, ...], float]:
@@ -217,7 +211,7 @@ def _align_pair(
     A word without a live cluster keeps its previous assignment; with
     none to keep, it is an error.
     """
-    clusters, scores = _utterance_scores(pair, params, tables, delta)
+    clusters, scores = _utterance_scores(pair, params, live, delta)
     spans = tables.candidates[pair.utt_id]
     flat = scores.reshape(pair.l, -1)
     best = flat.argmax(axis=1)
@@ -225,7 +219,7 @@ def _align_pair(
     out = []
     total = 0.0
     for i, (fs, pick, score) in enumerate(zip(clusters, best.tolist(), maxima)):
-        if not any(f in tables.live for f in fs):
+        if not any(f in live for f in fs):
             if prev is None:
                 raise TrainError(f"{pair.utt_id}: word {i + 1} has no live cluster")
             out.append(prev[i])
@@ -250,12 +244,11 @@ def _score_assignments(
     Training makes no other assignment: another word's cluster or a span
     outside the candidate set raises.
     """
-    tables.check(corpus)
-    tables.refresh(params)
+    live = tables.rows(corpus, params)
     out = {}
     for pair in corpus:
         assignment = assignments[pair.utt_id]
-        clusters, scores = _utterance_scores(pair, params, tables, delta[pair.utt_id])
+        clusters, scores = _utterance_scores(pair, params, live, delta[pair.utt_id])
         index = {span: s for s, span in enumerate(tables.candidates[pair.utt_id])}
         spans = [index[a, b] for _, a, b in assignment]
         slots = [fs.index(f) for fs, (f, _, _) in zip(clusters, assignment)]
@@ -275,13 +268,12 @@ def e_step(
 
     `delta` is `distortion_rows(tables, params.lam)`.
     """
-    tables.check(corpus)
-    tables.refresh(params)
+    live = tables.rows(corpus, params)
     assignments = {}
     total = 0.0
     for pair in corpus:
         prev = prev_assignments.get(pair.utt_id) if prev_assignments else None
-        assignments[pair.utt_id], score = _align_pair(pair, params, tables, delta[pair.utt_id], prev)
+        assignments[pair.utt_id], score = _align_pair(pair, params, tables, live, delta[pair.utt_id], prev)
         total += score
     return assignments, total
 
@@ -339,10 +331,9 @@ def initialize(corpus: Corpus, config: TrainConfig, tables: Tables) -> TrainStat
     """Random clusters, distortion-argmax spans, then one M-step.
 
     Builds the run's distortion rows, which serve the distortion argmax
-    here and every later pass; scoring iteration 0 leaves the cost rows
-    in `tables` for the first E-step.
+    here and every later pass.  Scoring iteration 0 refuses another
+    corpus and leaves the cost rows in `tables` for the first E-step.
     """
-    tables.check(corpus)
     started = time.perf_counter()
     inventory = ClusterInventory.build((w for pair in corpus for w in pair.target_words), config.k)
     rng = np.random.default_rng(config.seed)

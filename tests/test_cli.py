@@ -78,16 +78,6 @@ def test_help_shows_only_real_defaults(capsys, command):
         assert "EM iterations (default: 3)" in text
 
 
-@pytest.mark.parametrize("command", ["align", "grid", "synth"])
-def test_config_file_option_is_gone(tmp_path, capsys, command):
-    path = tmp_path / "run.conf"
-    path.write_text("seed = 5\n")
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(path)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --config" in capsys.readouterr().err
-
-
 def test_synth_writes_corpus_layout(tmp_path):
     out = _synth(tmp_path)
     assert (out / "manifest.txt").exists()
@@ -309,7 +299,9 @@ def test_bad_settings_rejected_before_reading_files(tmp_path, capsys, command, s
      ("align", "dba_iterations", "3"), ("grid", "dba_iterations", "3"),
      ("align", "no_normalize", None), ("grid", "no_normalize", None),
      # Fixed in every synth corpus: 12 feature dimensions and 9-14-frame silences.
-     ("synth", "dim", "12"), ("synth", "silence_len_min", "9"), ("synth", "silence_len_max", "14")],
+     ("synth", "dim", "12"), ("synth", "silence_len_min", "9"), ("synth", "silence_len_max", "14"),
+     # Settings come from the command line only: no command reads a config file.
+     ("align", "config", "run.conf"), ("grid", "config", "run.conf"), ("synth", "config", "run.conf")],
 )
 def test_command_rejects_settings_it_does_not_read(capsys, command, name, value):
     argv = ["--" + name.replace("_", "-"), *([] if value is None else [value])]
@@ -411,6 +403,24 @@ def test_byte_order_marks_are_ignored(tmp_path, capsys):
         assert main(["eval", str(alignments), str(gold), "--output", str(out)]) == 0
         reports.append([capsys.readouterr().out] + [(out / n).read_bytes() for n in ("report.txt", "report.tsv")])
     assert reports[0] == reports[1]
+
+
+def test_non_utf8_bytes_are_an_error_naming_file_and_line(tmp_path, capsys):
+    # Stray bytes after a .feat file's last line, or inside a gold row, name file:line.
+    corpus_dir = _synth(tmp_path)
+    feat = sorted(corpus_dir.glob("*.feat"))[0]
+    data = feat.read_bytes()
+    feat.write_bytes(data + b"\xff\xfe")
+    code = main(["align", *corpus_flags(corpus_dir), "--output", str(tmp_path / "run"), "--threads", "1"])
+    assert code == 1
+    last = data.count(b"\n") + 1
+    assert f"error: {feat}:{last}: not UTF-8 text" in capsys.readouterr().err
+
+    pred, gold = tmp_path / "alignments.tsv", tmp_path / "gold.tsv"
+    pred.write_text("u1\t0\tfoo\t0\t0\t3\t-1.0\n")
+    gold.write_bytes(b"u1\t0\t0\t3\nu1\t1\t3\xff\t5\n")
+    assert main(["eval", str(pred), str(gold), "--output", str(tmp_path / "report")]) == 1
+    assert f"error: {gold}:2: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_eval_files_gold_of_unnamed_words_under_one_type(tmp_path, capsys):

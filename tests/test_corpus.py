@@ -27,7 +27,6 @@ from spanalign.corpus import (
     write_gold_file,
 )
 from spanalign import corpus as corpus_module
-from spanalign.segmentation import SegmentationConfig
 from spanalign.synth import SynthConfig, synth_generate
 
 
@@ -77,25 +76,6 @@ def test_sentence_pair_keeps_contiguous_float64_frames_without_copy():
     assert pair.frames is frames and not frames.flags.writeable
     converted = SentencePair("u", np.asfortranarray(np.arange(8).reshape(4, 2)), ("ab",)).frames
     assert converted.dtype == np.float64 and converted.flags.c_contiguous and not converted.flags.writeable
-
-
-# The frame shift is a segmentation setting: a corpus carries none.
-@pytest.mark.parametrize("shift", [0.0, -10.0, math.nan, math.inf])
-def test_corpus_rejects_bad_frame_shift(shift):
-    with pytest.raises(ValueError, match="frame_shift_ms must be positive and finite"):
-        SegmentationConfig(frame_shift_ms=shift)
-
-
-def test_load_corpus_sets_frame_shift(tmp_path):
-    synthetic, _ = synth_generate(SynthConfig(seed=1, vocab_size=4, sentences=3))
-    assert SegmentationConfig(frame_shift_ms=25.0).frame_shift_ms == 25.0
-    save_corpus(synthetic, tmp_path)
-    paths = (tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")
-    assert not hasattr(load_corpus(*paths), "frame_shift_ms")
-    assert SegmentationConfig().frame_shift_ms == 10.0
-    assert SegmentationConfig(frame_shift_ms=12.5).frame_shift_ms == 12.5
-    with pytest.raises(ValueError, match="frame_shift_ms must be positive and finite, got 0.0"):
-        SegmentationConfig(frame_shift_ms=0.0)
 
 
 def test_feature_file_round_trip(tmp_path):
@@ -210,6 +190,10 @@ def test_row_readers_skip_blank_lines(tmp_path, name, read, good, bad, message, 
     path = tmp_path / name
     path.write_bytes(f"\n{good}\r\n \n{good}\r{bad}\n".encode())
     with pytest.raises(CorpusError, match=re.escape(f"{path}:5: {message}")):
+        read(path)
+    # So they do for a byte that is not UTF-8, after a byte-order mark.
+    path.write_bytes(b"\xef\xbb\xbf" + f"\n{good}\r\n \n{good}\r".encode() + b"\xff\n")
+    with pytest.raises(CorpusError, match=re.escape(f"{path}:5: not UTF-8 text")):
         read(path)
     path.write_bytes(b"\n \r\n\r\t\n")
     if isinstance(blank, str):  # a message: the reader needs rows
@@ -461,6 +445,10 @@ def test_synth_rejects_degenerate_config():
     # Words are drawn without replacement, so a 3-type vocabulary cannot fill 5 words.
     with pytest.raises(ValueError, match="sentence_len_min must be <= vocab_size, got 5 and 3"):
         SynthConfig(vocab_size=3, sentence_len_min=5, sentence_len_max=8, sentences=4)
+    # Tokens are 5 letters, so no vocabulary holds more than 26**5 types; the config alone is built.
+    with pytest.raises(ValueError, match="vocab_size must be <= 11881376, the number of 5-letter tokens"):
+        SynthConfig(vocab_size=26**5 + 1)
+    assert SynthConfig(vocab_size=26**5).vocab_size == 26**5
 
 
 def test_load_corpus_missing_feature_file(tmp_path):

@@ -43,13 +43,6 @@ def test_vector_sums_to_one():
             assert np.exp(vec[1:]).sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_null_mass_zero_when_p0_zero():
-    # The null span carries no mass now that p0 is fixed at 0.
-    for fn in (log_delta_a, log_delta_b):
-        vec = fn(**EXAMPLE, lam=0.5)
-        assert vec[0] == -math.inf
-
-
 def test_random_sweep_matches_analytic_argmax():
     rng = np.random.default_rng(17)
     for _ in range(300):

@@ -113,14 +113,14 @@ def test_documented_two_span_softmax():
 def _proper_rows(params, pair, candidates):
     """log s(f | a, b) per live cluster f, read from the trainer's word scores less distortion."""
     tables = Tables(Corpus((pair,)), {pair.utt_id: candidates})
-    tables.refresh(params)
+    live = tables.rows(tables.corpus, params)
     delta = distortion_rows(tables, params.lam)[pair.utt_id]
-    clusters, scores = _utterance_scores(pair, params, tables, delta)
+    clusters, scores = _utterance_scores(pair, params, live, delta)
     return {
         f: scores[i, :, j] - delta[i]
         for i, fs in enumerate(clusters)
         for j, f in enumerate(fs)
-        if f in tables.live
+        if f in live
     }
 
 
@@ -223,10 +223,10 @@ def test_span_cost_rows_without_pairs_are_empty(monkeypatch):
 
     monkeypatch.setattr(trainer, "span_cost_rows", spy)
     tables = Tables(Corpus((pair,)), {pair.utt_id: candidates})
-    tables.refresh(params)
+    live = tables.rows(tables.corpus, params)
     assert ((), [{}]) in calls
     delta = distortion_rows(tables, params.lam)[pair.utt_id]
-    clusters, scores = _utterance_scores(pair, params, tables, delta)
+    clusters, scores = _utterance_scores(pair, params, live, delta)
     assert clusters == [(2,), (0,)]  # foo, bar; baz (cluster 1) is scored on no utterance
     assert np.isfinite(scores).all()
 

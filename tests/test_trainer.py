@@ -156,7 +156,7 @@ def test_build_tables_mu_covers_frames():
     tables = build_tables(corpus, SegmentationConfig())
     assert set(tables.candidates) == {p.utt_id for p in corpus}
     for pair in corpus:
-        mu = tables.mu[pair.utt_id]
+        mu = allocate_mu(pair.char_lengths, pair.m)
         assert len(mu) == pair.l
         assert sum(mu) == pair.m
         assert all(v >= 1 for v in mu)
@@ -217,7 +217,7 @@ def test_e_step_never_decreases_word_scores():
     )
     for pair in corpus:
         candidates = tables.candidates[pair.utt_id]
-        mu = tables.mu[pair.utt_id]
+        mu = allocate_mu(pair.char_lengths, pair.m)
         for i, word in enumerate(pair.target_words, start=1):
             old = word_log_score(
                 i, word, *state.assignments[pair.utt_id][i - 1], pair, state.params, candidates, mu[i - 1]
@@ -372,33 +372,33 @@ def test_cost_rows_follow_prototype_objects(monkeypatch, variant):
         return ModelParams(params.inventory, u, tuple(protos), params.lam, variant)
 
     store = Tables(corpus, tables.candidates)
-    store.refresh(params)
+    assert list(store.rows(corpus, params)) == list(live)
     assert sorted(map(id, computed())) == sorted(id(params.prototypes[f]) for f in live)
-    # Cost rows do not depend on lambda: a refresh under another one computes none.
+    # Cost rows do not depend on lambda: rows under another one compute none.
     other = ModelParams(params.inventory, params.u, params.prototypes, 2.0, variant)
-    store.refresh(other)
+    store.rows(corpus, other)
     assert computed() == []
-    store.refresh(params)
+    store.rows(corpus, params)
     assert computed() == []
 
     # A new prototype object, even with equal frames, is recomputed; the rest are reused.
     f = live[0]
     copy = params.prototypes[f].copy()
     changed = with_prototype(f, copy)
-    store.refresh(changed)
+    rows = store.rows(corpus, changed)
     assert computed() == [copy]
     for pair in corpus:
         spans = tables.candidates[pair.utt_id]
         for g in live:
             if variant == "proper" or params.inventory.owner[g] in pair.target_words:
                 want = candidate_span_costs(changed.prototypes[g], pair.frames, SpanLanes(pair.frames, spans))
-                assert np.array_equal(store.row(g, pair.utt_id), want)
+                assert np.array_equal(rows[g][pair.utt_id], want)
 
     # A cluster that dies is dropped, so its rows are recomputed if it lives again.
     u = params.u.copy()
     u[f] = 0.0
-    store.refresh(with_prototype(f, copy, u / u.sum()))
-    store.refresh(changed)
+    assert f not in store.rows(corpus, with_prototype(f, copy, u / u.sum()))
+    store.rows(corpus, changed)
     assert computed() == [copy]
 
 
@@ -434,7 +434,7 @@ def test_train_reuse_matches_recomputing_everything(variant):
     probe = TrainState(state.params, assignments, (), distortion_rows(narrow, state.params.lam))
     got = final_alignments(corpus, probe, narrow)
     for pair in corpus:
-        candidates, mu = narrow.candidates[pair.utt_id], narrow.mu[pair.utt_id]
+        candidates, mu = narrow.candidates[pair.utt_id], allocate_mu(pair.char_lengths, pair.m)
         for i, (word, (_, _, _, score)) in enumerate(zip(pair.target_words, got[pair.utt_id]), start=1):
             f, a, b = assignments[pair.utt_id][i - 1]
             want = word_log_score(i, word, f, a, b, pair, state.params, candidates, mu[i - 1])
@@ -462,7 +462,7 @@ def test_distortion_built_once_per_word(monkeypatch):
 
 def test_variant_switch_matches_fresh_store():
     # Deficient rows cover a word's utterances and proper rows cover all of
-    # them, so a store refreshed under the other variant must not keep any.
+    # them, so a store asked for the other variant's rows must not keep any.
     corpus, _ = synth_generate(SynthConfig(sentences=30, vocab_size=20, noise_std=0.1, bounds=False))
     tables = build_tables(corpus, SegmentationConfig())
     state = train(corpus, TrainConfig(iterations=1), tables)
@@ -543,13 +543,13 @@ def test_final_alignments_scores_are_finite():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(iterations=-1),
-        dict(k=0),
-        dict(variant="soft"),
-        dict(seed=-1),
-        dict(lam=float("inf")),
-        dict(lam=-1.0),
-        dict(lam=float("nan")),
+        pytest.param(dict(iterations=-1), id="iterations_negative"),
+        pytest.param(dict(k=0), id="k_zero"),
+        pytest.param(dict(variant="soft"), id="variant_unknown"),
+        pytest.param(dict(seed=-1), id="seed_negative"),
+        pytest.param(dict(lam=float("inf")), id="lam_inf"),
+        pytest.param(dict(lam=-1.0), id="lam_negative"),
+        pytest.param(dict(lam=float("nan")), id="lam_nan"),
     ],
 )
 def test_train_config_validation(kwargs):
