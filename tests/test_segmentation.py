@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import enumerate_spans_reference, silence_runs_reference
 
-from spanalign.corpus import SentencePair, load_corpus, read_boundary_file, save_corpus
+from spanalign.corpus import SentencePair, read_boundary_file
 from spanalign.segmentation import (
     NoCandidateSpansError,
     SegmentationConfig,
@@ -15,7 +15,6 @@ from spanalign.segmentation import (
     detect_silence,
     enumerate_spans,
 )
-from spanalign.synth import SynthConfig, synth_generate
 
 
 def make_pair(m, energy=None, utt_id="u1", boundaries=()):
@@ -26,20 +25,6 @@ def make_pair(m, energy=None, utt_id="u1", boundaries=()):
         energy_track=energy,
         boundaries=boundaries,
     )
-
-
-def test_frame_shift_is_a_segmentation_setting(tmp_path):
-    # A loaded corpus carries no frame shift; SegmentationConfig holds it and its rule.
-    synthetic, _ = synth_generate(SynthConfig(seed=1, vocab_size=4, sentences=3))
-    save_corpus(synthetic, tmp_path)
-    paths = (tmp_path / "manifest.txt", tmp_path, tmp_path / "translations.txt")
-    assert not hasattr(load_corpus(*paths), "frame_shift_ms")
-    assert SegmentationConfig().frame_shift_ms == 10.0
-    for shift in (12.5, 25.0):
-        assert SegmentationConfig(frame_shift_ms=shift).frame_shift_ms == shift
-    for shift in (0.0, -10.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"frame_shift_ms must be positive and finite, got {shift}$"):
-            SegmentationConfig(frame_shift_ms=shift)
 
 
 def test_detect_silence_seven_frame_run():
